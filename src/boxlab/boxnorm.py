@@ -4,8 +4,11 @@ Two independent evaluation routes are provided on purpose:
 
 * `box_power_direct` literally enumerates the replicated grid: every
   coordinate of the edge gets `ell` independent copies, and the expectation
-  of the product of the tensor over all digit patterns is a single pairwise
-  sum.  It is the reference oracle.
+  of the product of the tensor over all digit patterns visits every cell.
+  It is the reference oracle.  `Grid.expect` sums it: a grid of at most one
+  block (2**16 cells) is one pairwise sum over the fully multiplied array,
+  bit-identical to materialising it; a larger grid is summed block by block
+  over its trailing axes in a fixed order, without a full-grid array.
 * `box_norm(..., method="recursive")` peels one coordinate at a time,
   averaging the sub-power of the pointwise product of `ell` slices.  Tuples
   of slices are grouped into multisets with multinomial weights, which cuts
@@ -133,7 +136,7 @@ def box_power_direct(
         grid.lift(e, f.values, digits)
         for digits in itertools.product(range(ell), repeat=k)
     ]
-    return grid.reduce(grid.product(factors))
+    return grid.expect(factors)
 
 
 def _mean(system: HypergraphSystem, v: int, values: np.ndarray) -> float:
@@ -267,7 +270,7 @@ def gcs_form(
         fn = fams.get(digits)
         if fn is not None:
             factors.append(grid.lift(e, fn.values, digits))
-    return grid.reduce(grid.product(factors))
+    return grid.expect(factors)
 
 
 @dataclass(frozen=True)
@@ -315,9 +318,14 @@ def gcs_certificate(
     value = gcs_form(system, e, functions, ell, cap_products=cap_products)
     rhs = 1.0
     norms = {}
+    by_factor: dict[int, float] = {}
     for digits, fn in sorted(functions.items()):
         digits = tuple(int(d) for d in digits)
-        nv = box_norm(system, e, fn, ell, cap_products=cap_products).value
+        if id(fn) not in by_factor:
+            by_factor[id(fn)] = box_norm(
+                system, e, fn, ell, cap_products=cap_products
+            ).value
+        nv = by_factor[id(fn)]
         norms[",".join(map(str, digits))] = nv
         rhs *= nv
     tol = REL_TOL * rhs
@@ -351,11 +359,33 @@ def lp_box_norm(
     m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if p.is_inf or m == 0.0:
         return m
+    return _lp_box_norm_inner(system, e, f, ell, p, cap_products=cap_products)[0]
+
+
+def _lp_box_norm_inner(
+    system: HypergraphSystem,
+    e,
+    f: EdgeFunction,
+    ell: int,
+    p: Exponent,
+    method: str = "recursive",
+    cap_products: int = PRODUCT_CAP,
+) -> tuple[float, BoxNormResult]:
+    """The p-weighted box norm for finite p, with the inner box norm it roots.
+
+    The inner result is the box norm of (|f| / max|f|)**p by `method`, or of
+    f itself when f is zero (value 0).  The p-weighted norm is then
+    max|f| * inner.value**(1/p), taken through log/exp.
+    """
+    m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
+    if m == 0.0:
+        inner = box_norm(system, e, f, ell, method=method, cap_products=cap_products)
+        return 0.0, inner
     powered = edge_function(system, e, np.power(np.abs(f.values) / m, p.value))
-    inner = box_norm(system, e, powered, ell, cap_products=cap_products).value
-    if inner <= 0.0:
-        return 0.0
-    return m * math.exp(math.log(inner) / p.value)
+    inner = box_norm(system, e, powered, ell, method=method, cap_products=cap_products)
+    if inner.value <= 0.0:
+        return 0.0, inner
+    return m * math.exp(math.log(inner.value) / p.value), inner
 
 
 def bilinear_bound_report(
@@ -389,14 +419,12 @@ def bilinear_bound_report(
     ell_ok = bool(q.is_inf is False and ell + REL_TOL >= q.value)
     grid = Grid(system, [(i, 0), (j, 0)])
     lhs = abs(
-        grid.reduce(
-            grid.product(
-                [
-                    grid.lift(e, f.values, (0, 0)),
-                    grid.lift((i,), u.values, (0,)),
-                    grid.lift((j,), v.values, (0,)),
-                ]
-            )
+        grid.expect(
+            [
+                grid.lift(e, f.values, (0, 0)),
+                grid.lift((i,), u.values, (0,)),
+                grid.lift((j,), v.values, (0,)),
+            ]
         )
     )
     rhs = (

@@ -17,10 +17,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .boxnorm import box_norm, gcs_certificate, lp_box_norm
+from .boxnorm import _lp_box_norm_inner, box_norm, gcs_certificate, lp_box_norm
 from .counting import counting_lemma_certificate, von_neumann_certificate
 from .cutnorm import cut_norm
 from .errors import BadSpec, BoxlabError, MalformedProblem
@@ -77,23 +75,14 @@ def cmd_norm(args) -> int:
         }
     else:
         p = Exponent.parse(args.p)
-        value = lp_box_norm(system, edge, f, args.ell, p)
         if p.is_inf:
+            value = lp_box_norm(system, edge, f, args.ell, p)
             out = {"value": value, "power_value": value, "clamped": False,
                    "method": "sup"}
         else:
-            m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
-            if m == 0.0:
-                inner = box_norm(
-                    system, edge, f, args.ell, method=args.method
-                )
-            else:
-                from .spaces import edge_function
-
-                powered = edge_function(
-                    system, edge, np.power(np.abs(f.values) / m, p.value)
-                )
-                inner = box_norm(system, edge, powered, args.ell, method=args.method)
+            value, inner = _lp_box_norm_inner(
+                system, edge, f, args.ell, p, method=args.method
+            )
             out = {
                 "value": value,
                 "power_value": inner.power,

@@ -73,7 +73,7 @@ def _lambda_direct(system: HypergraphSystem, assign: dict, edges) -> float:
     coords = sorted(set(v for e in edges for v in e))
     grid = Grid(system, [(v, 0) for v in coords])
     factors = [grid.lift(e, assign[e].values, (0,) * len(e)) for e in edges]
-    return grid.reduce(grid.product(factors))
+    return grid.expect(factors)
 
 
 def _lambda_eliminate(system: HypergraphSystem, assign: dict, edges) -> float:
@@ -195,7 +195,7 @@ def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
     m = float(np.max(np.abs(tensor))) if tensor.size else 0.0
     if p.is_inf or m == 0.0:
         return m
-    mean = grid.reduce(grid.weight_tensor() * np.power(np.abs(tensor) / m, p.value))
+    mean = grid.expect([np.power(np.abs(tensor) / m, p.value)])
     if mean <= 0.0:
         return 0.0
     return m * math.exp(math.log(mean) / p.value)

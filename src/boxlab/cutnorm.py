@@ -90,7 +90,7 @@ def cut_value(system: HypergraphSystem, e, f: EdgeFunction, cut: CutSet) -> floa
         raise ShapeMismatch(f"cut set does not describe the faces of {e}")
     if len(e) == 1:
         grid = Grid(system, [(e[0], 0)])
-        return grid.reduce(grid.product([grid.lift(e, f.values, (0,))]))
+        return grid.expect([grid.lift(e, f.values, (0,))])
     grid = Grid(system, [(v, 0) for v in e])
     factors = [grid.lift(e, f.values, (0,) * len(e))]
     for face, mask in zip(faces, cut.masks):
@@ -105,7 +105,7 @@ def cut_value(system: HypergraphSystem, e, f: EdgeFunction, cut: CutSet) -> floa
             if (mask >> t) & 1:
                 ind[t] = 1.0
         factors.append(grid.lift(face, ind.reshape(shape), (0,) * len(face)))
-    return grid.reduce(grid.product(factors))
+    return grid.expect(factors)
 
 
 def _face_rows(system: HypergraphSystem, grid: Grid, face: tuple[int, ...]):
@@ -131,7 +131,7 @@ def cut_norm(
     faces = faces_of(e)
     if len(e) == 1:
         grid = Grid(system, [(e[0], 0)])
-        val = grid.reduce(grid.product([grid.lift(e, f.values, (0,))]))
+        val = grid.expect([grid.lift(e, f.values, (0,))])
         return CutNormResult(
             abs(val), CutSet(e, (1,)), "exact", 2, 0, True
         )

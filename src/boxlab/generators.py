@@ -124,7 +124,7 @@ def uniform_complete_system(sizes, r: int) -> HypergraphSystem:
 
 def _weighted_mean(system: HypergraphSystem, e, values: np.ndarray) -> float:
     grid = Grid(system, [(v, 0) for v in e])
-    return grid.reduce(grid.product([grid.lift(e, values, (0,) * len(e))]))
+    return grid.expect([grid.lift(e, values, (0,) * len(e))])
 
 
 def _perturbed_tensor(system, e, rng, epsilon: float) -> np.ndarray:

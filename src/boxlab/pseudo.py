@@ -522,8 +522,8 @@ def check_C3(
         for r in range(1, len(others) + 1):
             for sub in itertools.combinations(others, r):
                 dens = conditional_onto_edge(system, e, [fam[e2] for e2 in sub])
-                moment = ge.reduce(
-                    ge.product([ge.lift(e, np.power(dens.values, ell), (0,) * len(e))])
+                moment = ge.expect(
+                    [ge.lift(e, np.power(dens.values, ell), (0,) * len(e))]
                 )
                 checked += 1
                 if moment > worst:
@@ -1099,7 +1099,7 @@ def selector_correlation_sup(
         grid = Grid(system, [(v, 0) for v in kernel.edge])
         view = grid.lift(kernel.edge, kernel.values, (0,) * len(kernel.edge))
         best = {
-            "value": abs(grid.reduce(grid.product([view]))),
+            "value": abs(grid.expect([view])),
             "selectors": [],
             "slots": [],
             "masks": [],
@@ -1140,7 +1140,7 @@ def replica_mass_max(
                 continue
             digits = tuple(0 if v in base_set else w for v in e2)
             factors.append(grid.lift(e2, fam[e2].values, digits))
-        val = grid.reduce(grid.product(factors))
+        val = grid.expect(factors)
         if best is None or val > best["value"]:
             best = {
                 "value": val,

@@ -3,10 +3,13 @@
 Everything downstream evaluates expectations of products of edge tensors over
 product grids in which each vertex may carry one or several independent
 replicas.  The Grid class owns that bookkeeping: axes are (vertex, replica)
-pairs, tensors are lifted onto the grid by reshape/transpose so numpy
-broadcasting aligns them, and the final reduction is a single numpy pairwise
-sum over a C-contiguous array.  That fixed reduction order makes every
-expectation reproducible bit for bit, independent of thread count.
+pairs, and tensors are lifted onto the grid by reshape/transpose so numpy
+broadcasting aligns them.  `Grid.expect` takes every grid expectation.  A
+grid of at most one block (2**16 cells) is multiplied out in one array and
+summed by numpy's pairwise sum, so its value equals that of the fully
+materialised product bit for bit.  A larger grid is summed block by block
+over its trailing axes, in a fixed order.  Either way the value is
+reproducible bit for bit, independent of thread count.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ GRID_CELL_CAP = 1 << 25
 
 # Guard for integer powers ell ** |e| used as exponents and work estimates.
 POWER_GUARD = 1 << 62
+
+# Cells of the largest array `Grid.expect` multiplies out per leading index.
+_BLOCK = 1 << 16
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -273,8 +279,10 @@ class Grid:
     Keys are sorted; axis k has the atom count of its vertex.  `lift` places
     an edge tensor on the grid given the replica digit used by each of its
     coordinates, and `weight_tensor` materializes the product measure of any
-    subset of axes.  All reductions downstream flatten to C order and use
-    numpy's pairwise summation, so values never depend on thread count.
+    subset of axes.  `expect` is the one way to take a grid expectation: up
+    to one block of cells it is bit-identical to summing `product(...)`,
+    beyond that it sums block by block in a fixed order.  No reduction
+    depends on the thread count.
     """
 
     def __init__(self, system: HypergraphSystem, keys, cap: int = GRID_CELL_CAP):
@@ -317,9 +325,60 @@ class Grid:
             acc = acc * a
         return np.broadcast_to(acc, self.shape) if acc.shape != self.shape else acc
 
-    def reduce(self, tensor: np.ndarray) -> float:
-        """Deterministic total sum: contiguous flatten + numpy pairwise sum."""
-        return float(np.sum(np.ascontiguousarray(tensor)))
+    def expect(self, factors) -> float:
+        """Sum of `product(factors)` without materialising a large grid.
+
+        Up to one block of cells, one contiguous copy of the weight tensor is
+        multiplied in place by each factor in turn and summed once by numpy's
+        pairwise sum: bit-identical to `np.sum` of the contiguous product.
+        A larger grid splits its axes into leading ones, looped over in C
+        order, and trailing ones, the longest suffix of at most one block
+        (at least the last axis).  Factors reading the same leading axes are
+        multiplied once into a cached array over those axes times the
+        trailing ones; per leading index one reused buffer takes the weights
+        and one slice of each cache, and the block sums are added by one
+        pairwise sum.
+        """
+        factors = list(factors)
+        if self.cells <= _BLOCK:
+            acc = np.ascontiguousarray(self.weight_tensor())
+            for a in factors:
+                acc *= a
+            return float(np.sum(acc))
+        split = len(self.shape) - 1
+        trail = self.shape[split]
+        while split > 0 and trail * self.shape[split - 1] <= _BLOCK:
+            split -= 1
+            trail *= self.shape[split]
+        groups: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for a in factors:
+            reads = tuple(ax for ax in range(split) if a.shape[ax] != 1)
+            groups.setdefault(reads, []).append(a)
+        base = self.weight_tensor(self.keys[split:])
+        for a in groups.pop((), []):
+            base = base * a
+        caches = []
+        for reads, group in groups.items():
+            if len(group) == 1:
+                cache = group[0]
+            else:
+                shape = np.broadcast_shapes(*(a.shape for a in group))
+                cache = np.broadcast_to(group[0], shape).copy()
+                for a in group[1:]:
+                    cache *= a
+            caches.append((reads, cache))
+        lead_w = self.weight_tensor(self.keys[:split]).reshape(-1)
+        buf = np.empty(base.shape)
+        sums = np.empty(lead_w.shape[0])
+        for i, idx in enumerate(np.ndindex(*self.shape[:split])):
+            np.multiply(base, lead_w[i], out=buf)
+            for reads, cache in caches:
+                at = [0] * split
+                for ax in reads:
+                    at[ax] = idx[ax]
+                buf *= cache[tuple(at)]
+            sums[i] = np.sum(buf)
+        return float(np.sum(sums))
 
 
 def expectation(system: HypergraphSystem, e, f: EdgeFunction) -> float:
@@ -329,7 +388,7 @@ def expectation(system: HypergraphSystem, e, f: EdgeFunction) -> float:
     if f.edge != e:
         raise ShapeMismatch(f"function lives on {f.edge}, not on {e}")
     g = Grid(system, [(v, 0) for v in e])
-    return g.reduce(g.product([g.lift(e, f.values, (0,) * len(e))]))
+    return g.expect([g.lift(e, f.values, (0,) * len(e))])
 
 
 def lp_norm(system: HypergraphSystem, e, f: EdgeFunction, p: Exponent) -> float:
@@ -347,7 +406,7 @@ def lp_norm(system: HypergraphSystem, e, f: EdgeFunction, p: Exponent) -> float:
         return m
     g = Grid(system, [(v, 0) for v in e])
     ratios = np.abs(f.values) / m
-    mean = g.reduce(g.product([g.lift(e, np.power(ratios, p.value), (0,) * len(e))]))
+    mean = g.expect([g.lift(e, np.power(ratios, p.value), (0,) * len(e))])
     if mean <= 0.0:
         return 0.0
     return m * math.exp(math.log(mean) / p.value)

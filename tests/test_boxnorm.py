@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from boxlab.errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from boxlab.spaces import INF, Exponent, edge_function, make_system
+from boxlab.spaces import INF, Exponent, Grid, edge_function, make_system
 
 from oracles import box_power_brute, gcs_form_brute
 
@@ -355,3 +357,97 @@ class TestBilinearBound:
         # p = 4/3 has conjugate 4 > ell = 2.
         rep = bilinear_bound_report(sys_, (0, 1), f, u, v, 2, Exponent(4.0 / 3.0))
         assert rep.hypotheses["ell_at_least_conjugate"] is False
+
+
+def _weighted_case(atoms, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sys_ = make_system([rng.uniform(0.5, 1.5, size=z) for z in atoms], [])
+    e = tuple(range(len(atoms)))
+    return sys_, e, rng
+
+
+def _materialised_form(sys_, e, family, ell):
+    grid = Grid(sys_, [(v, m) for v in e for m in range(ell)])
+    factors = [
+        grid.lift(e, family[d].values, d)
+        for d in itertools.product(range(ell), repeat=len(e))
+        if d in family
+    ]
+    return float(np.sum(np.ascontiguousarray(grid.product(factors))))
+
+
+class TestStreamedGrid:
+    """The direct and gcs routes against the fully materialised grid."""
+
+    @pytest.mark.parametrize(
+        "atoms,ell", [((2, 3, 4), 4), ((3, 3, 3), 4), ((4, 2, 3), 4), ((2, 3, 4, 4, 4), 2)]
+    )
+    def test_direct_beyond_block(self, atoms, ell):
+        sys_, e, rng = _weighted_case(atoms, seed=sum(atoms) + ell)
+        f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=atoms))
+        family = {d: f for d in itertools.product(range(ell), repeat=len(e))}
+        want = _materialised_form(sys_, e, family, ell)
+        got = box_power_direct(sys_, e, f, ell)
+        scale = float(np.max(np.abs(f.values))) ** (ell ** len(e))
+        assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("atoms,ell", [((2, 3, 4), 4), ((2, 3, 4, 4, 4), 2)])
+    def test_gcs_missing_patterns_beyond_block(self, atoms, ell):
+        sys_, e, rng = _weighted_case(atoms, seed=3 * sum(atoms) + ell)
+        family, scale = {}, 1.0
+        for d in itertools.product(range(ell), repeat=len(e)):
+            if rng.uniform() < 0.7:
+                vals = rng.uniform(-1.0, 1.0, size=atoms)
+                family[d] = edge_function(sys_, e, vals)
+                scale *= float(np.max(np.abs(vals)))
+        assert 0 < len(family) < ell ** len(e)
+        want = _materialised_form(sys_, e, family, ell)
+        got = gcs_form(sys_, e, family, ell)
+        assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("atoms,ell", [((4, 4), 4), ((2, 2, 4), 4), ((2, 3, 4), 2)])
+    def test_bit_identical_at_or_below_block(self, atoms, ell):
+        sys_, e, rng = _weighted_case(atoms, seed=11)
+        f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=atoms))
+        family = {d: f for d in itertools.product(range(ell), repeat=len(e))}
+        assert box_power_direct(sys_, e, f, ell) == _materialised_form(sys_, e, family, ell)
+        del family[(1,) * len(e)]
+        assert gcs_form(sys_, e, family, ell) == _materialised_form(sys_, e, family, ell)
+
+    @pytest.mark.parametrize("route", ["direct", "gcs"])
+    def test_peak_memory_on_largest_rung(self, route):
+        # 4**12 cells: the materialised product alone would take 134 MB.
+        sys_, e, rng = _weighted_case((4, 4, 4), seed=2)
+        f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=(4, 4, 4)))
+        family = {d: f for d in itertools.product(range(4), repeat=3)}
+        tracemalloc.start()
+        try:
+            if route == "direct":
+                box_power_direct(sys_, e, f, 4)
+            else:
+                gcs_form(sys_, e, family, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestSharedWork:
+    def test_certificate_norms_each_distinct_factor_once(self, monkeypatch):
+        import boxlab.boxnorm as bn
+
+        sys_ = uniform_system([2, 3], [(0, 1)])
+        rng = np.random.Generator(np.random.Philox(key=4))
+        f = edge_function(sys_, (0, 1), rng.uniform(-1, 1, size=(2, 3)))
+        g = edge_function(sys_, (0, 1), rng.uniform(-1, 1, size=(2, 3)))
+        fam = {d: f for d in itertools.product(range(2), repeat=2)}
+        fam[(1, 1)] = g
+        want = gcs_certificate(sys_, (0, 1), fam, 2)
+        calls = []
+        original = bn.box_norm
+        monkeypatch.setattr(
+            bn, "box_norm", lambda *a, **k: calls.append(a[2]) or original(*a, **k)
+        )
+        got = gcs_certificate(sys_, (0, 1), fam, 2)
+        assert len(calls) == 2 and {id(fn) for fn in calls} == {id(f), id(g)}
+        assert got == want

@@ -209,6 +209,29 @@ class TestCliGenAndNorm:
         assert out_inf["method"] == "sup"
         assert out["value"] <= out_inf["value"] + 1e-9
 
+    def test_norm_with_p_uses_one_inner_norm_by_method(
+        self, perturbed_instance, capsys, monkeypatch
+    ):
+        import boxlab.boxnorm as bn
+
+        methods = []
+        original = bn.box_norm
+        monkeypatch.setattr(
+            bn,
+            "box_norm",
+            lambda *a, **k: methods.append(k.get("method")) or original(*a, **k),
+        )
+        _, out, _ = run_cli(
+            capsys, "norm", "--instance", perturbed_instance,
+            "--edge", "0", "--ell", "2", "--p", "2", "--method", "direct",
+        )
+        assert methods == ["direct"]
+        assert out["method"] == "direct"
+        system, functions, _, _ = load_instance(perturbed_instance)
+        m = float(np.max(np.abs(functions[(0, 1)].values)))
+        inner = out["power_value"] ** (1.0 / 4.0)
+        assert math.isclose(out["value"], m * inner ** 0.5, rel_tol=1e-12)
+
     def test_norm_bad_edge_exits_3(self, perturbed_instance, capsys):
         code, _, err = run_cli(
             capsys, "norm", "--instance", perturbed_instance,

@@ -261,3 +261,57 @@ class TestExpectationAndLpNorm:
         f = edge_function(sys_, (0,), [0.5, 2.0, 8.0])
         v = lp_norm(sys_, (0,), f, Exponent(float(1 << 20)))
         assert 0.999 * 8.0 <= v <= 8.0 + 1e-9
+
+
+def _materialised(grid, factors):
+    return float(np.sum(np.ascontiguousarray(grid.product(factors))))
+
+
+def _replicated_case(atoms, ell, seed, n_factors=12):
+    """Grid with ell replicas of every vertex and random factors on 1-3 vertices."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sys_ = make_system([rng.uniform(0.5, 1.5, size=z) for z in atoms], [(0,)])
+    g = Grid(sys_, [(v, m) for v in range(len(atoms)) for m in range(ell)])
+    factors, scale = [], 1.0
+    for _ in range(n_factors):
+        k = int(rng.integers(1, min(3, len(atoms)) + 1))
+        edge = tuple(sorted(rng.choice(len(atoms), size=k, replace=False).tolist()))
+        digits = tuple(int(d) for d in rng.integers(0, ell, size=k))
+        vals = rng.uniform(-1.0, 1.0, size=tuple(atoms[v] for v in edge))
+        factors.append(g.lift(edge, vals, digits))
+        scale *= float(np.max(np.abs(vals)))
+    return g, factors, scale
+
+
+class TestGridExpect:
+    @pytest.mark.parametrize(
+        "atoms,ell",
+        [((2, 3, 4), 4), ((4, 3, 2), 4), ((3, 4, 4, 4, 4), 2), ((2, 4, 3, 4, 2, 4), 2)],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_materialised_beyond_block(self, atoms, ell, seed):
+        g, factors, scale = _replicated_case(atoms, ell, seed)
+        assert g.cells > 1 << 16
+        want = _materialised(g, factors)
+        got = g.expect(factors)
+        assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "atoms,ell", [((4, 4), 4), ((2, 2, 4), 4), ((2, 3, 4), 2), ((3,), 2)]
+    )
+    def test_bit_identical_at_or_below_block(self, atoms, ell):
+        g, factors, _ = _replicated_case(atoms, ell, seed=5)
+        assert g.cells <= 1 << 16
+        assert g.expect(factors) == _materialised(g, factors)
+
+    def test_no_factors_is_total_weight(self):
+        g, _, _ = _replicated_case((2, 3, 4), 4, seed=4)
+        assert math.isclose(g.expect([]), 1.0, rel_tol=1e-12)
+
+    def test_single_long_axis(self):
+        # The trailing block always holds the last axis, however long.
+        rng = np.random.Generator(np.random.Philox(key=6))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=70000)], [(0,)])
+        g = Grid(sys_, [(0, 0)])
+        f = [g.lift((0,), rng.uniform(-1.0, 1.0, size=70000), (0,))]
+        assert abs(g.expect(f) - _materialised(g, f)) <= 1e-12
