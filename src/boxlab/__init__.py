@@ -14,7 +14,6 @@ from .errors import (
     BadSpec,
     BoxlabError,
     DigitOutOfRange,
-    EllTooSmall,
     EmptyHypergraph,
     EmptySpace,
     MalformedProblem,
@@ -24,7 +23,6 @@ from .errors import (
     NumericalInconsistency,
     OddEll,
     PairCapExceeded,
-    PatternCapExceeded,
     POutOfRange,
     ShapeMismatch,
     SizeCapExceeded,
@@ -37,7 +35,6 @@ from .spaces import (
     Grid,
     HypergraphSystem,
     INF,
-    OmegaIndex,
     ProbSpace,
     as_edge,
     constant_function,
@@ -47,7 +44,6 @@ from .spaces import (
     make_prob_space,
     make_system,
     max_degree,
-    omega_select,
 )
 from .boxnorm import (
     BoundCheck,

@@ -41,7 +41,7 @@ from .spaces import (
     Grid,
     HypergraphSystem,
     as_edge,
-    check_function,
+    check_on_edge,
     checked_power,
     edge_function,
 )
@@ -98,14 +98,6 @@ def _root_with_clamp(power: float, big_n: int, scale: float) -> tuple[float, boo
     return math.exp(math.log(power) / big_n), False
 
 
-def _validated(system: HypergraphSystem, e, f: EdgeFunction):
-    e = as_edge(e)
-    check_function(system, f)
-    if f.edge != e:
-        raise ShapeMismatch(f"function lives on {f.edge}, not on {e}")
-    return e
-
-
 def box_power_direct(
     system: HypergraphSystem,
     e,
@@ -120,7 +112,7 @@ def box_power_direct(
     The cap bounds the number of enumerated tuples (replicated grid
     cells); exceeding it raises SizeCapExceeded.
     """
-    e = _validated(system, e, f)
+    e = check_on_edge(system, e, f)
     ell = require_even(ell)
     k = len(e)
     cells = 1
@@ -212,7 +204,7 @@ def box_norm(
     the recursion is repeated peeling the smallest coordinate and the two
     powers must agree to 1e-9 relative, else NumericalInconsistency.
     """
-    e = _validated(system, e, f)
+    e = check_on_edge(system, e, f)
     ell = require_even(ell)
     big_n = checked_power(ell, len(e))
     if method == "direct":
@@ -255,7 +247,7 @@ def gcs_form(
         digits = tuple(int(d) for d in digits)
         if len(digits) != k or any(d < 0 or d >= ell for d in digits):
             raise ShapeMismatch(f"bad digit pattern {digits} for edge {e}, ell={ell}")
-        _validated(system, e, fn)
+        check_on_edge(system, e, fn)
         fams[digits] = fn
     cells = 1
     for v in e:
@@ -354,7 +346,7 @@ def lp_box_norm(
     Computed on f rescaled by max|f| (the norm is absolutely homogeneous),
     which keeps |f|**p inside float range for p as large as 2**20.
     """
-    e = _validated(system, e, f)
+    e = check_on_edge(system, e, f)
     ell = require_even(ell)
     m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if p.is_inf or m == 0.0:
@@ -406,7 +398,7 @@ def bilinear_bound_report(
     from .errors import NotDoubleton
     from .spaces import lp_norm
 
-    e = _validated(system, e, f)
+    e = check_on_edge(system, e, f)
     if len(e) != 2:
         raise NotDoubleton(f"bilinear bound needs a 2-coordinate edge, got {e}")
     i, j = e

@@ -45,8 +45,11 @@ SUBSET_CAP = 1 << 20
 PAIR_CAP = 1 << 20
 
 
-def full_assignment(system: HypergraphSystem, functions) -> dict:
-    """Validate a one-tensor-per-edge assignment covering every edge."""
+def full_assignment(system: HypergraphSystem, functions, nonnegative: bool = False) -> dict:
+    """Validate a one-tensor-per-edge assignment covering every edge.
+
+    With nonnegative set, a tensor with a negative entry is a BadSpec.
+    """
     if not system.edges:
         raise EmptyHypergraph("the system has no edges")
     out = {}
@@ -66,6 +69,11 @@ def full_assignment(system: HypergraphSystem, functions) -> dict:
     extra = [e for e in out if e not in system.edges]
     if missing or extra:
         raise ShapeMismatch(f"assignment mismatch: missing {missing}, extra {extra}")
+    if nonnegative:
+        for e, fn in out.items():
+            lo = float(np.min(fn.values))
+            if lo < 0.0:
+                raise BadSpec(f"family tensor on {e} has negative entry {lo}")
     return out
 
 

@@ -7,10 +7,14 @@ cut norm is the supremum of |cut value|.  Faces are listed in lexicographic
 order; a chosen subset of a face's atom tuples is stored as a bitmask over
 that face's row-major flattened atoms.
 
-The exact mode enumerates every bitmask combination (the optimum is a
-vertex because the objective is multilinear in the face indicators) and ties
-resolve to the lexicographically smallest mask vector; the heuristic mode is
-seeded alternating ascent and only ever returns a lower bound.
+A cut norm is the engine's `SupProblem` with the tensor as kernel on the
+base edge and one slot per face, bounded by one: the objective is
+multilinear in the face indicators, so the supremum over functions
+0 <= g <= 1 is attained at a vertex, a cylinder intersection.
+`sup_multilinear` solves it.  The exact mode enumerates every bitmask
+combination and ties resolve to the lexicographically smallest mask
+vector; the heuristic mode is seeded alternating ascent and only ever
+returns a lower bound.
 
 A single-coordinate edge has one face, the empty set, whose only cylinders
 are the whole space and the empty set; by convention the cut norm is then
@@ -23,15 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    COMBO_CAP,
-    BoxedMaxResult,
-    exact_boxed_max,
-    heuristic_boxed_max,
-    projection_rows,
-)
+from .engine import COMBO_CAP, Slot, SupProblem, sup_multilinear
 from .errors import ShapeMismatch
-from .spaces import EdgeFunction, Grid, HypergraphSystem, as_edge, check_function
+from .spaces import (
+    EdgeFunction,
+    Grid,
+    HypergraphSystem,
+    as_edge,
+    check_on_edge,
+    expectation,
+)
 
 
 def faces_of(e: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -74,23 +79,14 @@ class CutNormResult:
         }
 
 
-def _validated(system: HypergraphSystem, e, f: EdgeFunction):
-    e = as_edge(e)
-    check_function(system, f)
-    if f.edge != e:
-        raise ShapeMismatch(f"function lives on {f.edge}, not on {e}")
-    return e
-
-
 def cut_value(system: HypergraphSystem, e, f: EdgeFunction, cut: CutSet) -> float:
     """Weighted integral of f over the cylinder intersection `cut`."""
-    e = _validated(system, e, f)
+    e = check_on_edge(system, e, f)
     faces = faces_of(e)
     if cut.edge != e or len(cut.masks) != len(faces):
         raise ShapeMismatch(f"cut set does not describe the faces of {e}")
     if len(e) == 1:
-        grid = Grid(system, [(e[0], 0)])
-        return grid.expect([grid.lift(e, f.values, (0,))])
+        return expectation(system, e, f)
     grid = Grid(system, [(v, 0) for v in e])
     factors = [grid.lift(e, f.values, (0,) * len(e))]
     for face, mask in zip(faces, cut.masks):
@@ -108,15 +104,6 @@ def cut_value(system: HypergraphSystem, e, f: EdgeFunction, cut: CutSet) -> floa
     return grid.expect(factors)
 
 
-def _face_rows(system: HypergraphSystem, grid: Grid, face: tuple[int, ...]):
-    sizes = [system.spaces[v].size for v in face]
-    positions = [grid.pos[(v, 0)] for v in face]
-    atoms = 1
-    for s in sizes:
-        atoms *= s
-    return projection_rows(grid.shape, positions, sizes, np.ones(atoms))
-
-
 def cut_norm(
     system: HypergraphSystem,
     e,
@@ -127,33 +114,15 @@ def cut_norm(
     cap: int = COMBO_CAP,
 ) -> CutNormResult:
     """Cut norm of f on e: sup |cut value| over cylinder intersections."""
-    e = _validated(system, e, f)
+    e = check_on_edge(system, e, f)
     faces = faces_of(e)
     if len(e) == 1:
-        grid = Grid(system, [(e[0], 0)])
-        val = grid.expect([grid.lift(e, f.values, (0,))])
-        return CutNormResult(
-            abs(val), CutSet(e, (1,)), "exact", 2, 0, True
-        )
-    grid = Grid(system, [(v, 0) for v in e])
-    base = grid.product([grid.lift(e, f.values, (0,) * len(e))]).reshape(-1)
-    rows = [_face_rows(system, grid, face) for face in faces]
-    combos = 1
-    for r in rows:
-        combos <<= r.shape[0]
-    if mode == "auto":
-        mode = "exact" if combos <= cap else "heuristic"
-    if mode == "exact":
-        res: BoxedMaxResult = exact_boxed_max(base, rows, cap=cap)
-    elif mode == "heuristic":
-        res = heuristic_boxed_max(base, rows, restarts=restarts, seed=seed)
-    else:
+        val = expectation(system, e, f)
+        return CutNormResult(abs(val), CutSet(e, (1,)), "exact", 2, 0, True)
+    if mode not in ("auto", "exact", "heuristic"):
         raise ShapeMismatch(f"unknown cut norm mode {mode!r}")
+    problem = SupProblem(system, e, 1, f, tuple(Slot(face, 0, None) for face in faces))
+    res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
     return CutNormResult(
-        res.value,
-        CutSet(e, res.masks),
-        res.mode,
-        res.combos if res.mode == "exact" else combos,
-        res.restarts_used,
-        False,
+        res.value, CutSet(e, res.masks), res.mode, res.combos, res.restarts_used, False
     )

@@ -18,6 +18,13 @@ to the lexicographically smallest mask vector.  Heuristic mode runs the
 classic alternating ascent: the objective is linear in each slot, so the
 conditional optimum sets atom t on iff its coefficient helps the current
 sign; restarts draw initial masks from a seeded Philox stream.
+
+The module also owns what a boxed sup problem is: `SupProblem` places a
+kernel and its `Slot`s on one evaluation grid (base-edge coordinates once,
+every other coordinate in per-replica copies), and `sup_multilinear` is the
+one place that turns a problem into rows and chooses its mode ("auto" is
+exact up to the combination cap, heuristic beyond).  Cut norms, the C2b
+check and the proof oracles all go through it.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedProblem, SizeCapExceeded
+from .errors import DigitOutOfRange, MalformedProblem, SizeCapExceeded
+from .spaces import EdgeFunction, Grid, HypergraphSystem, as_edge, check_function
 
 COMBO_CAP = 1 << 24
 CHUNK_ELEMS = 1 << 22
@@ -204,3 +212,148 @@ def projection_rows(
     rows = np.zeros((atoms, cells))
     rows[proj, np.arange(cells)] = bound_flat[proj]
     return rows
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One optimized function: 0 <= g <= bound on edge, at one replica.
+
+    bound None means the constant-one bound.  label is free-form and only
+    echoed into witnesses.
+    """
+
+    edge: tuple[int, ...]
+    replica: int
+    bound: EdgeFunction | None
+    label: str = ""
+
+
+@dataclass(frozen=True)
+class SupProblem:
+    """Maximize |E[kernel * prod of slot functions]| over the slot boxes.
+
+    The base edge's coordinates appear once; every other coordinate used by
+    the kernel or a slot appears in per-replica copies indexed 0..ell-1.
+    The kernel may live on any edge; its complement coordinates read the
+    kernel_replica copy.
+    """
+
+    system: HypergraphSystem
+    base_edge: tuple[int, ...]
+    ell: int
+    kernel: EdgeFunction
+    slots: tuple[Slot, ...]
+    kernel_replica: int = 0
+
+    def validate(self) -> None:
+        base = as_edge(self.base_edge)
+        if self.ell < 1:
+            raise MalformedProblem(f"replica budget must be >= 1, got {self.ell}")
+        check_function(self.system, self.kernel)
+        if not (0 <= self.kernel_replica < self.ell):
+            raise DigitOutOfRange(
+                f"kernel replica {self.kernel_replica} outside 0..{self.ell - 1}"
+            )
+        for s in self.slots:
+            if tuple(s.edge) == base:
+                raise MalformedProblem(f"slot edge {s.edge} equals the base edge")
+            if not (0 <= s.replica < self.ell):
+                raise DigitOutOfRange(
+                    f"slot replica {s.replica} outside 0..{self.ell - 1}"
+                )
+            if s.bound is not None:
+                check_function(self.system, s.bound)
+                if s.bound.edge != tuple(s.edge):
+                    raise MalformedProblem(
+                        f"bound lives on {s.bound.edge}, slot on {s.edge}"
+                    )
+                if float(np.min(s.bound.values)) < 0.0:
+                    raise MalformedProblem(
+                        f"slot bound on {s.edge} has negative entries"
+                    )
+
+
+@dataclass(frozen=True)
+class SupResult:
+    value: float
+    signed: float
+    masks: tuple[int, ...]
+    mode: str
+    combos: int
+    restarts_used: int
+    certified: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "signed": self.signed,
+            "masks": [hex(m) for m in self.masks],
+            "mode": self.mode,
+            "combos": self.combos,
+            "restarts_used": self.restarts_used,
+            "certified": self.certified,
+        }
+
+
+def sup_grid(system: HypergraphSystem, base_edge, placements) -> Grid:
+    """Grid reading base_edge once and each (edge, replica) placement's copy."""
+    base = set(base_edge)
+    keys = {(v, 0) for v in base_edge}
+    for edge, replica in placements:
+        keys.update((v, replica) for v in edge if v not in base)
+    return Grid(system, sorted(keys))
+
+
+def digits_for(edge, base: set, replica: int):
+    """Replica digits of edge's coordinates: 0 on the base, replica off it."""
+    return tuple(0 if v in base else replica for v in edge)
+
+
+def _slot_rows(problem: SupProblem, grid: Grid):
+    base = set(problem.base_edge)
+    rows = []
+    for s in problem.slots:
+        digits = digits_for(s.edge, base, s.replica)
+        positions = [grid.pos[(v, d)] for v, d in zip(s.edge, digits)]
+        sizes = [problem.system.spaces[v].size for v in s.edge]
+        atoms = 1
+        for z in sizes:
+            atoms *= z
+        if s.bound is None:
+            flat = np.ones(atoms)
+        else:
+            flat = s.bound.values.reshape(-1)
+        rows.append(projection_rows(grid.shape, positions, sizes, flat))
+    return rows
+
+
+def sup_multilinear(
+    problem: SupProblem,
+    mode: str = "exact",
+    restarts: int = 32,
+    seed: int = 0,
+    cap: int = COMBO_CAP,
+) -> SupResult:
+    """Solve one boxed sup problem; exact results certify an upper bound."""
+    problem.validate()
+    kernel = problem.kernel
+    grid = sup_grid(
+        problem.system,
+        problem.base_edge,
+        [(kernel.edge, problem.kernel_replica)] + [(s.edge, s.replica) for s in problem.slots],
+    )
+    digits = digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
+    base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
+    rows = _slot_rows(problem, grid)
+    combos = _total_combos(rows)
+    if mode == "auto":
+        mode = "exact" if combos <= cap else "heuristic"
+    if mode == "exact":
+        res = exact_boxed_max(base_vec, rows, cap=cap)
+    elif mode == "heuristic":
+        res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
+    else:
+        raise MalformedProblem(f"unknown sup mode {mode!r}")
+    return SupResult(
+        res.value, res.signed, res.masks, mode, combos, res.restarts_used, mode == "exact"
+    )

@@ -46,23 +46,6 @@ class NotDoubleton(BoxlabError):
     """The operation requires an edge with exactly two coordinates."""
 
 
-class EllTooSmall(BoxlabError):
-    """The replica count is below the conjugate exponent.
-
-    The bilinear bound reports this condition as a false hypothesis flag
-    rather than raising; the class exists so callers can treat an
-    under-replicated request as an error in their own pipelines.
-    """
-
-
-class PatternCapExceeded(BoxlabError):
-    """A replica-pattern scan would exceed its cap.
-
-    The deviation scanner never raises this: it degrades to sampling and
-    flags the report.  The class exists for callers that want a hard stop.
-    """
-
-
 class POutOfRange(BoxlabError):
     """The integrability exponent p is outside the admissible range."""
 

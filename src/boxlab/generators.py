@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, NumericalInconsistency
-from .pseudo import measure_eta  # re-exported: deviation-from-one measurement
 from .spaces import (
     EdgeFunction,
     Grid,
@@ -45,7 +44,6 @@ __all__ = [
     "generate",
     "uniform_complete_system",
     "predicted_product_box_norm",
-    "measure_eta",
 ]
 
 KINDS = ("ones", "perturbed_ones", "product_weights", "random_nonneg", "random_signed")

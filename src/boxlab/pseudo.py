@@ -13,10 +13,11 @@ named conditions:
   have ell-th moment <= C + eta, with ell derived from (C, p) by the even
   replica rule unless overridden.
 
-Sup checks run through the shared boxed-maximization engine: exact mode
-enumerates slot vertices and is a certificate; heuristic mode only ever
-yields lower bounds, so it can refute a condition but not confirm it
-(verdict "unknown").
+Sup checks run through the shared boxed-maximization engine
+(`engine.sup_multilinear`, whose `Slot`, `SupProblem` and `SupResult` this
+module re-exports): exact mode enumerates slot vertices and is a
+certificate; heuristic mode only ever yields lower bounds, so it can refute
+a condition but not confirm it (verdict "unknown").
 
 Two end-to-end certifiers compose the above.  `sum_family_certificate` takes a
 family lam close to one in the linear-forms sense plus a box-L_p bounded
@@ -36,17 +37,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxnorm import REL_TOL, box_norm, lp_box_norm, require_even
-from .counting import SUBSET_CAP, lambda_form, least_even_at_least
+from .counting import SUBSET_CAP, full_assignment, lambda_form, least_even_at_least
 from .cutnorm import cut_norm
 from .engine import (
     COMBO_CAP,
-    exact_boxed_max,
-    heuristic_boxed_max,
-    projection_rows,
+    Slot,
+    SupProblem,
+    SupResult,
+    digits_for,
+    sup_grid,
+    sup_multilinear,
 )
 from .errors import (
     BadSpec,
-    DigitOutOfRange,
     MalformedProblem,
     POutOfRange,
     SubsetCapExceeded,
@@ -58,9 +61,9 @@ from .spaces import (
     Grid,
     HypergraphSystem,
     as_edge,
-    check_function,
     checked_power,
     edge_function,
+    expectation,
     lp_norm,
 )
 
@@ -149,173 +152,6 @@ class ConditionReport:
         }
 
 
-def full_family(system: HypergraphSystem, functions, nonnegative: bool = False) -> dict:
-    """Validate an edge -> tensor family covering every edge of the system."""
-    from .counting import full_assignment
-
-    fam = full_assignment(system, functions)
-    if nonnegative:
-        for e, fn in fam.items():
-            lo = float(np.min(fn.values))
-            if lo < 0.0:
-                raise BadSpec(f"family tensor on {e} has negative entry {lo}")
-    return fam
-
-
-# ---------------------------------------------------------------------------
-# Sup problems over replicated complements
-
-
-@dataclass(frozen=True)
-class Slot:
-    """One optimized function: 0 <= g <= bound on edge, at one replica.
-
-    bound None means the constant-one bound.  label is free-form and only
-    echoed into witnesses.
-    """
-
-    edge: tuple[int, ...]
-    replica: int
-    bound: EdgeFunction | None
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class SupProblem:
-    """Maximize |E[kernel * prod of slot functions]| over the slot boxes.
-
-    The base edge's coordinates appear once; every other coordinate used by
-    the kernel or a slot appears in per-replica copies indexed 0..ell-1.
-    The kernel may live on any edge; its complement coordinates read the
-    kernel_replica copy.
-    """
-
-    system: HypergraphSystem
-    base_edge: tuple[int, ...]
-    ell: int
-    kernel: EdgeFunction
-    slots: tuple[Slot, ...]
-    kernel_replica: int = 0
-
-    def validate(self) -> None:
-        base = as_edge(self.base_edge)
-        if self.ell < 1:
-            raise MalformedProblem(f"replica budget must be >= 1, got {self.ell}")
-        check_function(self.system, self.kernel)
-        if not (0 <= self.kernel_replica < self.ell):
-            raise DigitOutOfRange(
-                f"kernel replica {self.kernel_replica} outside 0..{self.ell - 1}"
-            )
-        for s in self.slots:
-            if tuple(s.edge) == base:
-                raise MalformedProblem(f"slot edge {s.edge} equals the base edge")
-            if not (0 <= s.replica < self.ell):
-                raise DigitOutOfRange(
-                    f"slot replica {s.replica} outside 0..{self.ell - 1}"
-                )
-            if s.bound is not None:
-                check_function(self.system, s.bound)
-                if s.bound.edge != tuple(s.edge):
-                    raise MalformedProblem(
-                        f"bound lives on {s.bound.edge}, slot on {s.edge}"
-                    )
-                if float(np.min(s.bound.values)) < 0.0:
-                    raise MalformedProblem(
-                        f"slot bound on {s.edge} has negative entries"
-                    )
-
-
-@dataclass(frozen=True)
-class SupResult:
-    value: float
-    signed: float
-    masks: tuple[int, ...]
-    mode: str
-    combos: int
-    restarts_used: int
-    certified: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "signed": self.signed,
-            "masks": [hex(m) for m in self.masks],
-            "mode": self.mode,
-            "combos": self.combos,
-            "restarts_used": self.restarts_used,
-            "certified": self.certified,
-        }
-
-
-def _sup_grid(problem: SupProblem) -> Grid:
-    base = set(problem.base_edge)
-    keys = {(v, 0) for v in problem.base_edge}
-    for w in problem.kernel.edge:
-        if w not in base:
-            keys.add((w, problem.kernel_replica))
-    for s in problem.slots:
-        for w in s.edge:
-            if w not in base:
-                keys.add((w, s.replica))
-    return Grid(problem.system, sorted(keys))
-
-
-def _digits_for(edge, base: set, replica: int):
-    return tuple(0 if v in base else replica for v in edge)
-
-
-def _slot_rows(problem: SupProblem, grid: Grid):
-    base = set(problem.base_edge)
-    rows = []
-    for s in problem.slots:
-        digits = _digits_for(s.edge, base, s.replica)
-        positions = [grid.pos[(v, d)] for v, d in zip(s.edge, digits)]
-        sizes = [problem.system.spaces[v].size for v in s.edge]
-        atoms = 1
-        for z in sizes:
-            atoms *= z
-        if s.bound is None:
-            flat = np.ones(atoms)
-        else:
-            flat = s.bound.values.reshape(-1)
-        rows.append(projection_rows(grid.shape, positions, sizes, flat))
-    return rows
-
-
-def sup_multilinear(
-    problem: SupProblem,
-    mode: str = "exact",
-    restarts: int = 32,
-    seed: int = 0,
-    cap: int = COMBO_CAP,
-) -> SupResult:
-    """Solve one boxed sup problem; exact results certify an upper bound."""
-    problem.validate()
-    grid = _sup_grid(problem)
-    base_set = set(problem.base_edge)
-    kernel_view = grid.lift(
-        problem.kernel.edge,
-        problem.kernel.values,
-        _digits_for(problem.kernel.edge, base_set, problem.kernel_replica),
-    )
-    base_vec = grid.product([kernel_view]).reshape(-1)
-    rows = _slot_rows(problem, grid)
-    combos = 1
-    for r in rows:
-        combos <<= r.shape[0]
-    if mode == "auto":
-        mode = "exact" if combos <= cap else "heuristic"
-    if mode == "exact":
-        res = exact_boxed_max(base_vec, rows, cap=cap)
-        return SupResult(res.value, res.signed, res.masks, "exact", combos, 0, True)
-    if mode == "heuristic":
-        res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
-        return SupResult(
-            res.value, res.signed, res.masks, "heuristic", combos, res.restarts_used, False
-        )
-    raise MalformedProblem(f"unknown sup mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Condition checks
 
@@ -327,7 +163,7 @@ def check_C1(
     subset_cap: int = SUBSET_CAP,
 ) -> ConditionReport:
     """Every nonempty sub-collection product has expectation >= 1 - eta."""
-    fam = full_family(system, nu, nonnegative=True)
+    fam = full_assignment(system, nu, nonnegative=True)
     params.validate()
     edges = system.edges
     if (1 << len(edges)) > subset_cap:
@@ -363,8 +199,8 @@ def check_C2a(
     seed: int = 0,
 ) -> ConditionReport:
     """psi_e bounded by C in L_p and nu_e - psi_e small in cut norm."""
-    fam_nu = full_family(system, nu, nonnegative=True)
-    fam_psi = full_family(system, psi)
+    fam_nu = full_assignment(system, nu, nonnegative=True)
+    fam_psi = full_assignment(system, psi)
     params.validate()
     worst = -math.inf
     witness: dict = {}
@@ -411,20 +247,6 @@ def check_C2a(
     )
 
 
-def _c2b_slots(system: HypergraphSystem, e, bounds_by_edge, selectors, replicas):
-    slots = []
-    k = 0
-    for e2 in system.edges:
-        if e2 == e:
-            continue
-        for w in range(replicas):
-            label = selectors[k]
-            bound = bounds_by_edge[e2] if label == "nu" else None
-            slots.append(Slot(e2, w, bound, label))
-            k += 1
-    return tuple(slots)
-
-
 def check_C2b(
     system: HypergraphSystem,
     nu,
@@ -436,31 +258,31 @@ def check_C2b(
     cap: int = COMBO_CAP,
 ) -> ConditionReport:
     """Replica correlation of nu_e - psi_e against nu-or-one bounded slots."""
-    fam_nu = full_family(system, nu, nonnegative=True)
-    fam_psi = full_family(system, psi)
+    fam_nu = full_assignment(system, nu, nonnegative=True)
+    fam_psi = full_assignment(system, psi)
     params.validate()
     replicas = params.c2b_replicas
     worst = -math.inf
     witness: dict = {}
     any_heuristic = False
     for e in system.edges:
-        others = [e2 for e2 in system.edges if e2 != e]
-        n_slots = len(others) * replicas
         kernel = edge_function(system, e, fam_nu[e].values - fam_psi[e].values)
-        for combo in itertools.product(("nu", "one"), repeat=n_slots):
-            slots = _c2b_slots(system, e, fam_nu, combo, replicas)
-            problem = SupProblem(system, e, max(replicas, 1), kernel, slots)
-            res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
-            if not res.certified:
-                any_heuristic = True
-            if res.value > worst:
-                worst = res.value
-                witness = {
-                    "edge": list(e),
-                    "selectors": list(combo),
-                    "masks": [hex(m) for m in res.masks],
-                    "mode": res.mode,
-                }
+        best = selector_correlation_sup(
+            system, e, kernel, {"nu": fam_nu, "one": None}, replicas,
+            mode=mode, restarts=restarts, seed=seed, cap=cap,
+        )
+        # All selector choices of one edge share one combination count,
+        # hence one mode: the best choice's certificate speaks for all.
+        if not best["certified"]:
+            any_heuristic = True
+        if best["value"] > worst:
+            worst = best["value"]
+            witness = {
+                "edge": list(e),
+                "selectors": best["selectors"],
+                "masks": best["masks"],
+                "mode": best["mode"],
+            }
     bound = params.eta
     if worst > bound + REL_TOL:
         verdict = "false"
@@ -507,7 +329,7 @@ def check_C3(
     subset_cap: int = SUBSET_CAP,
 ) -> ConditionReport:
     """Moments of conditional sub-collection densities stay below C + eta."""
-    fam = full_family(system, nu, nonnegative=True)
+    fam = full_assignment(system, nu, nonnegative=True)
     params.validate()
     ell = params.resolved_ell()
     edges = system.edges
@@ -623,7 +445,7 @@ def linear_forms_deviation(
     product, hence exactly 1.  Exceeding the pattern cap never raises: the
     scan degrades to sampling (flagged).
     """
-    fam = full_family(system, functions)
+    fam = full_assignment(system, functions)
     ell = require_even(ell)
     factors = _pattern_factors(system, ell)
     count = len(factors)
@@ -762,8 +584,8 @@ def certify_pseudorandom(
     if params is None:
         raise BadSpec("params (C, eta, p) are required")
     params.validate()
-    fam_nu = full_family(system, nu, nonnegative=True)
-    fam_psi = full_family(system, psi) if psi is not None else fam_nu
+    fam_nu = full_assignment(system, nu, nonnegative=True)
+    fam_psi = full_assignment(system, psi) if psi is not None else fam_nu
     c1 = check_C1(system, fam_nu, params, subset_cap=subset_cap)
     c2a = check_C2a(system, fam_nu, fam_psi, params, mode=mode, restarts=restarts, seed=seed)
     c2b = check_C2b(
@@ -833,8 +655,8 @@ def sum_family_certificate(
     are reported in details).
     """
     n = _require_all_coedges(system)
-    fam_lam = full_family(system, lam, nonnegative=True)
-    fam_phi = full_family(system, phi, nonnegative=True)
+    fam_lam = full_assignment(system, lam, nonnegative=True)
+    fam_phi = full_assignment(system, phi, nonnegative=True)
     if C < 1.0:
         raise BadSpec(f"C must be >= 1, got {C}")
     if eta <= 0.0:
@@ -930,8 +752,8 @@ def near_majorant_certificate(
     largest nu box norm.  Conclusion constants: (C, n*ell*eta, p).
     """
     n = _require_all_coedges(system)
-    fam_nu = full_family(system, nu, nonnegative=True)
-    fam_psi = full_family(system, psi)
+    fam_nu = full_assignment(system, nu, nonnegative=True)
+    fam_psi = full_assignment(system, psi)
     if C < 1.0:
         raise BadSpec(f"C must be >= 1, got {C}")
     if eta <= 0.0:
@@ -1016,44 +838,35 @@ def near_majorant_certificate(
     )
 
 
-def resolve_sup_problem(
-    system: HypergraphSystem,
-    base_edge,
-    ell: int,
-    kernel: EdgeFunction,
-    slot_triples,
-    families: dict,
-    kernel_replica: int = 0,
-) -> SupProblem:
-    """Build a SupProblem from (edge, selector, replica) triples.
-
-    families maps selector labels to edge->tensor families; a None family
-    means the constant-one bound.
-    """
-    slots = []
-    for edge, selector, replica in slot_triples:
-        fam = families[selector]
-        bound = None if fam is None else fam[as_edge(edge)]
-        slots.append(Slot(tuple(edge), replica, bound, selector))
-    return SupProblem(
-        system, as_edge(base_edge), ell, kernel, tuple(slots), kernel_replica
-    )
-
-
 # ---------------------------------------------------------------------------
 # Correlation / mass oracles matching the proof-level inequalities
 
 
-def _selector_slot_pairs(system: HypergraphSystem, e, ell: int, exclude=None):
-    pairs = []
-    for e2 in system.edges:
-        if e2 == e:
-            continue
-        for w in range(ell):
-            if exclude is not None and (e2, w) == exclude:
-                continue
-            pairs.append((e2, w))
-    return pairs
+def _selector_choices(
+    system: HypergraphSystem, e, bound_families: dict, ell: int, exclude=None
+):
+    """Slots of every selector choice, in `itertools.product` order.
+
+    One slot per (edge, replica) pair off the base edge e, edges in system
+    order and replicas ascending, the pair `exclude` left out; each slot
+    independently takes one label of bound_families, labels sorted.
+    """
+    pairs = [
+        (e2, w) for e2 in system.edges if e2 != e for w in range(ell) if (e2, w) != exclude
+    ]
+    labels = sorted(bound_families)
+    for combo in itertools.product(labels, repeat=len(pairs)):
+        yield tuple(
+            Slot(e2, w, None if bound_families[lab] is None else bound_families[lab][e2], lab)
+            for (e2, w), lab in zip(pairs, combo)
+        )
+
+
+def _choice(slots) -> dict:
+    return {
+        "selectors": [s.label for s in slots],
+        "slots": [[list(s.edge), s.replica] for s in slots],
+    }
 
 
 def selector_correlation_sup(
@@ -1073,33 +886,25 @@ def selector_correlation_sup(
 
     bound_families maps labels to families (edge -> tensor) or None for the
     constant-one bound; every slot independently picks one label.  Returns
-    the overall max with its selector assignment and masks.
+    the overall max with its selector assignment and masks; ties keep the
+    first choice.
     """
     e = as_edge(e)
-    pairs = _selector_slot_pairs(system, e, ell, exclude=exclude_pair)
-    labels = sorted(bound_families.keys())
     best = None
-    for combo in itertools.product(labels, repeat=len(pairs)):
-        slots = []
-        for (e2, w), label in zip(pairs, combo):
-            fam = bound_families[label]
-            slots.append(Slot(e2, w, None if fam is None else fam[e2], label))
-        problem = SupProblem(system, e, ell, kernel, tuple(slots), kernel_replica)
+    for slots in _selector_choices(system, e, bound_families, ell, exclude_pair):
+        problem = SupProblem(system, e, ell, kernel, slots, kernel_replica)
         res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
         if best is None or res.value > best["value"]:
             best = {
                 "value": res.value,
-                "selectors": list(combo),
-                "slots": [[list(e2), w] for e2, w in pairs],
+                **_choice(slots),
                 "masks": [hex(m) for m in res.masks],
                 "mode": res.mode,
                 "certified": res.certified,
             }
     if best is None:
-        grid = Grid(system, [(v, 0) for v in kernel.edge])
-        view = grid.lift(kernel.edge, kernel.values, (0,) * len(kernel.edge))
         best = {
-            "value": abs(grid.expect([view])),
+            "value": abs(expectation(system, kernel.edge, kernel)),
             "selectors": [],
             "slots": [],
             "masks": [],
@@ -1122,31 +927,19 @@ def replica_mass_max(
     choice, maximized over choices.
     """
     e = as_edge(e)
-    pairs = _selector_slot_pairs(system, e, ell)
-    labels = sorted(bound_families.keys())
-    base_set = set(e)
+    base = set(e)
     best = None
-    for combo in itertools.product(labels, repeat=len(pairs)):
-        keys = {(v, 0) for v in e}
-        for (e2, w), label in zip(pairs, combo):
-            for v in e2:
-                if v not in base_set:
-                    keys.add((v, w))
-        grid = Grid(system, sorted(keys))
-        factors = []
-        for (e2, w), label in zip(pairs, combo):
-            fam = bound_families[label]
-            if fam is None:
-                continue
-            digits = tuple(0 if v in base_set else w for v in e2)
-            factors.append(grid.lift(e2, fam[e2].values, digits))
-        val = grid.expect(factors)
+    for slots in _selector_choices(system, e, bound_families, ell):
+        grid = sup_grid(system, e, [(s.edge, s.replica) for s in slots])
+        val = grid.expect(
+            [
+                grid.lift(s.edge, s.bound.values, digits_for(s.edge, base, s.replica))
+                for s in slots
+                if s.bound is not None
+            ]
+        )
         if best is None or val > best["value"]:
-            best = {
-                "value": val,
-                "selectors": list(combo),
-                "slots": [[list(e2), w] for e2, w in pairs],
-            }
+            best = {"value": val, **_choice(slots)}
     if best is None:
         best = {"value": 1.0, "selectors": [], "slots": []}
     return best
@@ -1173,8 +966,8 @@ def centered_family_correlation_sup(
     On instances passing the sum-family certifier's hypotheses this is at
     most the internal eta constant with base 2C.
     """
-    fam_lam = full_family(system, lam, nonnegative=True)
-    fam_phi = full_family(system, phi, nonnegative=True)
+    fam_lam = full_assignment(system, lam, nonnegative=True)
+    fam_phi = full_assignment(system, phi, nonnegative=True)
     e = as_edge(e)
     kernel = edge_function(system, e, fam_lam[e].values - 1.0)
     return selector_correlation_sup(
@@ -1198,8 +991,8 @@ def bounded_slot_mass_sup(
     On instances passing the sum-family certifier's hypotheses this is at
     most the internal C constant with base 2C.
     """
-    fam_lam = full_family(system, lam, nonnegative=True)
-    fam_phi = full_family(system, phi, nonnegative=True)
+    fam_lam = full_assignment(system, lam, nonnegative=True)
+    fam_phi = full_assignment(system, phi, nonnegative=True)
     return replica_mass_max(
         system, e, {"lam": fam_lam, "one": None, "phi": fam_phi}, ell
     )
@@ -1221,8 +1014,8 @@ def majorant_gap_correlation_sup(
     On instances passing the near-majorant certifier's hypotheses this is
     at most eta.
     """
-    fam_nu = full_family(system, nu, nonnegative=True)
-    fam_psi = full_family(system, psi, nonnegative=True)
+    fam_nu = full_assignment(system, nu, nonnegative=True)
+    fam_psi = full_assignment(system, psi, nonnegative=True)
     e = as_edge(e)
     kernel = edge_function(system, e, fam_nu[e].values - fam_psi[e].values)
     return selector_correlation_sup(
@@ -1259,8 +1052,8 @@ def shifted_majorant_gap_correlation_sup(
     instances passing the near-majorant certifier's hypotheses this is at
     most eta.
     """
-    fam_nu = full_family(system, nu, nonnegative=True)
-    fam_psi = full_family(system, psi, nonnegative=True)
+    fam_nu = full_assignment(system, nu, nonnegative=True)
+    fam_psi = full_assignment(system, psi, nonnegative=True)
     e = as_edge(e)
     ke = as_edge(kernel_edge)
     if ke == e:

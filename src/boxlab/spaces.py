@@ -15,12 +15,11 @@ reproducible bit for bit, independent of thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DigitOutOfRange,
     EmptyHypergraph,
     EmptySpace,
     NonPositiveWeight,
@@ -173,36 +172,13 @@ def check_function(system: HypergraphSystem, f: EdgeFunction) -> None:
         )
 
 
-@dataclass(frozen=True)
-class OmegaIndex:
-    """A replica digit per coordinate of an edge, in that edge's sorted order."""
-
-    edge: tuple[int, ...]
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.edge) != len(self.digits):
-            raise ShapeMismatch(
-                f"{len(self.digits)} digits for edge of size {len(self.edge)}"
-            )
-        if any(d < 0 for d in self.digits):
-            raise DigitOutOfRange(f"negative replica digit in {self.digits}")
-
-
-def omega_select(tuples, omega: OmegaIndex) -> tuple:
-    """Select coordinate k of the omega_k-th tuple, per coordinate.
-
-    `tuples` is a sequence of points of the edge's product space; the result
-    is the mixed point (tuples[omega_1][1], tuples[omega_2][2], ...).
-    """
-    ell = len(tuples)
-    for d in omega.digits:
-        if d >= ell:
-            raise DigitOutOfRange(f"digit {d} but only {ell} tuples supplied")
-    for t in tuples:
-        if len(t) != len(omega.edge):
-            raise ShapeMismatch(f"tuple of length {len(t)} for edge {omega.edge}")
-    return tuple(tuples[d][k] for k, d in enumerate(omega.digits))
+def check_on_edge(system: HypergraphSystem, e, f: EdgeFunction) -> tuple[int, ...]:
+    """Canonical e, after checking that f is a valid tensor living on it."""
+    e = as_edge(e)
+    check_function(system, f)
+    if f.edge != e:
+        raise ShapeMismatch(f"function lives on {f.edge}, not on {e}")
+    return e
 
 
 class Exponent:
@@ -383,10 +359,7 @@ class Grid:
 
 def expectation(system: HypergraphSystem, e, f: EdgeFunction) -> float:
     """Mean of f over the product measure of edge e's coordinate spaces."""
-    e = as_edge(e)
-    check_function(system, f)
-    if f.edge != e:
-        raise ShapeMismatch(f"function lives on {f.edge}, not on {e}")
+    e = check_on_edge(system, e, f)
     g = Grid(system, [(v, 0) for v in e])
     return g.expect([g.lift(e, f.values, (0,) * len(e))])
 
@@ -397,10 +370,7 @@ def lp_norm(system: HypergraphSystem, e, f: EdgeFunction, p: Exponent) -> float:
     Finite p is computed after rescaling by max|f| so that enormous exponents
     (p up to 2**20) stay inside float range; the root uses log/exp.
     """
-    e = as_edge(e)
-    check_function(system, f)
-    if f.edge != e:
-        raise ShapeMismatch(f"function lives on {f.edge}, not on {e}")
+    e = check_on_edge(system, e, f)
     m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if p.is_inf or m == 0.0:
         return m

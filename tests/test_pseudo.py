@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab.counting import full_assignment
 from boxlab.errors import (
     BadSpec,
     DigitOutOfRange,
@@ -26,7 +28,6 @@ from boxlab.pseudo import (
     check_C3,
     conditional_onto_edge,
     ell_pseudorandom,
-    full_family,
     linear_forms_deviation,
     majorant_gap_correlation_sup,
     measure_eta,
@@ -111,9 +112,9 @@ class TestFullFamily:
         fam = ones_family(sys_)
         fam[(0, 1)] = edge_function(sys_, (0, 1), [[1.0, -0.1], [1.0, 1.0]])
         with pytest.raises(BadSpec):
-            full_family(sys_, fam, nonnegative=True)
+            full_assignment(sys_, fam, nonnegative=True)
         # signed families pass without the flag
-        assert set(full_family(sys_, fam)) == set(K3_EDGES)
+        assert set(full_assignment(sys_, fam)) == set(K3_EDGES)
 
 
 class TestSupProblem:
@@ -246,6 +247,34 @@ class TestConditionChecks:
                         mode="heuristic")
         assert rep.verdict == "unknown"
         assert rep.mode == "heuristic"
+
+    def test_c2b_value_and_witness_match_brute(self):
+        # One replica: every other edge is one slot bounded by nu or by one.
+        # nu is one on (1, 2), so both choices there tie exactly and the
+        # witness must name the first, "nu".
+        rng = np.random.Generator(np.random.Philox(key=0))
+        sys_ = k3_system(2)
+        nu = {e: edge_function(sys_, e, rng.uniform(0, 1.5, size=(2, 2)))
+              for e in sys_.edges}
+        nu[(1, 2)] = constant_function(sys_, (1, 2), 1.0)
+        psi = ones_family(sys_)
+        params = PseudoParams(2.0, 0.5, Exponent(2.0), c2b_replicas=1)
+        rep = check_C2b(sys_, nu, psi, params, mode="exact")
+        choices = []
+        for e in sys_.edges:
+            kernel = nu[e].values - psi[e].values
+            others = [e2 for e2 in sys_.edges if e2 != e]
+            for labels in itertools.product(("nu", "one"), repeat=len(others)):
+                slots = [(e2, 0, nu[e2].values if lab == "nu" else None)
+                         for e2, lab in zip(others, labels)]
+                value = sup_correlation_brute(sys_, e, 1, e, kernel, 0, slots)
+                choices.append((value, list(e), list(labels)))
+        best = max(value for value, _, _ in choices)
+        first = next(c for c in choices if c[0] >= best - 1e-12)
+        assert abs(rep.worst_value - best) <= 1e-12
+        assert rep.witness["edge"] == first[1]
+        assert rep.witness["selectors"] == first[2] == ["one", "nu"]
+        assert rep.mode == "exact" and rep.details["replicas"] == 1
 
     def test_c3_ones(self):
         sys_ = k3_system()

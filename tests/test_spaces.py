@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxlab.errors import (
-    DigitOutOfRange,
     EmptyHypergraph,
     EmptySpace,
     NonPositiveWeight,
@@ -18,7 +17,6 @@ from boxlab.spaces import (
     INF,
     Exponent,
     Grid,
-    OmegaIndex,
     as_edge,
     checked_power,
     constant_function,
@@ -28,7 +26,6 @@ from boxlab.spaces import (
     make_prob_space,
     make_system,
     max_degree,
-    omega_select,
 )
 
 weights_st = st.lists(
@@ -114,21 +111,6 @@ class TestEdgeFunction:
         sys_ = make_system([[1.0, 1.0]], [(0,)])
         f = constant_function(sys_, (0,), 3.5)
         assert f.values.tolist() == [3.5, 3.5]
-
-
-class TestOmegaSelect:
-    def test_mixes_coordinates(self):
-        om = OmegaIndex((0, 1), (0, 1))
-        assert omega_select([(0, 1), (2, 3)], om) == (0, 3)
-
-    def test_digit_out_of_range(self):
-        om = OmegaIndex((0, 1), (0, 2))
-        with pytest.raises(DigitOutOfRange):
-            omega_select([(0, 1), (2, 3)], om)
-        with pytest.raises(DigitOutOfRange):
-            OmegaIndex((0, 1), (0, -1))
-        with pytest.raises(ShapeMismatch):
-            OmegaIndex((0, 1), (0,))
 
 
 class TestExponent:
