@@ -80,7 +80,6 @@ from .pseudo import (
     ell_pseudorandom,
     linear_forms_deviation,
     majorant_gap_correlation_sup,
-    measure_eta,
     shifted_majorant_gap_correlation_sup,
     sup_multilinear,
     sum_family_certificate,

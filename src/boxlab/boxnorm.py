@@ -9,10 +9,12 @@ Two independent evaluation routes are provided on purpose:
   block (2**16 cells) is one pairwise sum over the fully multiplied array,
   bit-identical to materialising it; a larger grid is summed block by block
   over its trailing axes in a fixed order, without a full-grid array.
-* `box_norm(..., method="recursive")` peels one coordinate at a time,
-  averaging the sub-power of the pointwise product of `ell` slices.  Tuples
-  of slices are grouped into multisets with multinomial weights, which cuts
-  m**ell work down to binom(m + ell - 1, ell).
+  `Grid`'s cell cap is its only size bound: a replicated grid above
+  `GRID_CELL_CAP` (2**25) cells raises SizeCapExceeded.
+* `box_norm(..., method="recursive")` peels one coordinate at a time, always
+  the last coordinate of the edge, averaging the sub-power of the pointwise
+  product of `ell` slices.  Tuples of slices are grouped into multisets with
+  multinomial weights, which cuts m**ell work down to binom(m + ell - 1, ell).
 
 Both return the same number up to roundoff; tests enforce 1e-9 agreement.
 Powers are carried unrooted through the recursion and the single final root
@@ -33,7 +35,6 @@ from .errors import (
     NumericalInconsistency,
     OddEll,
     ShapeMismatch,
-    SizeCapExceeded,
 )
 from .spaces import (
     EdgeFunction,
@@ -45,9 +46,6 @@ from .spaces import (
     checked_power,
     edge_function,
 )
-
-# Default ceiling on scalar multiplications in one direct enumeration.
-PRODUCT_CAP = 10**8
 
 REL_TOL = 1e-9
 
@@ -103,26 +101,17 @@ def box_power_direct(
     e,
     f: EdgeFunction,
     ell: int,
-    cap_products: int = PRODUCT_CAP,
 ) -> float:
     """Reference oracle: expectation of the full replicated product.
 
     Enumerates the grid that gives every coordinate of `e` its own `ell`
     independent copies and multiplies one slice of `f` per digit pattern.
-    The cap bounds the number of enumerated tuples (replicated grid
-    cells); exceeding it raises SizeCapExceeded.
+    A replicated grid above `GRID_CELL_CAP` cells raises SizeCapExceeded.
     """
     e = check_on_edge(system, e, f)
     ell = require_even(ell)
     k = len(e)
-    cells = 1
-    for v in e:
-        cells *= checked_power(system.spaces[v].size, ell)
     checked_power(ell, k)
-    if cells > cap_products:
-        raise SizeCapExceeded(
-            f"direct enumeration needs {cells} tuples, cap {cap_products}"
-        )
     grid = Grid(system, [(v, m) for v in e for m in range(ell)])
     factors = [
         grid.lift(e, f.values, digits)
@@ -140,50 +129,26 @@ def _box_power_recursive(
     e: tuple[int, ...],
     values: np.ndarray,
     ell: int,
-    multiset: bool,
-    peel_first: bool,
 ) -> float:
     if len(e) == 1:
         return _mean(system, e[0], values) ** ell
-    if peel_first:
-        j, rest = e[0], e[1:]
-
-        def slice_at(t):
-            return values[t, ...]
-
-    else:
-        j, rest = e[-1], e[:-1]
-
-        def slice_at(t):
-            return values[..., t]
-
+    j, rest = e[-1], e[:-1]
     w = system.spaces[j].weights
     m = w.shape[0]
     total = 0.0
-    if multiset:
-        fact = math.factorial(ell)
-        for combo in itertools.combinations_with_replacement(range(m), ell):
-            counts = Counter(combo)
-            coeff = fact
-            weight = 1.0
-            prod = None
-            for t, c in sorted(counts.items()):
-                coeff //= math.factorial(c)
-                weight *= float(w[t]) ** c
-                piece = slice_at(t) if c == 1 else slice_at(t) ** c
-                prod = piece if prod is None else prod * piece
-            sub = _box_power_recursive(system, rest, prod, ell, multiset, peel_first)
-            total += (coeff * weight) * sub
-    else:
-        for combo in itertools.product(range(m), repeat=ell):
-            weight = 1.0
-            prod = None
-            for t in combo:
-                weight *= float(w[t])
-                piece = slice_at(t)
-                prod = piece if prod is None else prod * piece
-            sub = _box_power_recursive(system, rest, prod, ell, multiset, peel_first)
-            total += weight * sub
+    fact = math.factorial(ell)
+    for combo in itertools.combinations_with_replacement(range(m), ell):
+        counts = Counter(combo)
+        coeff = fact
+        weight = 1.0
+        prod = None
+        for t, c in sorted(counts.items()):
+            coeff //= math.factorial(c)
+            weight *= float(w[t]) ** c
+            piece = values[..., t] if c == 1 else values[..., t] ** c
+            prod = piece if prod is None else prod * piece
+        sub = _box_power_recursive(system, rest, prod, ell)
+        total += (coeff * weight) * sub
     return total
 
 
@@ -193,31 +158,19 @@ def box_norm(
     f: EdgeFunction,
     ell: int,
     method: str = "recursive",
-    multiset: bool = True,
-    cross_check_peel: bool = False,
-    cap_products: int = PRODUCT_CAP,
 ) -> BoxNormResult:
     """Box norm of f on edge e with ell replicas per coordinate.
 
     method="recursive" peels the largest coordinate (the normative order);
-    method="direct" roots the oracle power instead.  With cross_check_peel
-    the recursion is repeated peeling the smallest coordinate and the two
-    powers must agree to 1e-9 relative, else NumericalInconsistency.
+    method="direct" roots the oracle power instead.
     """
     e = check_on_edge(system, e, f)
     ell = require_even(ell)
     big_n = checked_power(ell, len(e))
     if method == "direct":
-        power = box_power_direct(system, e, f, ell, cap_products=cap_products)
+        power = box_power_direct(system, e, f, ell)
     elif method == "recursive":
-        power = _box_power_recursive(system, e, f.values, ell, multiset, False)
-        if cross_check_peel:
-            alt = _box_power_recursive(system, e, f.values, ell, multiset, True)
-            scale = max(abs(power), abs(alt), 1e-300)
-            if abs(power - alt) > REL_TOL * scale:
-                raise NumericalInconsistency(
-                    f"peel orders disagree: {power} vs {alt}"
-                )
+        power = _box_power_recursive(system, e, f.values, ell)
     else:
         raise ShapeMismatch(f"unknown box norm method {method!r}")
     scale = _power_scale(f.values, big_n)
@@ -230,7 +183,6 @@ def gcs_form(
     e,
     functions,
     ell: int,
-    cap_products: int = PRODUCT_CAP,
 ) -> float:
     """Expectation of a product with one tensor per replica digit pattern.
 
@@ -249,13 +201,6 @@ def gcs_form(
             raise ShapeMismatch(f"bad digit pattern {digits} for edge {e}, ell={ell}")
         check_on_edge(system, e, fn)
         fams[digits] = fn
-    cells = 1
-    for v in e:
-        cells *= checked_power(system.spaces[v].size, ell)
-    if cells > cap_products:
-        raise SizeCapExceeded(
-            f"product enumeration needs {cells} tuples, cap {cap_products}"
-        )
     grid = Grid(system, [(v, m) for v in e for m in range(ell)])
     factors = []
     for digits in itertools.product(range(ell), repeat=k):
@@ -299,7 +244,6 @@ def gcs_certificate(
     e,
     functions,
     ell: int,
-    cap_products: int = PRODUCT_CAP,
 ) -> BoundCheck:
     """Check |product expectation| <= product of the factors' box norms.
 
@@ -307,16 +251,14 @@ def gcs_certificate(
     """
     e = as_edge(e)
     ell = require_even(ell)
-    value = gcs_form(system, e, functions, ell, cap_products=cap_products)
+    value = gcs_form(system, e, functions, ell)
     rhs = 1.0
     norms = {}
     by_factor: dict[int, float] = {}
     for digits, fn in sorted(functions.items()):
         digits = tuple(int(d) for d in digits)
         if id(fn) not in by_factor:
-            by_factor[id(fn)] = box_norm(
-                system, e, fn, ell, cap_products=cap_products
-            ).value
+            by_factor[id(fn)] = box_norm(system, e, fn, ell).value
         nv = by_factor[id(fn)]
         norms[",".join(map(str, digits))] = nv
         rhs *= nv
@@ -339,7 +281,6 @@ def lp_box_norm(
     f: EdgeFunction,
     ell: int,
     p: Exponent,
-    cap_products: int = PRODUCT_CAP,
 ) -> float:
     """The p-weighted box norm: box_norm(|f|**p)**(1/p); sup norm at p=inf.
 
@@ -351,7 +292,7 @@ def lp_box_norm(
     m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if p.is_inf or m == 0.0:
         return m
-    return _lp_box_norm_inner(system, e, f, ell, p, cap_products=cap_products)[0]
+    return _lp_box_norm_inner(system, e, f, ell, p)[0]
 
 
 def _lp_box_norm_inner(
@@ -361,7 +302,6 @@ def _lp_box_norm_inner(
     ell: int,
     p: Exponent,
     method: str = "recursive",
-    cap_products: int = PRODUCT_CAP,
 ) -> tuple[float, BoxNormResult]:
     """The p-weighted box norm for finite p, with the inner box norm it roots.
 
@@ -371,10 +311,10 @@ def _lp_box_norm_inner(
     """
     m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
     if m == 0.0:
-        inner = box_norm(system, e, f, ell, method=method, cap_products=cap_products)
+        inner = box_norm(system, e, f, ell, method=method)
         return 0.0, inner
     powered = edge_function(system, e, np.power(np.abs(f.values) / m, p.value))
-    inner = box_norm(system, e, powered, ell, method=method, cap_products=cap_products)
+    inner = box_norm(system, e, powered, ell, method=method)
     if inner.value <= 0.0:
         return 0.0, inner
     return m * math.exp(math.log(inner.value) / p.value), inner
@@ -388,7 +328,6 @@ def bilinear_bound_report(
     v: EdgeFunction,
     ell: int,
     p: Exponent,
-    cap_products: int = PRODUCT_CAP,
 ) -> BoundCheck:
     """Check |E[f(x,y) u(x) v(y)]| <= box_norm(f, ell) * ||u||_p * ||v||_p.
 
@@ -420,7 +359,7 @@ def bilinear_bound_report(
         )
     )
     rhs = (
-        box_norm(system, e, f, ell, cap_products=cap_products).value
+        box_norm(system, e, f, ell).value
         * lp_norm(system, (i,), u, p)
         * lp_norm(system, (j,), v, p)
     )

@@ -40,15 +40,18 @@ def _print(obj) -> None:
 
 def _resolve_edge(system, text: str):
     """Edge argument: comma-separated vertices ('0,2') or an index ('1')."""
-    if "," in text:
-        edge = as_edge(int(tk) for tk in text.split(","))
-    else:
-        k = int(text)
+    try:
+        tokens = [int(tk) for tk in text.split(",")]
+    except ValueError:
+        raise MalformedProblem(f"edge {text!r} is not a list of integers") from None
+    if len(tokens) == 1:
+        k = tokens[0]
         if not 0 <= k < len(system.edges):
             raise MalformedProblem(
                 f"edge index {k} out of range for {len(system.edges)} edges"
             )
         return system.edges[k]
+    edge = as_edge(tokens)
     if edge not in system.edges:
         raise MalformedProblem(f"edge {list(edge)} is not in the instance")
     return edge

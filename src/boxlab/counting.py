@@ -1,10 +1,9 @@
 """Homomorphism-style counting forms and the generalized von Neumann checks.
 
 `lambda_form` evaluates the expectation of the product of one tensor per
-edge over the full product space.  Two routes exist: a direct product over
-the full grid, and greedy vertex elimination (sum vertices out one at a
-time, smallest merged factor first); they agree to 1e-10 relative and the
-direct route is the default reference.
+edge over the full product space.  It has one route: `Grid.expect` over the
+grid of the vertices the edges touch, which `tests/oracles.py` checks
+against a plain loop.
 
 `von_neumann_certificate` checks, for 2-uniform systems, that the counting
 form is controlled by the smallest box norm among the edges once the
@@ -27,7 +26,6 @@ from .errors import (
     BadSpec,
     EmptyHypergraph,
     NotTwoUniform,
-    NumericalInconsistency,
     PairCapExceeded,
     POutOfRange,
     ShapeMismatch,
@@ -77,63 +75,10 @@ def full_assignment(system: HypergraphSystem, functions, nonnegative: bool = Fal
     return out
 
 
-def _lambda_direct(system: HypergraphSystem, assign: dict, edges) -> float:
-    coords = sorted(set(v for e in edges for v in e))
-    grid = Grid(system, [(v, 0) for v in coords])
-    factors = [grid.lift(e, assign[e].values, (0,) * len(e)) for e in edges]
-    return grid.expect(factors)
-
-
-def _lambda_eliminate(system: HypergraphSystem, assign: dict, edges) -> float:
-    # Factors as (coords tuple, array); eliminate the vertex whose merged
-    # factor is smallest, breaking ties toward the smallest vertex index.
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = [
-        (e, assign[e].values) for e in edges
-    ]
-    constant = 1.0
-    while True:
-        live = sorted(set(v for coords, _ in factors for v in coords))
-        if not live:
-            break
-        best_v, best_cost, best_union = None, None, None
-        for v in live:
-            union: set[int] = set()
-            for coords, _ in factors:
-                if v in coords:
-                    union.update(coords)
-            union.discard(v)
-            cost = 1
-            for w in union:
-                cost *= system.spaces[w].size
-            if best_cost is None or cost < best_cost:
-                best_v, best_cost, best_union = v, cost, tuple(sorted(union))
-        touching = [fa for fa in factors if best_v in fa[0]]
-        rest = [fa for fa in factors if best_v not in fa[0]]
-        merged_coords = tuple(sorted(set(best_union) | {best_v}))
-        grid = Grid(system, [(w, 0) for w in merged_coords])
-        acc = np.ones(grid.shape)
-        for coords, arr in touching:
-            acc = acc * grid.lift(coords, arr, (0,) * len(coords))
-        axis = grid.pos[(best_v, 0)]
-        w_shape = [1] * len(grid.shape)
-        w_shape[axis] = system.spaces[best_v].size
-        acc = acc * system.spaces[best_v].weights.reshape(w_shape)
-        summed = np.sum(np.ascontiguousarray(np.broadcast_to(acc, grid.shape)), axis=axis)
-        if best_union:
-            rest.append((best_union, summed))
-        else:
-            constant *= float(summed)
-        factors = rest
-    for coords, arr in factors:
-        constant *= float(arr)
-    return constant
-
-
 def lambda_form(
     system: HypergraphSystem,
     functions,
     edges=None,
-    mode: str = "direct",
 ) -> float:
     """Expectation of the product of the assigned tensors over the edges.
 
@@ -147,18 +92,10 @@ def lambda_form(
             raise ShapeMismatch(f"edge {e} has no assigned tensor")
     if not use:
         return 1.0
-    if mode == "direct":
-        return _lambda_direct(system, assign, use)
-    if mode == "eliminate":
-        return _lambda_eliminate(system, assign, use)
-    if mode == "checked":
-        a = _lambda_direct(system, assign, use)
-        b = _lambda_eliminate(system, assign, use)
-        scale = max(abs(a), abs(b), 1.0)
-        if abs(a - b) > 1e-10 * scale:
-            raise NumericalInconsistency(f"elimination disagrees: {a} vs {b}")
-        return a
-    raise ShapeMismatch(f"unknown lambda_form mode {mode!r}")
+    coords = sorted(set(v for e in use for v in e))
+    grid = Grid(system, [(v, 0) for v in coords])
+    factors = [grid.lift(e, assign[e].values, (0,) * len(e)) for e in use]
+    return grid.expect(factors)
 
 
 def least_even_at_least(x: float, tie_tol: float = 1e-9) -> int:
@@ -269,7 +206,7 @@ def von_neumann_certificate(
     assign = full_assignment(system, functions)
     if system.uniformity() != 2:
         raise NotTwoUniform(f"edges must all be doubletons, got {system.edges}")
-    if C < 1.0:
+    if not C >= 1.0:
         raise BadSpec(f"the constant C must be >= 1, got {C}")
     from .spaces import max_degree
 
@@ -371,7 +308,7 @@ def counting_lemma_certificate(
     assign_g = full_assignment(system, functions_g)
     if system.uniformity() != 2:
         raise NotTwoUniform(f"edges must all be doubletons, got {system.edges}")
-    if C < 1.0:
+    if not C >= 1.0:
         raise BadSpec(f"the constant C must be >= 1, got {C}")
     if ell is None:
         ell = ell_von_neumann(max_degree(system), p)

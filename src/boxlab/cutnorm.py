@@ -115,12 +115,12 @@ def cut_norm(
 ) -> CutNormResult:
     """Cut norm of f on e: sup |cut value| over cylinder intersections."""
     e = check_on_edge(system, e, f)
+    if mode not in ("auto", "exact", "heuristic"):
+        raise ShapeMismatch(f"unknown cut norm mode {mode!r}")
     faces = faces_of(e)
     if len(e) == 1:
         val = expectation(system, e, f)
         return CutNormResult(abs(val), CutSet(e, (1,)), "exact", 2, 0, True)
-    if mode not in ("auto", "exact", "heuristic"):
-        raise ShapeMismatch(f"unknown cut norm mode {mode!r}")
     problem = SupProblem(system, e, 1, f, tuple(Slot(face, 0, None) for face in faces))
     res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
     return CutNormResult(

@@ -123,12 +123,11 @@ def ascent_boxed(
     slot_rows,
     init_masks,
     sigma: float,
-    max_cycles: int = MAX_CYCLES,
 ) -> tuple[float, tuple[int, ...]]:
     """Coordinate ascent on sigma * value; returns the signed value reached."""
     masks = list(init_masks)
     cur = [_mask_row(rows, m) for rows, m in zip(slot_rows, masks)]
-    for _ in range(max_cycles):
+    for _ in range(MAX_CYCLES):
         changed = False
         for s, rows in enumerate(slot_rows):
             context = base.copy()
@@ -157,7 +156,6 @@ def heuristic_boxed_max(
     slot_rows,
     restarts: int = 32,
     seed: int = 0,
-    max_cycles: int = MAX_CYCLES,
 ) -> BoxedMaxResult:
     """Best alternating-ascent vertex over seeded random restarts, both signs.
 
@@ -174,7 +172,7 @@ def heuristic_boxed_max(
             bits = rng.integers(0, 2, size=rows.shape[0])
             init.append(int(sum(1 << t for t in range(rows.shape[0]) if bits[t])))
         for sigma in (1.0, -1.0):
-            val, masks = ascent_boxed(base, slot_rows, init, sigma, max_cycles)
+            val, masks = ascent_boxed(base, slot_rows, init, sigma)
             if abs(val) > best.value:
                 best = BoxedMaxResult(
                     abs(val), val, masks, "heuristic", 0, r + 1

@@ -73,7 +73,7 @@ SAMPLE_DEFAULT = 512
 
 def ell_pseudorandom(C: float, p: Exponent) -> int:
     """Even replica count rule: least even >= 2q + (1 - 1/C) + 1/p."""
-    if C < 1.0:
+    if not C >= 1.0:
         raise BadSpec(f"the constant C must be >= 1, got {C}")
     if not p.is_inf and p.value <= 1.0:
         raise POutOfRange(f"need p > 1 or p infinite, got {p.value}")
@@ -102,7 +102,7 @@ class PseudoParams:
         return require_even(self.ell)
 
     def validate(self) -> None:
-        if self.C < 1.0:
+        if not self.C >= 1.0:
             raise BadSpec(f"C must be >= 1, got {self.C}")
         if not (0.0 < self.eta < 1.0):
             raise BadSpec(f"eta must lie in (0, 1), got {self.eta}")
@@ -526,22 +526,6 @@ def linear_forms_deviation(
     )
 
 
-def measure_eta(
-    system: HypergraphSystem,
-    functions,
-    ell: int,
-    mode: str = "exact",
-    samples: int = SAMPLE_DEFAULT,
-    seed: int = 0,
-    pattern_cap: int = PATTERN_CAP,
-) -> float:
-    """Largest deviation from one over all replica product patterns."""
-    return linear_forms_deviation(
-        system, functions, ell, mode=mode, samples=samples, seed=seed,
-        pattern_cap=pattern_cap,
-    ).eta
-
-
 # ---------------------------------------------------------------------------
 # Bundled certification
 
@@ -657,9 +641,9 @@ def sum_family_certificate(
     n = _require_all_coedges(system)
     fam_lam = full_assignment(system, lam, nonnegative=True)
     fam_phi = full_assignment(system, phi, nonnegative=True)
-    if C < 1.0:
+    if not C >= 1.0:
         raise BadSpec(f"C must be >= 1, got {C}")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise BadSpec(f"eta must be positive, got {eta}")
     ell = ell_pseudorandom(C, p)
     log4c = math.log(4.0 * C)
@@ -754,9 +738,9 @@ def near_majorant_certificate(
     n = _require_all_coedges(system)
     fam_nu = full_assignment(system, nu, nonnegative=True)
     fam_psi = full_assignment(system, psi)
-    if C < 1.0:
+    if not C >= 1.0:
         raise BadSpec(f"C must be >= 1, got {C}")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise BadSpec(f"eta must be positive, got {eta}")
     ell = ell_pseudorandom(C, p)
     hyp = {"eta_in_range": bool(0.0 < eta <= 1.0 / (n * ell) + 1e-15)}

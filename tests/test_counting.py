@@ -90,18 +90,8 @@ class TestLambdaForm:
         sys_ = triangle_system(rng)
         fam = signed_family(sys_, rng)
         want = lambda_form_brute(sys_, fam)
-        got = lambda_form(sys_, fam, mode="direct")
+        got = lambda_form(sys_, fam)
         assert abs(want - got) <= 1e-11 * max(1.0, abs(want))
-
-    @given(seeds)
-    def test_eliminate_matches_direct(self, seed):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        sys_ = triangle_system(rng)
-        fam = signed_family(sys_, rng)
-        a = lambda_form(sys_, fam, mode="direct")
-        b = lambda_form(sys_, fam, mode="eliminate")
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
-        assert lambda_form(sys_, fam, mode="checked") == a
 
     def test_subset_and_empty(self):
         rng = np.random.Generator(np.random.Philox(key=0))
@@ -118,8 +108,6 @@ class TestLambdaForm:
         fam = signed_family(sys_, rng)
         with pytest.raises(ShapeMismatch):
             lambda_form(sys_, fam, edges=[(0, 3)])
-        with pytest.raises(ShapeMismatch):
-            lambda_form(sys_, fam, mode="sideways")
 
     def test_mixed_arity_product(self):
         sys_ = make_system([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [(0,), (0, 1, 2)])
@@ -130,9 +118,6 @@ class TestLambdaForm:
         }
         want = lambda_form_brute(sys_, fam)
         assert abs(lambda_form(sys_, fam) - want) <= 1e-12 * max(1.0, abs(want))
-        assert abs(lambda_form(sys_, fam, mode="eliminate") - want) <= 1e-12 * max(
-            1.0, abs(want)
-        )
 
 
 class TestReplicaRules:

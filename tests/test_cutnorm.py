@@ -136,9 +136,13 @@ class TestCutNormHeuristic:
         assert res.mode == "heuristic"
 
     def test_unknown_mode(self):
+        # One- and two-coordinate edges alike: the singleton shortcut must
+        # not skip the mode check.
         sys_, f = random_2d(3)
-        with pytest.raises(ShapeMismatch):
-            cut_norm(sys_, (0, 1), f, mode="banana")
+        g = edge_function(sys_, (0,), np.full(sys_.edge_shape((0,)), 0.5))
+        for e, fn in (((0,), g), ((0, 1), f)):
+            with pytest.raises(ShapeMismatch):
+                cut_norm(sys_, e, fn, mode="banana")
 
 
 class TestResultShape:

@@ -13,7 +13,7 @@ from boxlab.generators import (
     predicted_product_box_norm,
     uniform_complete_system,
 )
-from boxlab.pseudo import measure_eta
+from boxlab.pseudo import linear_forms_deviation
 from boxlab.spaces import expectation
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -81,7 +81,7 @@ class TestGenerate:
         for e, fn in fam.items():
             assert np.all(fn.values == 1.0)
         assert meta["spec"]["kind"] == "ones"
-        assert measure_eta(sys_, fam, 2) == 0.0
+        assert linear_forms_deviation(sys_, fam, 2).eta == 0.0
 
     def test_perturbed_zero_epsilon_is_ones(self):
         _, fam, _ = generate(GenSpec(3, 2, 2, "perturbed_ones", epsilon=0.0, seed=4))

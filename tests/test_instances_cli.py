@@ -233,12 +233,13 @@ class TestCliGenAndNorm:
         assert math.isclose(out["value"], m * inner ** 0.5, rel_tol=1e-12)
 
     def test_norm_bad_edge_exits_3(self, perturbed_instance, capsys):
-        code, _, err = run_cli(
-            capsys, "norm", "--instance", perturbed_instance,
-            "--edge", "9", "--ell", "2",
-        )
-        assert code == 3
-        assert err["error"] == "MalformedProblem"
+        for edge in ("9", "x", "0,x"):
+            code, _, err = run_cli(
+                capsys, "norm", "--instance", perturbed_instance,
+                "--edge", edge, "--ell", "2",
+            )
+            assert code == 3, edge
+            assert err["error"] == "MalformedProblem", edge
 
 
 class TestCliCutGcs:
@@ -309,6 +310,17 @@ class TestCliCertificates:
             capsys, "pseudorandom", "thm42", "--instance", ones_instance,
             "--C", "1", "--eta", "1e-16", "--p", "inf",
         )
+        assert code == 3
+        assert err["error"] == "BadSpec"
+
+    @pytest.mark.parametrize("command", ["check", "thm43", "vonneumann"])
+    def test_nan_C_exits_3(self, ones_instance, capsys, command):
+        if command == "vonneumann":
+            args = ["vonneumann", "--instance", ones_instance]
+        else:
+            args = ["pseudorandom", command, "--instance", ones_instance,
+                    "--psi", ones_instance, "--eta", "0.05"]
+        code, _, err = run_cli(capsys, *args, "--C", "nan", "--p", "2")
         assert code == 3
         assert err["error"] == "BadSpec"
 

@@ -30,7 +30,6 @@ from boxlab.pseudo import (
     ell_pseudorandom,
     linear_forms_deviation,
     majorant_gap_correlation_sup,
-    measure_eta,
     replica_mass_max,
     shifted_majorant_gap_correlation_sup,
     sup_multilinear,
@@ -372,10 +371,6 @@ class TestLinearFormsDeviation:
         assert sampled.max_value <= exact.max_value + 1e-12
         assert sampled.min_value >= exact.min_value - 1e-12
         assert vals_at_full or sampled.patterns_checked >= 3
-
-    def test_measure_eta_shortcut(self):
-        sys_ = k3_system()
-        assert measure_eta(sys_, ones_family(sys_), 2) == 0.0
 
 
 class TestCertifyPseudorandom:
