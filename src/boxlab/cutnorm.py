@@ -11,9 +11,9 @@ A cut norm is the engine's `SupProblem` with the tensor as kernel on the
 base edge and one slot per face, bounded by one: the objective is
 multilinear in the face indicators, so the supremum over functions
 0 <= g <= 1 is attained at a vertex, a cylinder intersection.
-`sup_multilinear` solves it.  The exact mode enumerates every bitmask
-combination and ties resolve to the lexicographically smallest mask
-vector; the heuristic mode is seeded alternating ascent and only ever
+`sup_multilinear` solves it.  The exact mode searches every bitmask
+combination by branch-and-bound and ties resolve to the lexicographically
+smallest mask vector; the heuristic mode is seeded alternating ascent and only ever
 returns a lower bound.
 
 A single-coordinate edge has one face, the empty set, whose only cylinders

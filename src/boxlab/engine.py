@@ -12,19 +12,38 @@ of its atoms and zero elsewhere.  A slot is therefore encoded as one row
 matrix R_s with R_s[t, p] = bound_s(t) if cell p projects to atom t else 0,
 and a vertex as a bitmask over atoms.
 
-Exact mode enumerates every bitmask combination (first slot most
-significant, masks ascending), keeping the first maximizer, so ties resolve
-to the lexicographically smallest mask vector.  Heuristic mode runs the
-classic alternating ascent: the objective is linear in each slot, so the
-conditional optimum sets atom t on iff its coefficient helps the current
-sign; restarts draw initial masks from a seeded Philox stream.
+Exact mode is a depth-first branch-and-bound over the slots in order:
+- Closed-form last slot.  With every other slot fixed at a vertex whose
+  product with b is v, the value is sum_t c_t over the last slot's mask,
+  where c_t = sum_p R[t, p] * v_p; the sup is max(sum c+, -sum c-),
+  attained by the atoms with c_t > 0 (or < 0).  The c_t are linear in the
+  slot before the last, so one pass gives them for all of its masks.
+- Prefix bounds.  Slots are nonnegative, so once slots 0..d-1 are fixed
+  (product v), |value| <= max(sum (v*W)+, -sum (v*W)-) with W the product
+  of the remaining slots' per-cell row sums.  A prefix is pruned iff that
+  bound plus a few ulps of sum |v*W| is <= the incumbent, so a bound of
+  exactly 0 prunes.  Small subtrees are evaluated as one block.
+- Ties.  Masks are explored ascending (first slot most significant), the
+  incumbent starts at the first vertex (all masks empty, value 0) and is
+  replaced only by a strictly larger value, and an exact tie in the last
+  slot takes the smaller mask; so the lexicographically smallest maximizer
+  (as the values round) wins.  The reported value is recomputed at that
+  vertex by multiplying the slots in order and summing over the cells.
+Heuristic mode runs the classic alternating ascent: the objective is linear
+in each slot, so the conditional optimum sets atom t on iff its coefficient
+helps the current sign; restarts draw initial masks from a seeded Philox
+stream.
 
 The module also owns what a boxed sup problem is: `SupProblem` places a
 kernel and its `Slot`s on one evaluation grid (base-edge coordinates once,
 every other coordinate in per-replica copies), and `sup_multilinear` is the
-one place that turns a problem into rows and chooses its mode ("auto" is
-exact up to the combination cap, heuristic beyond).  Cut norms, the C2b
-check and the proof oracles all go through it.
+one place that turns a problem into rows and chooses its mode.  "exact"
+refuses problems with more vertex combinations than the cap; "auto" solves
+those by the same search on a budget of cap combinations actually
+evaluated (each evaluated setting of the slots before the last counts
+2**T, T the last slot's atom count), and falls back to the heuristic
+only when the budget runs out.  Cut norms, the C2b check and the proof
+oracles all go through it.
 """
 
 from __future__ import annotations
@@ -37,7 +56,9 @@ from .errors import DigitOutOfRange, MalformedProblem, SizeCapExceeded
 from .spaces import EdgeFunction, Grid, HypergraphSystem, as_edge, check_function
 
 COMBO_CAP = 1 << 24
-CHUNK_ELEMS = 1 << 22
+# Elements per vectorized block; also how much of the tree is evaluated
+# between two pruning decisions.
+CHUNK_ELEMS = 1 << 16
 MAX_CYCLES = 1000
 
 
@@ -52,17 +73,17 @@ class BoxedMaxResult:
 
 
 def subset_rows(rows: np.ndarray) -> np.ndarray:
-    """All 2**T subset sums of the T rows; output row index equals the mask."""
-    out = np.zeros((1, rows.shape[1]))
+    """All 2**T subset sums of the T rows (axis 0); output row index equals the mask."""
+    out = np.zeros((1,) + rows.shape[1:])
     for t in range(rows.shape[0]):
-        out = np.concatenate([out, out + rows[t][None, :]])
+        out = np.concatenate([out, out + rows[t][None]])
     return out
 
 
 def _mask_row(rows: np.ndarray, mask: int) -> np.ndarray:
     picked = [t for t in range(rows.shape[0]) if (mask >> t) & 1]
     if not picked:
-        return np.zeros(rows.shape[1])
+        return np.zeros(rows.shape[1:])
     return np.sum(np.ascontiguousarray(rows[picked]), axis=0)
 
 
@@ -73,49 +94,177 @@ def _total_combos(slot_rows) -> int:
     return total
 
 
+# Pruning slack in ulps of sum |v * W|: the rounding of a prefix bound and of
+# any closed-form value below it stays within about log2(cells) plus the
+# closed slots' atom counts of those ulps.
+_SLACK = 64 * float(np.finfo(np.float64).eps)
+
+
+class _OutOfBudget(Exception):
+    """The budgeted search evaluated more vertex combinations than allowed."""
+
+
+def _vertex_value(base: np.ndarray, slot_rows, masks) -> float:
+    """Objective at one vertex, multiplied and summed in enumeration order."""
+    vec = base
+    for rows, mask in zip(slot_rows, masks):
+        row = np.zeros(rows.shape[1])
+        for t in range(rows.shape[0]):
+            if (mask >> t) & 1:
+                row = row + rows[t]
+        vec = vec * row
+    return float(np.sum(np.ascontiguousarray(vec)))
+
+
+def _bound(block: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Per-row bound on |value| below a prefix, plus the pruning slack.
+
+    Every cell's remaining factor lies in [0, reach], so the value lies in
+    [sum (v * reach)-, sum (v * reach)+].
+    """
+    x = block * reach
+    pos = np.maximum(x, 0.0).sum(axis=1)
+    neg = np.minimum(x, 0.0).sum(axis=1)
+    return np.maximum(pos, -neg) + _SLACK * (pos - neg)
+
+
+def _fitting_bits(atoms: int, width: int, chunk_elems: int) -> int:
+    """Most low atoms whose subset sums, `width` elements each, fit a chunk."""
+    bits = 0
+    while bits < atoms and (2 << bits) * width <= chunk_elems:
+        bits += 1
+    return bits
+
+
+class _Search:
+    """One depth-first branch-and-bound run for the first maximizing masks.
+
+    Slots before j = max(k - 2, 0) are enumerated; the last slot is solved
+    in closed form, for every mask of slot j at once by linearity.  `run`
+    raises _OutOfBudget once more than `budget` vertex combinations would
+    be evaluated.
+    """
+
+    def __init__(self, base: np.ndarray, slot_rows, chunk_elems: int, budget):
+        self.base, self.slot_rows = base, slot_rows
+        self.chunk_elems, self.budget = chunk_elems, budget
+        k = len(slot_rows)
+        self.cells = cells = base.shape[0]
+        self.j = j = max(k - 2, 0)
+        self.last = last = slot_rows[-1]
+        # reach[d]: per cell, the largest product slots d..k-1 can put there.
+        self.reach = [np.prod([np.sum(r, axis=0) for r in slot_rows[j:]], axis=0)]
+        for rows in reversed(slot_rows[:j]):
+            self.reach.insert(0, self.reach[0] * np.sum(rows, axis=0))
+        # Subset sums of each enumerated slot's low atoms, one block at a time.
+        self.low = [
+            subset_rows(rows[:_fitting_bits(rows.shape[0], cells, chunk_elems)])
+            for rows in slot_rows[:j]
+        ]
+        # pair[(u, t)] = pre[u] * last[t]: the last slot's coefficients under
+        # mask m of the slot before it are the sums over u in m of
+        # sum_p v_p * pair[(u, t), p].
+        if k == 1:
+            self.pre_atoms, self.pair = 0, last
+        else:
+            pre = slot_rows[-2]
+            self.pre_atoms = pre.shape[0]
+            self.pair = (pre[:, None, :] * last[None, :, :]).reshape(-1, cells)
+        self.pre_bits = bits = _fitting_bits(self.pre_atoms, last.shape[0], chunk_elems)
+        # Rows closed per block.  When slot j's masks come in several blocks,
+        # one row at a time keeps the vertices in ascending order.
+        per_row = max(self.pair.shape[0] * cells, (1 << bits) * last.shape[0])
+        self.chunk_rows = max(1, chunk_elems // per_row) if bits == self.pre_atoms else 1
+        self.best = (0.0, (0,) * k)  # the first vertex: every mask empty
+        self.used = 0
+
+    def run(self) -> tuple[int, ...]:
+        if _bound(self.base[None, :], self.reach[0])[0] > self.best[0]:
+            self._node(self.base, 0, ())
+        return self.best[1]
+
+    def _closed_forms(self, sub):
+        """(first pre mask, coefficients[row, pre mask offset, t]) blocks."""
+        m = (sub[:, None, :] * self.pair[None, :, :]).sum(axis=2)
+        if len(self.slot_rows) == 1:
+            yield 0, m[:, None, :]
+            return
+        bits = self.pre_bits
+        m = np.moveaxis(m.reshape(-1, self.pre_atoms, self.last.shape[0]), 1, 0)
+        low_sums = np.moveaxis(subset_rows(m[:bits]), 0, 1)
+        for hi in range(1 << (self.pre_atoms - bits)):
+            yield hi << bits, low_sums + _mask_row(m[bits:], hi)[:, None, :]
+
+    def _leaves(self, block, prefix, radices, offset):
+        """Close slots j.. on every row of block that may beat the incumbent."""
+        keep = np.flatnonzero(_bound(block, self.reach[self.j]) > self.best[0])
+        if self.budget is not None:
+            self.used += keep.size << (self.pre_atoms + self.last.shape[0])
+            if self.used > self.budget:
+                raise _OutOfBudget
+        for start in range(0, keep.size, self.chunk_rows):
+            rows = keep[start:start + self.chunk_rows]
+            for first, coeff in self._closed_forms(block[rows]):
+                pos = np.maximum(coeff, 0.0).sum(axis=2)
+                neg = -np.minimum(coeff, 0.0).sum(axis=2)
+                vals = np.maximum(pos, neg)
+                a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
+                if not vals[a, b] > self.best[0]:
+                    continue
+                c = coeff[a, b]
+                up = sum(1 << t for t in range(c.shape[0]) if c[t] > 0.0)
+                down = sum(1 << t for t in range(c.shape[0]) if c[t] < 0.0)
+                if pos[a, b] != neg[a, b]:
+                    mask = up if pos[a, b] > neg[a, b] else down
+                else:
+                    mask = min(up, down)
+                rem = offset + int(rows[a])
+                digits = []
+                for size in reversed(radices):
+                    digits.append(rem % size)
+                    rem //= size
+                closed = (mask,) if len(self.slot_rows) == 1 else (first + int(b), mask)
+                self.best = (float(vals[a, b]), prefix + tuple(reversed(digits)) + closed)
+
+    def _node(self, vec, d, prefix):
+        """Search below the prefix fixing slots 0..d-1, whose product is vec."""
+        inner = self.slot_rows[d:self.j]
+        if d == self.j or _total_combos(inner) * self.cells <= self.chunk_elems:
+            block = vec[None, :]
+            for table in self.low[d:]:
+                block = (block[:, None, :] * table[None, :, :]).reshape(-1, self.cells)
+            self._leaves(block, prefix, [1 << rows.shape[0] for rows in inner], 0)
+            return
+        rows, table = self.slot_rows[d], self.low[d]
+        bits = table.shape[0].bit_length() - 1
+        for hi in range(1 << (rows.shape[0] - bits)):
+            block = vec * (table + _mask_row(rows[bits:], hi))
+            if d + 1 == self.j:
+                self._leaves(block, prefix, [1 << rows.shape[0]], hi << bits)
+                continue
+            bound = _bound(block, self.reach[d + 1])
+            for lo in range(block.shape[0]):
+                if bound[lo] > self.best[0]:
+                    self._node(block[lo], d + 1, prefix + ((hi << bits) | lo,))
+
+
 def exact_boxed_max(
     base: np.ndarray,
     slot_rows,
     cap: int = COMBO_CAP,
     chunk_elems: int = CHUNK_ELEMS,
 ) -> BoxedMaxResult:
-    """Enumerate every vertex combination and return the first maximizer."""
+    """First maximizing vertex, by branch-and-bound; a certificate."""
     combos = _total_combos(slot_rows)
     if combos > cap:
         raise SizeCapExceeded(f"{combos} vertex combinations exceed cap {cap}")
-    cells = base.shape[0]
+    return _exact_result(base, slot_rows, chunk_elems, None, combos)
 
-    def rec(vec: np.ndarray, slots) -> tuple[float, float, tuple[int, ...]]:
-        if not slots:
-            val = float(np.sum(np.ascontiguousarray(vec)))
-            return abs(val), val, ()
-        tail = _total_combos(slots)
-        if tail * cells <= chunk_elems:
-            block = vec[None, :]
-            for rows in slots:
-                expanded = subset_rows(rows)
-                block = (block[:, None, :] * expanded[None, :, :]).reshape(-1, cells)
-            vals = np.sum(np.ascontiguousarray(block), axis=1)
-            idx = int(np.argmax(np.abs(vals)))
-            signed = float(vals[idx])
-            masks = []
-            rem = idx
-            for rows in reversed(slots):
-                size = 1 << rows.shape[0]
-                masks.append(rem % size)
-                rem //= size
-            return abs(signed), signed, tuple(reversed(masks))
-        head, rest = slots[0], slots[1:]
-        expanded = subset_rows(head)
-        best = (-1.0, 0.0, ())
-        for mask in range(expanded.shape[0]):
-            a, s, ms = rec(vec * expanded[mask], rest)
-            if a > best[0]:
-                best = (a, s, (mask,) + ms)
-        return best
 
-    a, s, masks = rec(base, list(slot_rows))
-    return BoxedMaxResult(a, s, masks, "exact", combos, 0)
+def _exact_result(base, slot_rows, chunk_elems, budget, combos) -> BoxedMaxResult:
+    masks = _Search(base, slot_rows, chunk_elems, budget).run() if slot_rows else ()
+    signed = _vertex_value(base, slot_rows, masks)
+    return BoxedMaxResult(abs(signed), signed, masks, "exact", combos, 0)
 
 
 def ascent_boxed(
@@ -344,14 +493,20 @@ def sup_multilinear(
     base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
     rows = _slot_rows(problem, grid)
     combos = _total_combos(rows)
-    if mode == "auto":
-        mode = "exact" if combos <= cap else "heuristic"
-    if mode == "exact":
+    if mode == "auto" and combos > cap:
+        # Past the cap, auto runs the same search on a budget of cap vertex
+        # combinations and falls back to the heuristic when it runs out.
+        try:
+            res = _exact_result(base_vec, rows, CHUNK_ELEMS, cap, combos)
+        except _OutOfBudget:
+            res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
+    elif mode in ("auto", "exact"):
         res = exact_boxed_max(base_vec, rows, cap=cap)
     elif mode == "heuristic":
         res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
     else:
         raise MalformedProblem(f"unknown sup mode {mode!r}")
     return SupResult(
-        res.value, res.signed, res.masks, mode, combos, res.restarts_used, mode == "exact"
+        res.value, res.signed, res.masks, res.mode, combos, res.restarts_used,
+        res.mode == "exact",
     )

@@ -142,6 +142,24 @@ def instance_to_dict(
     return out
 
 
+def _float_array(raw, what: str) -> np.ndarray:
+    """raw as a float array; ragged or non-numeric input is MalformedProblem."""
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedProblem(f"{what}: values must be numbers in a regular array") from exc
+
+
+def _vertices(raw, what: str) -> tuple[int, ...]:
+    """raw as a tuple of vertex indices; anything but a list of JSON integers
+    is MalformedProblem."""
+    if not isinstance(raw, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in raw
+    ):
+        raise MalformedProblem(f"{what}: an edge must be a list of integer vertex indices")
+    return tuple(raw)
+
+
 def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
     """Validate and build (system, functions, meta) from parsed JSON."""
     if not isinstance(data, dict):
@@ -156,11 +174,11 @@ def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
     for k, ws in enumerate(spaces_raw):
         if not isinstance(ws, list) or not ws:
             raise MalformedProblem(f"space {k} must be a nonempty weight list")
-        spaces.append(make_prob_space(np.asarray(ws, dtype=np.float64)))
+        spaces.append(make_prob_space(_float_array(ws, f"space {k}")))
     edges_raw = data["edges"]
     if not isinstance(edges_raw, list):
         raise MalformedProblem("'edges' must be a list of vertex-index lists")
-    edges = [tuple(int(v) for v in e) for e in edges_raw]
+    edges = [_vertices(e, f"edge {k}") for k, e in enumerate(edges_raw)]
     system = make_system(spaces, edges)
     fns_raw = data["functions"]
     if not isinstance(fns_raw, list):
@@ -169,13 +187,13 @@ def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
     for k, item in enumerate(fns_raw):
         if not isinstance(item, dict) or "edge" not in item or "values" not in item:
             raise MalformedProblem(f"function entry {k} must have 'edge' and 'values'")
-        e = tuple(int(v) for v in item["edge"])
+        e = _vertices(item["edge"], f"function entry {k}")
         if e not in system.edges:
             raise MalformedProblem(f"function entry {k} names unknown edge {list(e)}")
         if e in functions:
             raise MalformedProblem(f"duplicate function entry for edge {list(e)}")
         functions[e] = edge_function(
-            system, e, np.asarray(item["values"], dtype=np.float64)
+            system, e, _float_array(item["values"], f"function entry {k}")
         )
     meta = data.get("meta") if isinstance(data.get("meta"), dict) else {}
     return system, functions, meta

@@ -15,7 +15,7 @@ named conditions:
 
 Sup checks run through the shared boxed-maximization engine
 (`engine.sup_multilinear`, whose `Slot`, `SupProblem` and `SupResult` this
-module re-exports): exact mode enumerates slot vertices and is a
+module re-exports): exact mode searches every slot vertex and is a
 certificate; heuristic mode only ever yields lower bounds, so it can refute
 a condition but not confirm it (verdict "unknown").
 

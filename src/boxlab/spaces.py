@@ -261,7 +261,7 @@ class Grid:
     depends on the thread count.
     """
 
-    def __init__(self, system: HypergraphSystem, keys, cap: int = GRID_CELL_CAP):
+    def __init__(self, system: HypergraphSystem, keys):
         ks = sorted(keys)
         if len(set(ks)) != len(ks):
             raise ShapeMismatch(f"duplicate grid keys in {ks}")
@@ -272,8 +272,8 @@ class Grid:
         cells = 1
         for s in self.shape:
             cells *= s
-        if cells > cap:
-            raise SizeCapExceeded(f"grid of {cells} cells exceeds cap {cap}")
+        if cells > GRID_CELL_CAP:
+            raise SizeCapExceeded(f"grid of {cells} cells exceeds cap {GRID_CELL_CAP}")
         self.cells = cells
 
     def lift(self, edge: tuple[int, ...], values: np.ndarray, digits) -> np.ndarray:

@@ -4,13 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxlab.engine import (
+    CHUNK_ELEMS,
+    Slot,
+    SupProblem,
     ascent_boxed,
     exact_boxed_max,
     heuristic_boxed_max,
     projection_rows,
     subset_rows,
+    sup_multilinear,
 )
 from boxlab.errors import MalformedProblem, SizeCapExceeded
+from boxlab.spaces import edge_function, make_system
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -32,12 +37,7 @@ def brute_max(base, slot_rows):
     def rec(masks):
         nonlocal best
         if len(masks) == len(slot_rows):
-            total = 0.0
-            for p in range(base.shape[0]):
-                term = float(base[p])
-                for s, m in enumerate(masks):
-                    term *= mask_row_manual(slot_rows[s].tolist(), m)[p]
-                total += term
+            total = vertex_value(base, slot_rows, masks)
             if abs(total) > best[0]:
                 best = (abs(total), total, tuple(masks))
             return
@@ -46,6 +46,18 @@ def brute_max(base, slot_rows):
 
     rec([])
     return best
+
+
+def vertex_value(base, slot_rows, masks):
+    """Plain-Python objective at one vertex."""
+    picked = [mask_row_manual(slot_rows[s].tolist(), m) for s, m in enumerate(masks)]
+    total = 0.0
+    for p in range(base.shape[0]):
+        term = float(base[p])
+        for row in picked:
+            term *= row[p]
+        total += term
+    return total
 
 
 def random_problem(seed, n_slots=2, cells=5, max_atoms=3):
@@ -102,6 +114,20 @@ class TestExactBoxedMax:
         assert res.value == 0.0
         assert res.masks == (0, 0)
 
+    def test_closed_form_tie_takes_smaller_mask(self):
+        # Last-slot coefficients (1, -1, 0): the + and - sides tie at 1, and
+        # atom 2's zero coefficient leaves it out; masks 0b001 and 0b010
+        # tie, and the smaller wins, behind any earlier slots at full mask.
+        base = np.array([1.0, -1.0, 0.5])
+        last = np.eye(3)
+        last[2, 2] = 0.0
+        for n_before in range(3):
+            rows = [np.ones((1, 3))] * n_before + [last]
+            for chunk in (8, CHUNK_ELEMS):
+                res = exact_boxed_max(base, rows, chunk_elems=chunk)
+                assert res.masks == (1,) * n_before + (0b001,)
+                assert res.signed == 1.0
+
     def test_no_slots(self):
         base = np.array([0.5, -2.0])
         res = exact_boxed_max(base, [])
@@ -113,6 +139,20 @@ class TestExactBoxedMax:
         rows = [np.ones((3, 2))]
         with pytest.raises(SizeCapExceeded):
             exact_boxed_max(base, rows, cap=4)
+
+    @given(seeds, st.sampled_from([3, 4]))
+    def test_branch_and_bound_matches_brute(self, seed, n_slots):
+        # chunk_elems=8 branches on every slot, so pruning happens at each
+        # depth; the default evaluates small trees as one block.
+        base, rows = random_problem(seed, n_slots=n_slots)
+        want_abs, want_signed, want_masks = brute_max(base, rows)
+        for chunk in (8, CHUNK_ELEMS):
+            res = exact_boxed_max(base, rows, chunk_elems=chunk)
+            assert abs(res.value - want_abs) <= 1e-12 * max(1.0, want_abs)
+            assert abs(res.signed - want_signed) <= 1e-12 * max(1.0, want_abs)
+            if res.masks != want_masks:  # only another maximizer may differ
+                tie = vertex_value(base, rows, res.masks)
+                assert abs(abs(tie) - want_abs) <= 1e-12 * max(1.0, want_abs)
 
     @given(seeds)
     def test_chunked_recursion_agrees(self, seed):
@@ -173,3 +213,31 @@ class TestProjectionRows:
         assert rows.shape == (4, 4)
         # cell index equals atom index here, so rows form an identity.
         assert np.array_equal(rows, np.eye(4))
+
+
+def k3_problem(kernel_values, atoms):
+    """Base edge (0, 1) of K3; unit-bounded slots on (0, 2) and (1, 2) at
+    replicas 0 and 1, so 4 slots of atoms**2 atoms each."""
+    sys_ = make_system([np.ones(atoms) / atoms] * 3, [(0, 1), (0, 2), (1, 2)])
+    kernel = edge_function(sys_, (0, 1), kernel_values)
+    slots = tuple(Slot(e, w, None) for e in ((0, 2), (1, 2)) for w in (0, 1))
+    return SupProblem(sys_, (0, 1), 2, kernel, slots)
+
+
+class TestAutoBudget:
+    def test_zero_base_past_cap_is_exact(self):
+        problem = k3_problem(np.zeros((3, 3)), 3)
+        res = sup_multilinear(problem, mode="auto", cap=1 << 10)
+        assert res.combos == 1 << 36
+        assert res.value == 0.0 and res.certified and res.mode == "exact"
+        assert res.masks == (0, 0, 0, 0)
+
+    def test_budget_exhausted_falls_back_to_heuristic(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        problem = k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2)
+        res = sup_multilinear(problem, mode="auto", cap=1 << 6, restarts=4)
+        assert res.combos == 1 << 16
+        assert res.mode == "heuristic" and not res.certified
+        assert res.restarts_used >= 1
+        with pytest.raises(SizeCapExceeded):
+            sup_multilinear(problem, mode="exact", cap=1 << 6)

@@ -305,6 +305,20 @@ class TestCliCertificates:
         assert out["verdict"] == "true"
         assert set(out["conditions"]) == {"C1", "C2a", "C2b", "C3"}
 
+    def test_pseudorandom_check_auto_past_cap_true(self, tmp_path, capsys):
+        # 3 atoms: C2b's 2**36 combinations exceed the cap, and the zero
+        # kernel still gets an exact verdict under auto.
+        path = str(tmp_path / "ones3.json")
+        system, functions, meta = generate(GenSpec(3, 2, 3, "ones"))
+        save_instance(path, system, functions, meta)
+        code, out, _ = run_cli(
+            capsys, "pseudorandom", "check", "--instance", path,
+            "--C", "1", "--eta", "0.5", "--p", "2", "--mode", "auto",
+        )
+        assert code == 0
+        assert out["verdict"] == "true"
+        assert out["conditions"]["C2b"]["mode"] == "exact"
+
     def test_pseudorandom_sum_family_requires_psi(self, ones_instance, capsys):
         code, _, err = run_cli(
             capsys, "pseudorandom", "thm42", "--instance", ones_instance,
@@ -333,6 +347,45 @@ class TestCliCertificates:
         assert code == 0
         assert out["verdict"] == "true"
         assert out["psi_digest"] == out["instance_digest"]
+
+
+class TestCliMalformedInstance:
+    """Each defect reaches `norm` through the loader and must exit 3."""
+
+    def norm_on_broken(self, tmp_path, capsys, breaker):
+        system, functions, meta = generate(GenSpec(3, 2, 2, "perturbed_ones",
+                                                   epsilon=0.1, seed=7))
+        data = instance_to_dict(system, functions, meta)
+        breaker(data)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            capsys, "norm", "--instance", str(path), "--edge", "0", "--ell", "2",
+        )
+        assert code == 3
+        assert err["error"] == "MalformedProblem"
+
+    def test_ragged_values_exit_3(self, tmp_path, capsys):
+        def breaker(data):
+            data["functions"][0]["values"][0] = data["functions"][0]["values"][0][:1]
+        self.norm_on_broken(tmp_path, capsys, breaker)
+
+    def test_non_numeric_weight_exits_3(self, tmp_path, capsys):
+        def breaker(data):
+            data["spaces"][1][0] = "a"
+        self.norm_on_broken(tmp_path, capsys, breaker)
+
+    def test_non_integer_edge_vertex_exits_3(self, tmp_path, capsys):
+        for bad in ("x", 1.5):  # int() raised on one and truncated the other
+            def breaker(data, bad=bad):
+                data["edges"][0][1] = bad
+            self.norm_on_broken(tmp_path, capsys, breaker)
+
+    def test_non_integer_function_vertex_exits_3(self, tmp_path, capsys):
+        for bad in ("x", 0.5):
+            def breaker(data, bad=bad):
+                data["functions"][0]["edge"][0] = bad
+            self.norm_on_broken(tmp_path, capsys, breaker)
 
 
 class TestCliErrors:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab.counting import full_assignment
+from boxlab.generators import GenSpec, generate
 from boxlab.errors import (
     BadSpec,
     DigitOutOfRange,
@@ -246,6 +247,24 @@ class TestConditionChecks:
                         mode="heuristic")
         assert rep.verdict == "unknown"
         assert rep.mode == "heuristic"
+
+    def test_c2b_auto_past_cap_certifies_ones(self):
+        # 2**36 combinations per choice exceed the cap; the zero kernel's
+        # prefix bound proves the sup is 0 without evaluating any vertex.
+        sys_ = k3_system(3)
+        fam = ones_family(sys_)
+        rep = check_C2b(sys_, fam, fam, PseudoParams(1.5, 0.1, Exponent(2.0)),
+                        mode="auto")
+        assert rep.verdict == "true" and rep.mode == "exact"
+        assert rep.worst_value == 0.0
+
+    def test_c2b_auto_falls_back_when_budget_runs_out(self):
+        sys_, nu, _ = generate(GenSpec(n=3, r=2, atoms=3, kind="random_nonneg", seed=1))
+        rep = check_C2b(sys_, nu, ones_family(sys_),
+                        PseudoParams(1.5, 0.1, Exponent(2.0)),
+                        mode="auto", restarts=2, cap=2**12)
+        assert rep.mode == "heuristic"
+        assert rep.witness["mode"] == "heuristic"
 
     def test_c2b_value_and_witness_match_brute(self):
         # One replica: every other edge is one slot bounded by nu or by one.

@@ -172,7 +172,7 @@ class TestGrid:
     def test_cell_cap(self):
         sys_ = make_system([[1.0] * 8], [(0,)])
         with pytest.raises(SizeCapExceeded):
-            Grid(sys_, [(0, m) for m in range(12)], cap=1 << 20)
+            Grid(sys_, [(0, m) for m in range(12)])
 
     def test_duplicate_keys_rejected(self):
         sys_ = make_system([[1.0, 1.0]], [(0,)])
