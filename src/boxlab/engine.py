@@ -39,10 +39,11 @@ kernel and its `Slot`s on one evaluation grid (base-edge coordinates once,
 every other coordinate in per-replica copies), and `sup_multilinear` is the
 one place that turns a problem into rows and chooses its mode.  "exact"
 refuses problems with more vertex combinations than the cap; "auto" solves
-those by the same search on a budget of cap combinations actually
-evaluated (each evaluated setting of the slots before the last counts
-2**T, T the last slot's atom count), and falls back to the heuristic
-only when the budget runs out.  Cut norms, the C2b check and the proof
+those by the same search on a budget of cap combinations, and falls back
+to the heuristic only when the budget runs out.  Every prefix whose bound
+is evaluated costs one, pruned or not, and every prefix whose remaining
+slots are closed costs the vertices below it, so the work past the cap
+stays proportional to the cap.  Cut norms, the C2b check and the proof
 oracles all go through it.
 """
 
@@ -101,19 +102,15 @@ _SLACK = 64 * float(np.finfo(np.float64).eps)
 
 
 class _OutOfBudget(Exception):
-    """The budgeted search evaluated more vertex combinations than allowed."""
+    """The budgeted search was charged more work than its budget."""
 
 
-def _vertex_value(base: np.ndarray, slot_rows, masks) -> float:
-    """Objective at one vertex, multiplied and summed in enumeration order."""
-    vec = base
-    for rows, mask in zip(slot_rows, masks):
-        row = np.zeros(rows.shape[1])
-        for t in range(rows.shape[0]):
-            if (mask >> t) & 1:
-                row = row + rows[t]
-        vec = vec * row
-    return float(np.sum(np.ascontiguousarray(vec)))
+def _vertex_value(base: np.ndarray, vecs) -> float:
+    """sum_p base_p * prod_s vecs[s][p], multiplied in slot order."""
+    prod = base.copy()
+    for vec in vecs:
+        prod *= vec
+    return float(np.sum(np.ascontiguousarray(prod)))
 
 
 def _bound(block: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -141,8 +138,9 @@ class _Search:
 
     Slots before j = max(k - 2, 0) are enumerated; the last slot is solved
     in closed form, for every mask of slot j at once by linearity.  `run`
-    raises _OutOfBudget once more than `budget` vertex combinations would
-    be evaluated.
+    raises _OutOfBudget once the work charged passes `budget`: one per
+    prefix whose bound is evaluated, and 2**(atoms of slots j..k-1) per
+    prefix whose remaining slots are closed.
     """
 
     def __init__(self, base: np.ndarray, slot_rows, chunk_elems: int, budget):
@@ -178,7 +176,14 @@ class _Search:
         self.best = (0.0, (0,) * k)  # the first vertex: every mask empty
         self.used = 0
 
+    def _charge(self, combos: int) -> None:
+        if self.budget is not None:
+            self.used += combos
+            if self.used > self.budget:
+                raise _OutOfBudget
+
     def run(self) -> tuple[int, ...]:
+        self._charge(1)
         if _bound(self.base[None, :], self.reach[0])[0] > self.best[0]:
             self._node(self.base, 0, ())
         return self.best[1]
@@ -197,11 +202,9 @@ class _Search:
 
     def _leaves(self, block, prefix, radices, offset):
         """Close slots j.. on every row of block that may beat the incumbent."""
+        self._charge(block.shape[0])
         keep = np.flatnonzero(_bound(block, self.reach[self.j]) > self.best[0])
-        if self.budget is not None:
-            self.used += keep.size << (self.pre_atoms + self.last.shape[0])
-            if self.used > self.budget:
-                raise _OutOfBudget
+        self._charge(keep.size << (self.pre_atoms + self.last.shape[0]))
         for start in range(0, keep.size, self.chunk_rows):
             rows = keep[start:start + self.chunk_rows]
             for first, coeff in self._closed_forms(block[rows]):
@@ -242,6 +245,7 @@ class _Search:
             if d + 1 == self.j:
                 self._leaves(block, prefix, [1 << rows.shape[0]], hi << bits)
                 continue
+            self._charge(block.shape[0])
             bound = _bound(block, self.reach[d + 1])
             for lo in range(block.shape[0]):
                 if bound[lo] > self.best[0]:
@@ -263,7 +267,7 @@ def exact_boxed_max(
 
 def _exact_result(base, slot_rows, chunk_elems, budget, combos) -> BoxedMaxResult:
     masks = _Search(base, slot_rows, chunk_elems, budget).run() if slot_rows else ()
-    signed = _vertex_value(base, slot_rows, masks)
+    signed = _vertex_value(base, [_mask_row(r, m) for r, m in zip(slot_rows, masks)])
     return BoxedMaxResult(abs(signed), signed, masks, "exact", combos, 0)
 
 
@@ -294,10 +298,7 @@ def ascent_boxed(
                 changed = True
         if not changed:
             break
-    prod = base.copy()
-    for vec in cur:
-        prod *= vec
-    return float(np.sum(np.ascontiguousarray(prod))), tuple(masks)
+    return _vertex_value(base, cur), tuple(masks)
 
 
 def heuristic_boxed_max(

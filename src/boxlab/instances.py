@@ -142,12 +142,28 @@ def instance_to_dict(
     return out
 
 
+def _numbers_only(raw) -> bool:
+    """True iff raw is a JSON number or nested lists of JSON numbers
+    (booleans are not numbers here)."""
+    stack = [raw]
+    while stack:
+        x = stack.pop()
+        if type(x) is list:
+            stack.extend(x)
+        elif type(x) is not float and type(x) is not int:
+            return False
+    return True
+
+
 def _float_array(raw, what: str) -> np.ndarray:
-    """raw as a float array; ragged or non-numeric input is MalformedProblem."""
-    try:
-        return np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise MalformedProblem(f"{what}: values must be numbers in a regular array") from exc
+    """raw as a float array; ragged or non-numeric input (strings and
+    booleans included) is MalformedProblem."""
+    if _numbers_only(raw):
+        try:
+            return np.asarray(raw, dtype=np.float64)
+        except (ValueError, OverflowError):
+            pass
+    raise MalformedProblem(f"{what}: values must be numbers in a regular array")
 
 
 def _vertices(raw, what: str) -> tuple[int, ...]:

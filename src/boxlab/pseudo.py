@@ -271,8 +271,6 @@ def check_C2b(
             system, e, kernel, {"nu": fam_nu, "one": None}, replicas,
             mode=mode, restarts=restarts, seed=seed, cap=cap,
         )
-        # All selector choices of one edge share one combination count,
-        # hence one mode: the best choice's certificate speaks for all.
         if not best["certified"]:
             any_heuristic = True
         if best["value"] > worst:
@@ -871,20 +869,21 @@ def selector_correlation_sup(
     bound_families maps labels to families (edge -> tensor) or None for the
     constant-one bound; every slot independently picks one label.  Returns
     the overall max with its selector assignment and masks; ties keep the
-    first choice.
+    first choice.  The max is certified only if every choice was solved
+    exactly: a heuristic choice's value is only a lower bound on its sup.
     """
     e = as_edge(e)
     best = None
+    certified = True
     for slots in _selector_choices(system, e, bound_families, ell, exclude_pair):
         problem = SupProblem(system, e, ell, kernel, slots, kernel_replica)
         res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
+        certified = certified and res.certified
         if best is None or res.value > best["value"]:
             best = {
                 "value": res.value,
                 **_choice(slots),
                 "masks": [hex(m) for m in res.masks],
-                "mode": res.mode,
-                "certified": res.certified,
             }
     if best is None:
         best = {
@@ -892,9 +891,9 @@ def selector_correlation_sup(
             "selectors": [],
             "slots": [],
             "masks": [],
-            "mode": "exact",
-            "certified": True,
         }
+    best["mode"] = "exact" if certified else "heuristic"
+    best["certified"] = certified
     return best
 
 

@@ -241,3 +241,24 @@ class TestAutoBudget:
         assert res.restarts_used >= 1
         with pytest.raises(SizeCapExceeded):
             sup_multilinear(problem, mode="exact", cap=1 << 6)
+
+    @pytest.mark.parametrize("n_ones", [2, 3])
+    def test_pruned_prefixes_count_against_budget(self, n_ones):
+        # A positive kernel on 16 atoms, one slot reading them one by one
+        # and n_ones one-atom slots: the value at a vertex is the first
+        # slot's popcount over 16.  After the first block of first-slot
+        # masks, the incumbent prunes nearly every later mask, so few
+        # prefixes are closed; but all 2**16 bounds are evaluated (at the
+        # leaves with 2 one-atom slots, at an inner node with 3), and a
+        # budget of 2**16 must run out.
+        atoms = 16
+        sys_ = make_system([np.ones(atoms) / atoms, np.ones(1)], [(0,), (0, 1), (1,)])
+        kernel = edge_function(sys_, (0,), np.ones(atoms))
+        slots = (Slot((0, 1), 0, None),) + tuple(Slot((1,), w, None) for w in range(n_ones))
+        problem = SupProblem(sys_, (0,), n_ones, kernel, slots)
+        res = sup_multilinear(problem, mode="auto", cap=1 << 16, restarts=1)
+        assert res.combos == 1 << (16 + n_ones)
+        assert res.mode == "heuristic" and not res.certified
+        res = sup_multilinear(problem, mode="auto", cap=1 << 17)
+        assert res.mode == "exact" and res.value == 1.0
+        assert res.masks == (0xFFFF,) + (1,) * n_ones

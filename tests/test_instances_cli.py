@@ -371,9 +371,18 @@ class TestCliMalformedInstance:
         self.norm_on_broken(tmp_path, capsys, breaker)
 
     def test_non_numeric_weight_exits_3(self, tmp_path, capsys):
-        def breaker(data):
-            data["spaces"][1][0] = "a"
-        self.norm_on_broken(tmp_path, capsys, breaker)
+        # numpy would read "1" and true as numbers; a JSON string or boolean
+        # is not a weight.
+        for bad in ("a", "1", True):
+            def breaker(data, bad=bad):
+                data["spaces"][1][0] = bad
+            self.norm_on_broken(tmp_path, capsys, breaker)
+
+    def test_non_numeric_value_exits_3(self, tmp_path, capsys):
+        for bad in ("0.5", True, 10**400):
+            def breaker(data, bad=bad):
+                data["functions"][0]["values"][0][1] = bad
+            self.norm_on_broken(tmp_path, capsys, breaker)
 
     def test_non_integer_edge_vertex_exits_3(self, tmp_path, capsys):
         for bad in ("x", 1.5):  # int() raised on one and truncated the other

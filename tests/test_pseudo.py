@@ -266,6 +266,28 @@ class TestConditionChecks:
         assert rep.mode == "heuristic"
         assert rep.witness["mode"] == "heuristic"
 
+    def test_c2b_auto_uncertified_when_choices_split(self):
+        # Only edge (0, 1) has a nonzero kernel.  Under cap 2**15 its
+        # selector choices split: the spiky nu bounds get pruned and stay
+        # exact, with the largest auto value (0.22), while three choices
+        # run out of budget and report heuristic lower bounds.  Their true
+        # sup (0.54) exceeds eta, so the auto verdict must not be "true".
+        sys_ = k3_system(2)
+        spike = np.zeros((2, 2))
+        spike[0, 0] = 1.2
+        rng = np.random.Generator(np.random.Philox(key=0))
+        nu = {(0, 1): edge_function(sys_, (0, 1), rng.uniform(0, 2, size=(2, 2)))}
+        psi = {(0, 1): constant_function(sys_, (0, 1), 1.0)}
+        for e in ((0, 2), (1, 2)):
+            nu[e] = psi[e] = edge_function(sys_, e, spike)
+        params = PseudoParams(1.5, 0.3, Exponent(2.0))
+        rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2, cap=2**15)
+        assert rep.worst_value < params.eta
+        assert rep.verdict == "unknown" and rep.mode == "heuristic"
+        assert rep.witness["mode"] == "heuristic"
+        exact = check_C2b(sys_, nu, psi, params, mode="exact")
+        assert exact.verdict == "false" and exact.worst_value > params.eta
+
     def test_c2b_value_and_witness_match_brute(self):
         # One replica: every other edge is one slot bounded by nu or by one.
         # nu is one on (1, 2), so both choices there tie exactly and the
