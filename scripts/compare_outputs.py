@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Check that two source trees give the same CLI output.
+
+    python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+For each tree, one subprocess imports that tree's `src/boxlab` and calls
+`boxlab.cli.main` in-process on:
+- the bundled `suite --stable` battery at `--threads 1` and `2`;
+- every operation of the `norms` and `certify` workloads of
+  `perfbench/workloads.py` (seed 1).
+
+The workload builders come from the checkout that holds this script.  They
+are only imported: they write their instances under a temporary directory,
+at the same relative paths for both trees.  The exit code and stdout of
+every command are compared, with the `elapsed_ms` wall times ignored.  The
+script exits 0 only if nothing differs.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+ELAPSED = re.compile(r'("elapsed_ms": )[-+0-9.eE]+')
+
+
+def run_tree(tree: str, out_path: str) -> None:
+    """Run every command on `tree`'s boxlab and write the outputs as JSON."""
+    sys.path[:0] = [
+        os.path.join(tree, "src"),
+        os.path.join(ROOT, "perfbench"),
+        os.path.join(ROOT, "tests"),
+    ]
+    import boxlab
+    import harness
+    import workloads
+
+    src = os.path.realpath(os.path.join(tree, "src"))
+    if not os.path.realpath(boxlab.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported {boxlab.__file__}, not the tree's {src}")
+    commands = [
+        (f"suite --threads {t}", ["suite", "--stable", "--threads", str(t)]) for t in (1, 2)
+    ]
+    results = []
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        for name in ("norms", "certify"):
+            os.mkdir(name)
+            ops = workloads.BUILDERS[name](name, SEED)
+            commands += [(f"{name}: {op.name}", op.argv) for op in ops]
+        for name, argv in commands:
+            call = harness.call_cli(argv)
+            code = call.code if call.raised is None else call.raised
+            results.append([name, code, ELAPSED.sub(r"\g<1>0", call.out)])
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+
+
+def outputs(tree: str, out_path: str) -> list:
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import compare_outputs; "
+        "compare_outputs.run_tree(sys.argv[2], sys.argv[3])"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    script_dir = os.path.dirname(os.path.abspath(__file__))
+    subprocess.run(
+        [sys.executable, "-c", child, script_dir, os.path.abspath(tree), out_path],
+        env=env, check=True,
+    )
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def first_difference(a: str, b: str) -> str:
+    for k, (x, y) in enumerate(zip(a.splitlines(), b.splitlines())):
+        if x != y:
+            return f"line {k + 1}: {x.strip()!r} vs {y.strip()!r}"
+    return f"lengths {len(a)} vs {len(b)}"
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = outputs(sys.argv[1], os.path.join(tmp, "parent.json"))
+        change = outputs(sys.argv[2], os.path.join(tmp, "change.json"))
+    if [r[0] for r in parent] != [r[0] for r in change]:
+        print("the two trees ran different command lists")
+        return 1
+    differ = 0
+    for (name, code_a, out_a), (_, code_b, out_b) in zip(parent, change):
+        if code_a != code_b:
+            print(f"{name}: exit {code_a} vs {code_b}")
+        elif out_a != out_b:
+            print(f"{name}: stdout differs at {first_difference(out_a, out_b)}")
+        else:
+            continue
+        differ += 1
+    print(f"{len(parent)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,11 +36,14 @@ from .spaces import (
     Exponent,
     Grid,
     HypergraphSystem,
+    _grid_lp_norm,
     check_function,
 )
 
 SUBSET_CAP = 1 << 20
 PAIR_CAP = 1 << 20
+# least_even_at_least accepts 2k for any x within this of 2k.
+_TIE_TOL = 1e-9
 
 
 def full_assignment(system: HypergraphSystem, functions, nonnegative: bool = False) -> dict:
@@ -98,13 +101,13 @@ def lambda_form(
     return grid.expect(factors)
 
 
-def least_even_at_least(x: float, tie_tol: float = 1e-9) -> int:
-    """Smallest even integer >= x, accepting 2k when |x - 2k| <= tie_tol."""
+def least_even_at_least(x: float) -> int:
+    """Smallest even integer >= x, accepting 2k when |x - 2k| <= _TIE_TOL."""
     half = x / 2.0
     nearest = max(1, round(half))
-    if abs(x - 2 * nearest) <= tie_tol:
+    if abs(x - 2 * nearest) <= _TIE_TOL:
         return 2 * int(nearest)
-    return 2 * int(max(1, math.ceil(half - tie_tol)))
+    return 2 * int(max(1, math.ceil(half - _TIE_TOL)))
 
 
 def ell_von_neumann(delta: int, p: Exponent) -> int:
@@ -136,14 +139,7 @@ def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
     tensor = np.ones(grid.shape)
     for f in funcs:
         tensor = tensor * grid.lift(f.edge, f.values, (0,) * len(f.edge))
-    tensor = np.broadcast_to(tensor, grid.shape)
-    m = float(np.max(np.abs(tensor))) if tensor.size else 0.0
-    if p.is_inf or m == 0.0:
-        return m
-    mean = grid.expect([np.power(np.abs(tensor) / m, p.value)])
-    if mean <= 0.0:
-        return 0.0
-    return m * math.exp(math.log(mean) / p.value)
+    return _grid_lp_norm(np.broadcast_to(tensor, grid.shape), p, lambda: grid)
 
 
 @dataclass(frozen=True)

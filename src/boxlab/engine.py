@@ -37,14 +37,18 @@ stream.
 The module also owns what a boxed sup problem is: `SupProblem` places a
 kernel and its `Slot`s on one evaluation grid (base-edge coordinates once,
 every other coordinate in per-replica copies), and `sup_multilinear` is the
-one place that turns a problem into rows and chooses its mode.  "exact"
-refuses problems with more vertex combinations than the cap; "auto" solves
-those by the same search on a budget of cap combinations, and falls back
-to the heuristic only when the budget runs out.  Every prefix whose bound
-is evaluated costs one, pruned or not, and every prefix whose remaining
-slots are closed costs the vertices below it, so the work past the cap
-stays proportional to the cap.  Cut norms, the C2b check and the proof
-oracles all go through it.
+one place that turns a problem into rows and chooses its mode.  Exact and
+heuristic results are both a `SupResult`, certified iff exact.
+
+The cap bounds the search work; past it exact refuses only when the budget
+runs out.  Up to the cap the search runs unbudgeted.  Past it, it runs on
+a budget of cap and raises `SizeCapExceeded` once the work charged passes
+it; "auto" then falls back to the heuristic.  Every prefix whose bound is
+evaluated costs one, pruned or not, and every prefix whose remaining slots
+are closed costs the vertices below it, so the work past the cap stays
+proportional to the cap.  Cut norms, the C2b check and the proof oracles
+all go through `sup_multilinear`, and every exact search through
+`exact_boxed_max`.
 """
 
 from __future__ import annotations
@@ -64,13 +68,31 @@ MAX_CYCLES = 1000
 
 
 @dataclass(frozen=True)
-class BoxedMaxResult:
+class SupResult:
+    """The vertex reached; `combos` is the total vertex count of the problem."""
+
     value: float  # |signed|
     signed: float
     masks: tuple[int, ...]
     mode: str
     combos: int
     restarts_used: int
+
+    @property
+    def certified(self) -> bool:
+        """Exact results certify the sup; heuristic ones only bound it below."""
+        return self.mode == "exact"
+
+    def to_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "signed": self.signed,
+            "masks": [hex(m) for m in self.masks],
+            "mode": self.mode,
+            "combos": self.combos,
+            "restarts_used": self.restarts_used,
+            "certified": self.certified,
+        }
 
 
 def subset_rows(rows: np.ndarray) -> np.ndarray:
@@ -101,10 +123,6 @@ def _total_combos(slot_rows) -> int:
 _SLACK = 64 * float(np.finfo(np.float64).eps)
 
 
-class _OutOfBudget(Exception):
-    """The budgeted search was charged more work than its budget."""
-
-
 def _vertex_value(base: np.ndarray, vecs) -> float:
     """sum_p base_p * prod_s vecs[s][p], multiplied in slot order."""
     prod = base.copy()
@@ -125,10 +143,10 @@ def _bound(block: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return np.maximum(pos, -neg) + _SLACK * (pos - neg)
 
 
-def _fitting_bits(atoms: int, width: int, chunk_elems: int) -> int:
+def _fitting_bits(atoms: int, width: int) -> int:
     """Most low atoms whose subset sums, `width` elements each, fit a chunk."""
     bits = 0
-    while bits < atoms and (2 << bits) * width <= chunk_elems:
+    while bits < atoms and (2 << bits) * width <= CHUNK_ELEMS:
         bits += 1
     return bits
 
@@ -138,14 +156,13 @@ class _Search:
 
     Slots before j = max(k - 2, 0) are enumerated; the last slot is solved
     in closed form, for every mask of slot j at once by linearity.  `run`
-    raises _OutOfBudget once the work charged passes `budget`: one per
+    raises SizeCapExceeded once the work charged passes `budget`: one per
     prefix whose bound is evaluated, and 2**(atoms of slots j..k-1) per
     prefix whose remaining slots are closed.
     """
 
-    def __init__(self, base: np.ndarray, slot_rows, chunk_elems: int, budget):
-        self.base, self.slot_rows = base, slot_rows
-        self.chunk_elems, self.budget = chunk_elems, budget
+    def __init__(self, base: np.ndarray, slot_rows, budget):
+        self.base, self.slot_rows, self.budget = base, slot_rows, budget
         k = len(slot_rows)
         self.cells = cells = base.shape[0]
         self.j = j = max(k - 2, 0)
@@ -156,7 +173,7 @@ class _Search:
             self.reach.insert(0, self.reach[0] * np.sum(rows, axis=0))
         # Subset sums of each enumerated slot's low atoms, one block at a time.
         self.low = [
-            subset_rows(rows[:_fitting_bits(rows.shape[0], cells, chunk_elems)])
+            subset_rows(rows[:_fitting_bits(rows.shape[0], cells)])
             for rows in slot_rows[:j]
         ]
         # pair[(u, t)] = pre[u] * last[t]: the last slot's coefficients under
@@ -168,11 +185,11 @@ class _Search:
             pre = slot_rows[-2]
             self.pre_atoms = pre.shape[0]
             self.pair = (pre[:, None, :] * last[None, :, :]).reshape(-1, cells)
-        self.pre_bits = bits = _fitting_bits(self.pre_atoms, last.shape[0], chunk_elems)
+        self.pre_bits = bits = _fitting_bits(self.pre_atoms, last.shape[0])
         # Rows closed per block.  When slot j's masks come in several blocks,
         # one row at a time keeps the vertices in ascending order.
         per_row = max(self.pair.shape[0] * cells, (1 << bits) * last.shape[0])
-        self.chunk_rows = max(1, chunk_elems // per_row) if bits == self.pre_atoms else 1
+        self.chunk_rows = max(1, CHUNK_ELEMS // per_row) if bits == self.pre_atoms else 1
         self.best = (0.0, (0,) * k)  # the first vertex: every mask empty
         self.used = 0
 
@@ -180,7 +197,10 @@ class _Search:
         if self.budget is not None:
             self.used += combos
             if self.used > self.budget:
-                raise _OutOfBudget
+                raise SizeCapExceeded(
+                    f"{_total_combos(self.slot_rows)} vertex combinations: the search"
+                    f" ran past its budget of {self.budget}"
+                )
 
     def run(self) -> tuple[int, ...]:
         self._charge(1)
@@ -232,7 +252,7 @@ class _Search:
     def _node(self, vec, d, prefix):
         """Search below the prefix fixing slots 0..d-1, whose product is vec."""
         inner = self.slot_rows[d:self.j]
-        if d == self.j or _total_combos(inner) * self.cells <= self.chunk_elems:
+        if d == self.j or _total_combos(inner) * self.cells <= CHUNK_ELEMS:
             block = vec[None, :]
             for table in self.low[d:]:
                 block = (block[:, None, :] * table[None, :, :]).reshape(-1, self.cells)
@@ -252,23 +272,17 @@ class _Search:
                     self._node(block[lo], d + 1, prefix + ((hi << bits) | lo,))
 
 
-def exact_boxed_max(
-    base: np.ndarray,
-    slot_rows,
-    cap: int = COMBO_CAP,
-    chunk_elems: int = CHUNK_ELEMS,
-) -> BoxedMaxResult:
-    """First maximizing vertex, by branch-and-bound; a certificate."""
+def exact_boxed_max(base: np.ndarray, slot_rows, cap: int = COMBO_CAP) -> SupResult:
+    """First maximizing vertex, by branch-and-bound; a certificate.
+
+    Past the cap the search runs on a budget of cap and raises
+    SizeCapExceeded when it runs out.
+    """
     combos = _total_combos(slot_rows)
-    if combos > cap:
-        raise SizeCapExceeded(f"{combos} vertex combinations exceed cap {cap}")
-    return _exact_result(base, slot_rows, chunk_elems, None, combos)
-
-
-def _exact_result(base, slot_rows, chunk_elems, budget, combos) -> BoxedMaxResult:
-    masks = _Search(base, slot_rows, chunk_elems, budget).run() if slot_rows else ()
+    budget = cap if combos > cap else None
+    masks = _Search(base, slot_rows, budget).run() if slot_rows else ()
     signed = _vertex_value(base, [_mask_row(r, m) for r, m in zip(slot_rows, masks)])
-    return BoxedMaxResult(abs(signed), signed, masks, "exact", combos, 0)
+    return SupResult(abs(signed), signed, masks, "exact", combos, 0)
 
 
 def ascent_boxed(
@@ -306,7 +320,7 @@ def heuristic_boxed_max(
     slot_rows,
     restarts: int = 32,
     seed: int = 0,
-) -> BoxedMaxResult:
+) -> SupResult:
     """Best alternating-ascent vertex over seeded random restarts, both signs.
 
     Deterministic given (restarts, seed): the Philox stream fixes every
@@ -315,7 +329,8 @@ def heuristic_boxed_max(
     if restarts < 1:
         raise MalformedProblem(f"need at least one restart, got {restarts}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    best = BoxedMaxResult(-1.0, 0.0, tuple(0 for _ in slot_rows), "heuristic", 0, 0)
+    combos = _total_combos(slot_rows)
+    best = SupResult(-1.0, 0.0, tuple(0 for _ in slot_rows), "heuristic", combos, 0)
     for r in range(restarts):
         init = []
         for rows in slot_rows:
@@ -324,41 +339,20 @@ def heuristic_boxed_max(
         for sigma in (1.0, -1.0):
             val, masks = ascent_boxed(base, slot_rows, init, sigma)
             if abs(val) > best.value:
-                best = BoxedMaxResult(
-                    abs(val), val, masks, "heuristic", 0, r + 1
-                )
+                best = SupResult(abs(val), val, masks, "heuristic", combos, r + 1)
     return best
 
 
-def projection_rows(
-    grid_shape: tuple[int, ...],
-    axis_positions,
-    axis_sizes,
-    bound_flat: np.ndarray,
-) -> np.ndarray:
-    """Build the slot row matrix for a face of an evaluation grid.
+def projection_rows(grid: Grid, edge, digits, bound: np.ndarray) -> np.ndarray:
+    """Slot row matrix of the face `edge` read at replica `digits` on grid.
 
-    axis_positions/axis_sizes describe which grid axes the face reads, in
-    the face's own (row-major) coordinate order.  `bound_flat` holds the
-    bound tensor flattened in that same order.
+    Row t is bound's row-major atom t on the cells reading that atom and
+    zero elsewhere.
     """
-    cells = 1
-    for s in grid_shape:
-        cells *= s
-    proj = np.zeros(grid_shape, dtype=np.int64)
-    stride = 1
-    strides = [0] * len(axis_positions)
-    for k in range(len(axis_positions) - 1, -1, -1):
-        strides[k] = stride
-        stride *= axis_sizes[k]
-    for pos, size, st in zip(axis_positions, axis_sizes, strides):
-        shape = [1] * len(grid_shape)
-        shape[pos] = size
-        proj = proj + np.arange(size, dtype=np.int64).reshape(shape) * st
-    proj = np.broadcast_to(proj, grid_shape).reshape(-1)
-    atoms = int(bound_flat.shape[0])
-    rows = np.zeros((atoms, cells))
-    rows[proj, np.arange(cells)] = bound_flat[proj]
+    atom = grid.lift(edge, np.arange(bound.size).reshape(bound.shape), digits)
+    proj = np.broadcast_to(atom, grid.shape).reshape(-1)
+    rows = np.zeros((bound.size, grid.cells))
+    rows[proj, np.arange(grid.cells)] = bound.reshape(-1)[proj]
     return rows
 
 
@@ -421,28 +415,6 @@ class SupProblem:
                     )
 
 
-@dataclass(frozen=True)
-class SupResult:
-    value: float
-    signed: float
-    masks: tuple[int, ...]
-    mode: str
-    combos: int
-    restarts_used: int
-    certified: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "signed": self.signed,
-            "masks": [hex(m) for m in self.masks],
-            "mode": self.mode,
-            "combos": self.combos,
-            "restarts_used": self.restarts_used,
-            "certified": self.certified,
-        }
-
-
 def sup_grid(system: HypergraphSystem, base_edge, placements) -> Grid:
     """Grid reading base_edge once and each (edge, replica) placement's copy."""
     base = set(base_edge)
@@ -459,20 +431,15 @@ def digits_for(edge, base: set, replica: int):
 
 def _slot_rows(problem: SupProblem, grid: Grid):
     base = set(problem.base_edge)
-    rows = []
-    for s in problem.slots:
-        digits = digits_for(s.edge, base, s.replica)
-        positions = [grid.pos[(v, d)] for v, d in zip(s.edge, digits)]
-        sizes = [problem.system.spaces[v].size for v in s.edge]
-        atoms = 1
-        for z in sizes:
-            atoms *= z
-        if s.bound is None:
-            flat = np.ones(atoms)
-        else:
-            flat = s.bound.values.reshape(-1)
-        rows.append(projection_rows(grid.shape, positions, sizes, flat))
-    return rows
+    return [
+        projection_rows(
+            grid,
+            s.edge,
+            digits_for(s.edge, base, s.replica),
+            np.ones(problem.system.edge_shape(s.edge)) if s.bound is None else s.bound.values,
+        )
+        for s in problem.slots
+    ]
 
 
 def sup_multilinear(
@@ -484,6 +451,8 @@ def sup_multilinear(
 ) -> SupResult:
     """Solve one boxed sup problem; exact results certify an upper bound."""
     problem.validate()
+    if mode not in ("auto", "exact", "heuristic"):
+        raise MalformedProblem(f"unknown sup mode {mode!r}")
     kernel = problem.kernel
     grid = sup_grid(
         problem.system,
@@ -493,21 +462,10 @@ def sup_multilinear(
     digits = digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
     base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
     rows = _slot_rows(problem, grid)
-    combos = _total_combos(rows)
-    if mode == "auto" and combos > cap:
-        # Past the cap, auto runs the same search on a budget of cap vertex
-        # combinations and falls back to the heuristic when it runs out.
+    if mode != "heuristic":
         try:
-            res = _exact_result(base_vec, rows, CHUNK_ELEMS, cap, combos)
-        except _OutOfBudget:
-            res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
-    elif mode in ("auto", "exact"):
-        res = exact_boxed_max(base_vec, rows, cap=cap)
-    elif mode == "heuristic":
-        res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
-    else:
-        raise MalformedProblem(f"unknown sup mode {mode!r}")
-    return SupResult(
-        res.value, res.signed, res.masks, res.mode, combos, res.restarts_used,
-        res.mode == "exact",
-    )
+            return exact_boxed_max(base_vec, rows, cap=cap)
+        except SizeCapExceeded:
+            if mode == "exact":
+                raise
+    return heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)

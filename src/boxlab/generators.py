@@ -31,9 +31,9 @@ import numpy as np
 from .errors import BadSpec, NumericalInconsistency
 from .spaces import (
     EdgeFunction,
-    Grid,
     HypergraphSystem,
     edge_function,
+    expectation,
     make_prob_space,
     make_system,
 )
@@ -120,21 +120,16 @@ def uniform_complete_system(sizes, r: int) -> HypergraphSystem:
     return make_system(spaces, edges)
 
 
-def _weighted_mean(system: HypergraphSystem, e, values: np.ndarray) -> float:
-    grid = Grid(system, [(v, 0) for v in e])
-    return grid.expect([grid.lift(e, values, (0,) * len(e))])
-
-
 def _perturbed_tensor(system, e, rng, epsilon: float) -> np.ndarray:
     """1 + epsilon*h, clipped nonnegative then recentred to mean exactly 1."""
     shape = system.edge_shape(e)
     values = 1.0 + epsilon * rng.uniform(-1.0, 1.0, size=shape)
     for _ in range(RECENTER_TRIES):
         values = np.maximum(values, 0.0)
-        values = values - (_weighted_mean(system, e, values) - 1.0)
+        values = values - (expectation(system, e, EdgeFunction(e, values)) - 1.0)
         if (
             float(np.min(values)) >= 0.0
-            and abs(_weighted_mean(system, e, values) - 1.0) <= MEAN_TOL
+            and abs(expectation(system, e, EdgeFunction(e, values)) - 1.0) <= MEAN_TOL
         ):
             return values
     raise NumericalInconsistency(

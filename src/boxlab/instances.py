@@ -44,9 +44,12 @@ __all__ = [
 ]
 
 
-def _emit(obj, parts, indent, level) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+_INDENT = 2
+
+
+def _emit(obj, parts, level) -> None:
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -72,7 +75,7 @@ def _emit(obj, parts, indent, level) -> None:
             parts.append(pad_in)
             parts.append(json.dumps(key, ensure_ascii=False))
             parts.append(": ")
-            _emit(val, parts, indent, level + 1)
+            _emit(val, parts, level + 1)
             parts.append(",\n" if k + 1 < len(obj) else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -84,7 +87,7 @@ def _emit(obj, parts, indent, level) -> None:
         if flat:
             parts.append("[")
             for k, val in enumerate(seq):
-                _emit(val, parts, indent, level + 1)
+                _emit(val, parts, level + 1)
                 if k + 1 < len(seq):
                     parts.append(", ")
             parts.append("]")
@@ -92,23 +95,23 @@ def _emit(obj, parts, indent, level) -> None:
             parts.append("[\n")
             for k, val in enumerate(seq):
                 parts.append(pad_in)
-                _emit(val, parts, indent, level + 1)
+                _emit(val, parts, level + 1)
                 parts.append(",\n" if k + 1 < len(seq) else "\n")
             parts.append(pad + "]")
     elif isinstance(obj, (np.floating,)):
-        _emit(float(obj), parts, indent, level)
+        _emit(float(obj), parts, level)
     elif isinstance(obj, (np.integer,)):
-        _emit(int(obj), parts, indent, level)
+        _emit(int(obj), parts, level)
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts, indent, level)
+        _emit(obj.tolist(), parts, level)
     else:
         raise MalformedProblem(f"cannot serialize {type(obj).__name__}")
 
 
-def emit_json(obj, indent: int = 2) -> str:
+def emit_json(obj) -> str:
     """Serialize to JSON with floats at 17 significant digits."""
     parts: list[str] = []
-    _emit(obj, parts, indent, 0)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

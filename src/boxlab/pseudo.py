@@ -125,7 +125,8 @@ class ConditionReport:
     """Outcome of one condition check.
 
     verdict is "true", "false", or "unknown" ("unknown" only when a
-    heuristic search stayed below the bound without certifying the sup).
+    heuristic search stayed below the bound without certifying the sup);
+    `_verdict` decides it for every condition.
     comparison says which side the bound sits on: worst_value must be >=
     bound for "ge" conditions (C1) and <= bound for "le" conditions.
     """
@@ -156,6 +157,22 @@ class ConditionReport:
 # Condition checks
 
 
+def _verdict(worst: float, bound: float, comparison: str, certified: bool) -> str:
+    """The one verdict rule of the condition checks.
+
+    "false" when worst misses the bound by more than REL_TOL: even a
+    heuristic lower bound on a sup refutes.  Otherwise "true" if worst is
+    certified and "unknown" if it is not.
+    """
+    if comparison == "ge":
+        within = worst >= bound - REL_TOL
+    else:
+        within = worst <= bound + REL_TOL
+    if not within:
+        return "false"
+    return "true" if certified else "unknown"
+
+
 def check_C1(
     system: HypergraphSystem,
     nu,
@@ -176,10 +193,9 @@ def check_C1(
             if val < worst:
                 worst, witness = val, sub
     bound = 1.0 - params.eta
-    verdict = "true" if worst >= bound - REL_TOL else "false"
     return ConditionReport(
         condition="C1",
-        verdict=verdict,
+        verdict=_verdict(worst, bound, "ge", True),
         worst_value=worst,
         bound=bound,
         comparison="ge",
@@ -222,14 +238,7 @@ def check_C2a(
             if lp_ok:
                 witness = {"edge": list(e), "cut_witness": res.witness.as_dict()}
     bound = params.eta
-    if not lp_ok:
-        verdict = "false"
-    elif worst > bound + REL_TOL:
-        verdict = "false"  # even a heuristic lower bound refutes
-    elif any_heuristic:
-        verdict = "unknown"
-    else:
-        verdict = "true"
+    verdict = _verdict(worst, bound, "le", not any_heuristic) if lp_ok else "false"
     return ConditionReport(
         condition="C2a",
         verdict=verdict,
@@ -282,15 +291,9 @@ def check_C2b(
                 "mode": best["mode"],
             }
     bound = params.eta
-    if worst > bound + REL_TOL:
-        verdict = "false"
-    elif any_heuristic:
-        verdict = "unknown"
-    else:
-        verdict = "true"
     return ConditionReport(
         condition="C2b",
-        verdict=verdict,
+        verdict=_verdict(worst, bound, "le", not any_heuristic),
         worst_value=worst,
         bound=bound,
         comparison="le",
@@ -349,28 +352,19 @@ def check_C3(
                 if moment > worst:
                     worst = moment
                     witness = {"edge": list(e), "subset": [list(x) for x in sub]}
-    if checked == 0:
-        return ConditionReport(
-            condition="C3",
-            verdict="true",
-            worst_value=0.0,
-            bound=params.C + params.eta,
-            comparison="le",
-            witness={},
-            mode="exact",
-            details={"vacuous": True, "ell": ell},
-        )
+    details = {"moments_checked": checked, "ell": ell}
+    if not checked:  # at most one edge: no sub-collection to bound
+        worst, details = 0.0, {"vacuous": True, "ell": ell}
     bound = params.C + params.eta
-    verdict = "true" if worst <= bound + REL_TOL else "false"
     return ConditionReport(
         condition="C3",
-        verdict=verdict,
+        verdict=_verdict(worst, bound, "le", True),
         worst_value=worst,
         bound=bound,
         comparison="le",
         witness=witness,
         mode="exact",
-        details={"moments_checked": checked, "ell": ell},
+        details=details,
     )
 
 
@@ -559,8 +553,6 @@ def certify_pseudorandom(
     mode: str = "auto",
     restarts: int = 32,
     seed: int = 0,
-    subset_cap: int = SUBSET_CAP,
-    combo_cap: int = COMBO_CAP,
 ) -> PseudoCertificate:
     """Run C1, C2a, C2b, C3 against a candidate majorant (default psi = nu)."""
     if params is None:
@@ -568,12 +560,10 @@ def certify_pseudorandom(
     params.validate()
     fam_nu = full_assignment(system, nu, nonnegative=True)
     fam_psi = full_assignment(system, psi) if psi is not None else fam_nu
-    c1 = check_C1(system, fam_nu, params, subset_cap=subset_cap)
+    c1 = check_C1(system, fam_nu, params)
     c2a = check_C2a(system, fam_nu, fam_psi, params, mode=mode, restarts=restarts, seed=seed)
-    c2b = check_C2b(
-        system, fam_nu, fam_psi, params, mode=mode, restarts=restarts, seed=seed, cap=combo_cap
-    )
-    c3 = check_C3(system, fam_nu, params, subset_cap=subset_cap)
+    c2b = check_C2b(system, fam_nu, fam_psi, params, mode=mode, restarts=restarts, seed=seed)
+    c3 = check_C3(system, fam_nu, params)
     conditions = {"C1": c1, "C2a": c2a, "C2b": c2b, "C3": c3}
     return PseudoCertificate(params, conditions, _merge_verdicts(conditions.values()))
 
@@ -624,7 +614,6 @@ def sum_family_certificate(
     mode: str = "auto",
     restarts: int = 32,
     seed: int = 0,
-    pattern_cap: int = PATTERN_CAP,
 ) -> TheoremCertificate:
     """Certify lam + phi pseudorandom with derived constants.
 
@@ -647,9 +636,7 @@ def sum_family_certificate(
     log4c = math.log(4.0 * C)
     eta_cap = math.exp(-n * checked_power(ell, n) * log4c)
     hyp = {"eta_in_range": bool(0.0 < eta <= eta_cap * (1.0 + 1e-12))}
-    dev = linear_forms_deviation(
-        system, fam_lam, ell, mode="exact", pattern_cap=pattern_cap
-    )
+    dev = linear_forms_deviation(system, fam_lam, ell, mode="exact")
     hyp["linear_forms_within_eta"] = bool(
         dev.exact
         and dev.max_value <= 1.0 + eta + REL_TOL
@@ -696,12 +683,8 @@ def sum_family_certificate(
             restarts=restarts,
             seed=seed,
         )
-    if not all(hyp.values()):
-        verdict = "false"
-    elif inner is None:
-        verdict = "false"
-    else:
-        verdict = inner.verdict
+    # inner is None only when a hypothesis failed.
+    verdict = inner.verdict if all(hyp.values()) else "false"
     return TheoremCertificate(
         name="sum-family-pseudorandomness",
         hypotheses=hyp,
@@ -723,7 +706,6 @@ def near_majorant_certificate(
     mode: str = "auto",
     restarts: int = 32,
     seed: int = 0,
-    pattern_cap: int = PATTERN_CAP,
 ) -> TheoremCertificate:
     """Certify a family box-norm-close to a pattern-bounded majorant.
 
@@ -742,9 +724,7 @@ def near_majorant_certificate(
         raise BadSpec(f"eta must be positive, got {eta}")
     ell = ell_pseudorandom(C, p)
     hyp = {"eta_in_range": bool(0.0 < eta <= 1.0 / (n * ell) + 1e-15)}
-    dev = linear_forms_deviation(
-        system, fam_psi, ell, mode="exact", pattern_cap=pattern_cap
-    )
+    dev = linear_forms_deviation(system, fam_psi, ell, mode="exact")
     hyp["psi_patterns_in_band"] = bool(
         dev.exact
         and dev.min_value >= 1.0 - eta - REL_TOL
@@ -796,12 +776,8 @@ def near_majorant_certificate(
             restarts=restarts,
             seed=seed,
         )
-    if not all(hyp.values()):
-        verdict = "false"
-    elif inner is None:
-        verdict = "false"
-    else:
-        verdict = inner.verdict
+    # inner is None only when a hypothesis failed.
+    verdict = inner.verdict if all(hyp.values()) else "false"
     return TheoremCertificate(
         name="near-majorant-pseudorandomness",
         hypotheses=hyp,

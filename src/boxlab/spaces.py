@@ -364,19 +364,25 @@ def expectation(system: HypergraphSystem, e, f: EdgeFunction) -> float:
     return g.expect([g.lift(e, f.values, (0,) * len(e))])
 
 
-def lp_norm(system: HypergraphSystem, e, f: EdgeFunction, p: Exponent) -> float:
-    """Weighted L_p norm of f on edge e; the sup norm when p is infinite.
+def _grid_lp_norm(tensor: np.ndarray, p: Exponent, make_grid) -> float:
+    """Weighted L_p norm of a tensor on a grid's axes; the sup norm at p = inf.
 
-    Finite p is computed after rescaling by max|f| so that enormous exponents
+    Finite p is computed after rescaling by max|t| so that enormous exponents
     (p up to 2**20) stay inside float range; the root uses log/exp.
+    `make_grid()` gives the grid, and is called only for finite p and a
+    nonzero tensor.
     """
-    e = check_on_edge(system, e, f)
-    m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
+    m = float(np.max(np.abs(tensor))) if tensor.size else 0.0
     if p.is_inf or m == 0.0:
         return m
-    g = Grid(system, [(v, 0) for v in e])
-    ratios = np.abs(f.values) / m
-    mean = g.expect([g.lift(e, np.power(ratios, p.value), (0,) * len(e))])
+    mean = make_grid().expect([np.power(np.abs(tensor) / m, p.value)])
     if mean <= 0.0:
         return 0.0
     return m * math.exp(math.log(mean) / p.value)
+
+
+def lp_norm(system: HypergraphSystem, e, f: EdgeFunction, p: Exponent) -> float:
+    """Weighted L_p norm of f on edge e; the sup norm when p is infinite."""
+    e = check_on_edge(system, e, f)
+    # The grid's axes are e's sorted coordinates, so f.values is laid out on it.
+    return _grid_lp_norm(f.values, p, lambda: Grid(system, [(v, 0) for v in e]))

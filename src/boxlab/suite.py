@@ -530,13 +530,6 @@ def check_ell_rules(params: dict) -> CheckResult:
     )
 
 
-def _ones_family(system):
-    return {
-        e: edge_function(system, e, np.ones(system.edge_shape(e)))
-        for e in system.edges
-    }
-
-
 def check_certifier_examples(params: dict) -> CheckResult:
     """Certifier fixed points: ones pass, a zero edge fails, margins work."""
     seed = int(params.get("seed", 108))

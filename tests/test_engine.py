@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boxlab import engine
 from boxlab.engine import (
     CHUNK_ELEMS,
     Slot,
@@ -15,7 +16,7 @@ from boxlab.engine import (
     sup_multilinear,
 )
 from boxlab.errors import MalformedProblem, SizeCapExceeded
-from boxlab.spaces import edge_function, make_system
+from boxlab.spaces import Grid, edge_function, make_system
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -58,6 +59,13 @@ def vertex_value(base, slot_rows, masks):
             term *= row[p]
         total += term
     return total
+
+
+def exact_at_chunk(base, rows, chunk):
+    """exact_boxed_max with engine.CHUNK_ELEMS set to chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "CHUNK_ELEMS", chunk)
+        return exact_boxed_max(base, rows)
 
 
 def random_problem(seed, n_slots=2, cells=5, max_atoms=3):
@@ -124,7 +132,7 @@ class TestExactBoxedMax:
         for n_before in range(3):
             rows = [np.ones((1, 3))] * n_before + [last]
             for chunk in (8, CHUNK_ELEMS):
-                res = exact_boxed_max(base, rows, chunk_elems=chunk)
+                res = exact_at_chunk(base, rows, chunk)
                 assert res.masks == (1,) * n_before + (0b001,)
                 assert res.signed == 1.0
 
@@ -135,19 +143,19 @@ class TestExactBoxedMax:
         assert res.masks == ()
 
     def test_cap(self):
-        base = np.zeros(2)
+        base = np.ones(2)
         rows = [np.ones((3, 2))]
         with pytest.raises(SizeCapExceeded):
             exact_boxed_max(base, rows, cap=4)
 
     @given(seeds, st.sampled_from([3, 4]))
     def test_branch_and_bound_matches_brute(self, seed, n_slots):
-        # chunk_elems=8 branches on every slot, so pruning happens at each
+        # CHUNK_ELEMS=8 branches on every slot, so pruning happens at each
         # depth; the default evaluates small trees as one block.
         base, rows = random_problem(seed, n_slots=n_slots)
         want_abs, want_signed, want_masks = brute_max(base, rows)
         for chunk in (8, CHUNK_ELEMS):
-            res = exact_boxed_max(base, rows, chunk_elems=chunk)
+            res = exact_at_chunk(base, rows, chunk)
             assert abs(res.value - want_abs) <= 1e-12 * max(1.0, want_abs)
             assert abs(res.signed - want_signed) <= 1e-12 * max(1.0, want_abs)
             if res.masks != want_masks:  # only another maximizer may differ
@@ -159,7 +167,7 @@ class TestExactBoxedMax:
         # Force the per-slot recursion branch with a tiny chunk budget.
         base, rows = random_problem(seed)
         full = exact_boxed_max(base, rows)
-        small = exact_boxed_max(base, rows, chunk_elems=8)
+        small = exact_at_chunk(base, rows, 8)
         assert abs(full.value - small.value) <= 1e-10 * max(1.0, full.value)
         assert full.masks == small.masks
 
@@ -199,8 +207,10 @@ class TestAscentAndHeuristic:
 
 class TestProjectionRows:
     def test_rows_are_face_indicators(self):
-        # Grid (2, 3); face reads axis 1 with bound [1, 2, 3].
-        rows = projection_rows((2, 3), [1], [3], np.array([1.0, 2.0, 3.0]))
+        # Grid (2, 3); face (1,) reads axis 1 with bound [1, 2, 3].
+        sys_ = make_system([np.ones(2) / 2, np.ones(3) / 3], [(0, 1)])
+        grid = Grid(sys_, [(0, 0), (1, 0)])
+        rows = projection_rows(grid, (1,), (0,), np.array([1.0, 2.0, 3.0]))
         assert rows.shape == (3, 6)
         for cell in range(6):
             axis1 = cell % 3
@@ -209,10 +219,25 @@ class TestProjectionRows:
                 assert rows[t, cell] == want
 
     def test_two_axis_face_row_major(self):
-        rows = projection_rows((2, 2), [0, 1], [2, 2], np.ones(4))
+        sys_ = make_system([np.ones(2) / 2] * 2, [(0, 1)])
+        grid = Grid(sys_, [(0, 0), (1, 0)])
+        rows = projection_rows(grid, (0, 1), (0, 0), np.ones((2, 2)))
         assert rows.shape == (4, 4)
         # cell index equals atom index here, so rows form an identity.
         assert np.array_equal(rows, np.eye(4))
+
+    def test_replica_digit_one(self):
+        # Grid keys (0, 0), (1, 0), (1, 1): shape (2, 2, 2).  The face
+        # (0, 1) at digits (0, 1) reads axes 0 and 2, not axis 1.
+        sys_ = make_system([np.ones(2) / 2] * 2, [(0, 1)])
+        grid = Grid(sys_, [(0, 0), (1, 0), (1, 1)])
+        bound = np.array([[1.0, 2.0], [3.0, 4.0]])
+        rows = projection_rows(grid, (0, 1), (0, 1), bound)
+        assert rows.shape == (4, 8)
+        for cell in range(8):
+            atom = 2 * (cell // 4) + cell % 2
+            for t in range(4):
+                assert rows[t, cell] == (bound.reshape(-1)[t] if t == atom else 0.0)
 
 
 def k3_problem(kernel_values, atoms):
@@ -231,6 +256,33 @@ class TestAutoBudget:
         assert res.combos == 1 << 36
         assert res.value == 0.0 and res.certified and res.mode == "exact"
         assert res.masks == (0, 0, 0, 0)
+
+    def test_exact_past_cap_closes_within_budget(self):
+        # Past the cap exact refuses only when the budget runs out; a zero
+        # kernel is pruned at the root.
+        problem = k3_problem(np.zeros((3, 3)), 3)
+        res = sup_multilinear(problem, mode="exact", cap=1 << 10)
+        assert res.combos == 1 << 36
+        assert res.value == 0.0 and res.certified and res.mode == "exact"
+        assert res.masks == (0, 0, 0, 0)
+
+    def test_auto_past_cap_runs_exact_boxed_max(self, monkeypatch):
+        # The budgeted search goes through the public entry point, so
+        # anything wrapping exact_boxed_max sees it.
+        calls = []
+        real = engine.exact_boxed_max
+
+        def spy(base, rows, cap):
+            calls.append(cap)
+            return real(base, rows, cap=cap)
+
+        monkeypatch.setattr(engine, "exact_boxed_max", spy)
+        res = sup_multilinear(k3_problem(np.zeros((3, 3)), 3), mode="auto", cap=1 << 10)
+        assert calls == [1 << 10] and res.certified
+        rng = np.random.Generator(np.random.Philox(key=3))
+        problem = k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2)
+        res = sup_multilinear(problem, mode="auto", cap=1 << 6, restarts=4)
+        assert calls == [1 << 10, 1 << 6] and res.mode == "heuristic"
 
     def test_budget_exhausted_falls_back_to_heuristic(self):
         rng = np.random.Generator(np.random.Philox(key=3))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab.boxnorm import REL_TOL
 from boxlab.counting import full_assignment
 from boxlab.generators import GenSpec, generate
 from boxlab.errors import (
@@ -20,6 +21,7 @@ from boxlab.pseudo import (
     PseudoParams,
     Slot,
     SupProblem,
+    _verdict,
     bounded_slot_mass_sup,
     centered_family_correlation_sup,
     certify_pseudorandom,
@@ -179,6 +181,28 @@ class TestSupProblem:
             [((1, 2), 0, bound.values)],
         )
         assert abs(res.value - want) <= 1e-10 * max(1.0, want)
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize(
+        "worst, comparison, certified, want",
+        [
+            (0.5, "le", True, "true"),
+            (0.5 + REL_TOL, "le", True, "true"),
+            (0.5 + 2 * REL_TOL, "le", True, "false"),
+            (0.5 + 2 * REL_TOL, "le", False, "false"),  # a lower bound refutes
+            (0.4, "le", False, "unknown"),
+            (-math.inf, "le", True, "true"),
+            (0.5, "ge", True, "true"),
+            (0.5 - REL_TOL, "ge", True, "true"),
+            (0.5 - 2 * REL_TOL, "ge", True, "false"),
+            (0.6, "ge", False, "unknown"),
+            (math.nan, "le", True, "false"),
+            (math.nan, "ge", False, "false"),
+        ],
+    )
+    def test_table(self, worst, comparison, certified, want):
+        assert _verdict(worst, 0.5, comparison, certified) == want
 
 
 class TestConditionChecks:
