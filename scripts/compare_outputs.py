@@ -7,11 +7,15 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 `boxlab.cli.main` in-process on:
 - the bundled `suite --stable` battery at `--threads 1` and `2`;
 - every operation of the `norms` and `certify` workloads of
-  `perfbench/workloads.py` (seed 1).
+  `perfbench/workloads.py` (seed 1);
+- `vonneumann` and `counting` on two K3 instances that no workload
+  reaches: 41 atoms per vertex, whose 68,921-cell products take
+  `Grid.expect`'s block path, and one whose subset norms tie.
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
-at the same relative paths for both trees.  The exit code and stdout of
+at the same relative paths for both trees.  The two K3 instances are
+written there as plain JSON, without either tree's code.  The exit code and stdout of
 every command are compared, with the `elapsed_ms` wall times ignored.  The
 script exits 0 only if nothing differs.
 """
@@ -23,9 +27,39 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 ELAPSED = re.compile(r'("elapsed_ms": )[-+0-9.eE]+')
+
+
+def write_instance(path: str, spaces, values) -> None:
+    """A K3 instance file: `values[k]` is the tensor on the k-th edge."""
+    edges = [[0, 1], [0, 2], [1, 2]]
+    functions = [{"edge": e, "values": v} for e, v in zip(edges, values)]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"spaces": spaces, "edges": edges, "functions": functions}, fh)
+
+
+def certificate_cases() -> list:
+    """Write the two K3 instances to the working directory; their commands."""
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    spaces = [rng.uniform(0.5, 1.5, size=41).tolist() for _ in range(3)]
+    for name in ("k3_41", "k3_41_g"):
+        tensors = [rng.uniform(-2.0, 2.0, size=(41, 41)).tolist() for _ in range(3)]
+        write_instance(f"{name}.json", spaces, tensors)
+    # 2 off the diagonal, 1 on it: every subset of two or more edges has
+    # sup norm 4, and f = g pairs tie across every split at any p.
+    write_instance("tied.json", [[1.0, 1.0]] * 3, [[[1.0, 2.0], [2.0, 1.0]]] * 3)
+    commands = []
+    for inst, inst2, p in (("k3_41", "k3_41_g", "2"), ("tied", "tied", "2"),
+                           ("tied", "tied", "inf")):
+        common = ["--instance", f"{inst}.json", "--C", "2", "--p", p]
+        commands.append((f"vonneumann {inst} p={p}", ["vonneumann", *common]))
+        commands.append((f"counting {inst} p={p}",
+                         ["counting", *common, "--instance2", f"{inst2}.json"]))
+    return commands
 
 
 def run_tree(tree: str, out_path: str) -> None:
@@ -52,6 +86,7 @@ def run_tree(tree: str, out_path: str) -> None:
             os.mkdir(name)
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
+        commands += certificate_cases()
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

@@ -23,7 +23,7 @@ from .counting import counting_lemma_certificate, von_neumann_certificate
 from .cutnorm import cut_norm
 from .errors import BadSpec, BoxlabError, MalformedProblem
 from .generators import GenSpec, generate
-from .instances import emit_json, load_instance, save_instance
+from .instances import check_same_system, emit_json, load_instance, save_instance
 from .pseudo import (
     PseudoParams,
     certify_pseudorandom,
@@ -149,8 +149,7 @@ def cmd_vonneumann(args) -> int:
 def cmd_counting(args) -> int:
     system, functions, _, digest = load_instance(args.instance)
     system2, functions2, _, digest2 = load_instance(args.instance2)
-    if system2.edges != system.edges:
-        raise MalformedProblem("the two instances carry different edge sets")
+    check_same_system(system, system2, "the second instance")
     cert = counting_lemma_certificate(
         system, functions, functions2, C=args.C, p=Exponent.parse(args.p)
     )
@@ -166,8 +165,7 @@ def cmd_pseudorandom(args) -> int:
     psi_digest = None
     if args.psi:
         system2, psi, _, psi_digest = load_instance(args.psi)
-        if system2.edges != system.edges:
-            raise MalformedProblem("psi instance carries a different edge set")
+        check_same_system(system, system2, "the psi instance")
     p = Exponent.parse(args.p)
     if args.subcheck == "check":
         params = PseudoParams(args.C, args.eta, p, ell=args.ell)

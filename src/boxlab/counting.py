@@ -11,6 +11,19 @@ tensors are bounded in the p-weighted box norm and all subset products are
 bounded in L_p.  `counting_lemma_certificate` is the two-assignment variant
 bounding |difference of counting forms| by the sum of box norms of the
 edgewise differences.
+
+Their L_p hypotheses need the norm of every subset product: 2^|E| subsets
+for the von Neumann check, 3^|E| disjoint (f, g) subset pairs for the
+counting lemma.  `_product_norms` walks them depth first, one edge at a
+time: first the f side in edge order, then the g side, each child product
+being its parent's times one tensor lifted once.  So every cell is the
+product of the same factors in the same order as a per-subset
+`product_lp_norm`, and values are bit-identical to it.  At most |E|
+products are live at once, plus one grid per coordinate set touched, each
+with its weight tensor cached.  The worst subset or pair is then picked by
+a scan in the enumeration order of `itertools.combinations` by size (von
+Neumann) or `itertools.product` over edge states (counting), and only a
+strictly larger norm replaces it, so a tie keeps the first.
 """
 
 from __future__ import annotations
@@ -126,6 +139,43 @@ def ell_von_neumann(delta: int, p: Exponent) -> int:
     return least_even_at_least(t / (t - 1.0))
 
 
+class _Products:
+    """Products of edge tensors on one system, with one grid per coordinate set.
+
+    Tensors are lifted onto the grid of every coordinate that `edges` touch,
+    so a product of lifted tensors is laid out, up to unit axes, on the grid
+    of the coordinates its factors read.  Coordinate sets are vertex
+    bitmasks; each grid is built once, on first use.
+    """
+
+    def __init__(self, system: HypergraphSystem, edges):
+        self.system = system
+        self.grids: dict[int, Grid] = {}
+        self.coords = 0
+        for e in edges:
+            self.coords |= self.reads(e)
+        self.full = self.grid(self.coords)
+
+    @staticmethod
+    def reads(edge) -> int:
+        return sum(1 << v for v in edge)
+
+    def grid(self, coords: int) -> Grid:
+        g = self.grids.get(coords)
+        if g is None:
+            keys = [(v, 0) for v in range(self.system.n) if coords >> v & 1]
+            g = self.grids[coords] = Grid(self.system, keys)
+        return g
+
+    def lift(self, f: EdgeFunction) -> np.ndarray:
+        return self.full.lift(f.edge, f.values, (0,) * len(f.edge))
+
+    def lp_norm(self, product: np.ndarray, coords: int, p: Exponent) -> float:
+        """L_p norm of a product of lifted tensors reading exactly `coords`."""
+        g = self.grid(coords)
+        return _grid_lp_norm(product.reshape(g.shape), p, lambda: g)
+
+
 def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
     """L_p norm of the pointwise product of the given tensors (lifted).
 
@@ -134,12 +184,46 @@ def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
     funcs = list(funcs)
     if not funcs:
         return 1.0
-    coords = sorted(set(v for f in funcs for v in f.edge))
-    grid = Grid(system, [(v, 0) for v in coords])
-    tensor = np.ones(grid.shape)
-    for f in funcs:
-        tensor = tensor * grid.lift(f.edge, f.values, (0,) * len(f.edge))
-    return _grid_lp_norm(np.broadcast_to(tensor, grid.shape), p, lambda: grid)
+    products = _Products(system, [f.edge for f in funcs])
+    tensor = products.lift(funcs[0])
+    for f in funcs[1:]:
+        tensor = tensor * products.lift(f)
+    return products.lp_norm(tensor, products.coords, p)
+
+
+def _product_norms(system: HypergraphSystem, sides, p: Exponent) -> np.ndarray:
+    """L_p norms of the products over every disjoint choice of edge subsets.
+
+    `sides[s][j]` is side s's tensor on edge j.  A choice puts each edge on
+    one side or on none, and its product multiplies the first side's tensors
+    in edge order, then the second side's.  Entry Σ_j state_j·b^(|E|-1-j),
+    with b = len(sides) + 1 and state_j = 1 + the side of edge j (0: none),
+    holds the norm of that choice, so entries run in the order of
+    `itertools.product(range(b), repeat=|E|)`; entry 0 is the empty
+    product, 1.  The choices are walked depth first, each child being its
+    parent's product times one lifted tensor, so at most |E| products are
+    live at once.
+    """
+    edges = system.edges
+    products = _Products(system, edges)
+    lifted = [[products.lift(f) for f in side] for side in sides]
+    base = len(sides) + 1
+    place = [base ** (len(edges) - 1 - j) for j in range(len(edges))]
+    reads = [products.reads(e) for e in edges]
+    values = np.ones(base ** len(edges))
+
+    def visit(prod, code, taken, coords, side, start):
+        for s in range(side, len(sides)):
+            for j in range(start if s == side else 0, len(edges)):
+                if taken >> j & 1:
+                    continue
+                child = lifted[s][j] if prod is None else prod * lifted[s][j]
+                at, reach = code + (s + 1) * place[j], coords | reads[j]
+                values[at] = products.lp_norm(child, reach, p)
+                visit(child, at, taken | 1 << j, reach, s, j + 1)
+
+    visit(None, 0, 0, 0, 0, 0)
+    return values
 
 
 @dataclass(frozen=True)
@@ -215,13 +299,14 @@ def von_neumann_certificate(
     box_norms = {e: box_norm(system, e, assign[e], ell).value for e in edges}
     box_lp = {e: lp_box_norm(system, e, assign[e], ell, p) for e in edges}
     hyp_box = all(v <= 1.0 + REL_TOL for v in box_lp.values())
+    values = _product_norms(system, [[assign[e] for e in edges]], p)
     worst_subset: tuple[tuple[int, ...], ...] = ()
     worst_lp = 1.0  # empty subset product is the constant one
     for r in range(1, len(edges) + 1):
-        for sub in itertools.combinations(edges, r):
-            val = product_lp_norm(system, [assign[e] for e in sub], p)
+        for sub in itertools.combinations(range(len(edges)), r):
+            val = values[sum(1 << (len(edges) - 1 - j) for j in sub)]
             if val > worst_lp:
-                worst_lp, worst_subset = val, sub
+                worst_lp, worst_subset = float(val), tuple(edges[j] for j in sub)
     hyp_subsets = worst_lp <= C + REL_TOL
     lhs = abs(lambda_form(system, assign))
     min_edge = min(edges, key=lambda e: (box_norms[e], e))
@@ -318,15 +403,16 @@ def counting_lemma_certificate(
             hyp_box = False
         if lp_box_norm(system, e, assign_g[e], ell, p) > 1.0 + REL_TOL:
             hyp_box = False
+    values = _product_norms(
+        system, [[assign_f[e] for e in edges], [assign_g[e] for e in edges]], p
+    )
     worst_pair: tuple = ((), ())
     worst_lp = 1.0  # both-empty pair: the constant one
-    for states in itertools.product(range(3), repeat=len(edges)):
-        side_f = tuple(e for e, s in zip(edges, states) if s == 1)
-        side_g = tuple(e for e, s in zip(edges, states) if s == 2)
-        funcs = [assign_f[e] for e in side_f] + [assign_g[e] for e in side_g]
-        val = product_lp_norm(system, funcs, p)
-        if val > worst_lp:
-            worst_lp, worst_pair = val, (side_f, side_g)
+    for code, states in enumerate(itertools.product(range(3), repeat=len(edges))):
+        if values[code] > worst_lp:
+            side_f = tuple(e for e, s in zip(edges, states) if s == 1)
+            side_g = tuple(e for e, s in zip(edges, states) if s == 2)
+            worst_lp, worst_pair = float(values[code]), (side_f, side_g)
     hyp_pairs = worst_lp <= C + REL_TOL
     lhs = abs(lambda_form(system, assign_f) - lambda_form(system, assign_g))
     diffs = {}

@@ -41,6 +41,7 @@ __all__ = [
     "instance_from_dict",
     "save_instance",
     "load_instance",
+    "check_same_system",
 ]
 
 
@@ -238,3 +239,15 @@ def load_instance(path: str) -> tuple[HypergraphSystem, dict, dict, str]:
         ) from exc
     system, functions, meta = instance_from_dict(data)
     return system, functions, meta, digest_text(text)
+
+
+def check_same_system(system: HypergraphSystem, other: HypergraphSystem, what: str) -> None:
+    """MalformedProblem unless `other` has the edges of `system` and, space by
+    space, exactly its normalized weights, so that a second tensor family
+    loaded with `other` may be evaluated under the measure of `system`."""
+    if other.edges != system.edges:
+        raise MalformedProblem(f"{what} carries a different edge set")
+    if other.n != system.n or not all(
+        np.array_equal(a.weights, b.weights) for a, b in zip(system.spaces, other.spaces)
+    ):
+        raise MalformedProblem(f"{what} carries different vertex weights")

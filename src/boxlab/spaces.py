@@ -14,6 +14,7 @@ reproducible bit for bit, independent of thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -255,7 +256,8 @@ class Grid:
     Keys are sorted; axis k has the atom count of its vertex.  `lift` places
     an edge tensor on the grid given the replica digit used by each of its
     coordinates, and `weight_tensor` materializes the product measure of any
-    subset of axes.  `expect` is the one way to take a grid expectation: up
+    subset of axes; `full_weights` is that of all axes, built once on first
+    use and read-only.  `expect` is the one way to take a grid expectation: up
     to one block of cells it is bit-identical to summing `product(...)`,
     beyond that it sums block by block in a fixed order.  No reduction
     depends on the thread count.
@@ -294,6 +296,11 @@ class Grid:
             acc = acc * self.lift((v,), self.system.spaces[v].weights, (k[1],))
         return acc
 
+    @functools.cached_property
+    def full_weights(self) -> np.ndarray:
+        """Contiguous, non-writable `weight_tensor()` of all axes, cached."""
+        return _freeze(self.weight_tensor())
+
     def product(self, factors) -> np.ndarray:
         """Full-measure product of lifted factors (broadcast to grid shape)."""
         acc = self.weight_tensor()
@@ -304,8 +311,8 @@ class Grid:
     def expect(self, factors) -> float:
         """Sum of `product(factors)` without materialising a large grid.
 
-        Up to one block of cells, one contiguous copy of the weight tensor is
-        multiplied in place by each factor in turn and summed once by numpy's
+        Up to one block of cells, one copy of `full_weights` is multiplied in
+        place by each factor in turn and summed once by numpy's
         pairwise sum: bit-identical to `np.sum` of the contiguous product.
         A larger grid splits its axes into leading ones, looped over in C
         order, and trailing ones, the longest suffix of at most one block
@@ -317,7 +324,7 @@ class Grid:
         """
         factors = list(factors)
         if self.cells <= _BLOCK:
-            acc = np.ascontiguousarray(self.weight_tensor())
+            acc = self.full_weights.copy()
             for a in factors:
                 acc *= a
             return float(np.sum(acc))
@@ -372,10 +379,11 @@ def _grid_lp_norm(tensor: np.ndarray, p: Exponent, make_grid) -> float:
     `make_grid()` gives the grid, and is called only for finite p and a
     nonzero tensor.
     """
-    m = float(np.max(np.abs(tensor))) if tensor.size else 0.0
+    mag = np.abs(tensor)
+    m = float(np.max(mag)) if tensor.size else 0.0
     if p.is_inf or m == 0.0:
         return m
-    mean = make_grid().expect([np.power(np.abs(tensor) / m, p.value)])
+    mean = make_grid().expect([np.power(mag / m, p.value)])
     if mean <= 0.0:
         return 0.0
     return m * math.exp(math.log(mean) / p.value)

@@ -41,7 +41,13 @@ from .counting import (
 from .cutnorm import cut_norm
 from .errors import BadSpec, MalformedProblem
 from .generators import GenSpec, generate, predicted_product_box_norm
-from .instances import digest_text, emit_json, instance_to_dict, load_instance
+from .instances import (
+    check_same_system,
+    digest_text,
+    emit_json,
+    instance_to_dict,
+    load_instance,
+)
 from .pseudo import (
     PseudoParams,
     bounded_slot_mass_sup,
@@ -889,8 +895,7 @@ def check_pseudorandom_file(params: dict) -> CheckResult:
     psi_digest = None
     if params.get("psi"):
         sys2, psi, _, psi_digest = load_instance(params["psi"])
-        if sys2.edges != system.edges:
-            raise MalformedProblem("psi instance has a different edge set")
+        check_same_system(system, sys2, "the psi instance")
     pp = PseudoParams(
         float(params["C"]),
         float(params["eta"]),
@@ -941,8 +946,7 @@ def check_vonneumann_file(params: dict) -> CheckResult:
 def check_counting_file(params: dict) -> CheckResult:
     system, functions, _, digest = load_instance(params["instance"])
     sys2, functions2, _, digest2 = load_instance(params["instance2"])
-    if sys2.edges != system.edges:
-        raise MalformedProblem("second instance has a different edge set")
+    check_same_system(system, sys2, "the second instance")
     cert = counting_lemma_certificate(
         system,
         functions,

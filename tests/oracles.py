@@ -120,6 +120,31 @@ def lambda_form_brute(system, functions) -> float:
     return math.fsum(terms)
 
 
+def product_lp_norm_brute(system, funcs, p: float) -> float:
+    """L_p norm of the product of the tensors over the coordinates they read,
+    full loops; the sup norm at p = inf, and 1 for no tensors."""
+    funcs = list(funcs)
+    if not funcs:
+        return 1.0
+    coords = sorted({v for f in funcs for v in f.edge})
+    mags, weights = [], []
+    for cell in itertools.product(*[range(system.spaces[v].size) for v in coords]):
+        at = dict(zip(coords, cell))
+        w = 1.0
+        for v in coords:
+            w *= _weights(system, v)[at[v]]
+        prod = 1.0
+        for f in funcs:
+            prod *= float(f.values[tuple(at[v] for v in f.edge)])
+        mags.append(abs(prod))
+        weights.append(w)
+    m = max(mags)
+    if math.isinf(p) or m == 0.0:
+        return m
+    mean = math.fsum(w * (a / m) ** p for w, a in zip(weights, mags))
+    return m * mean ** (1.0 / p)
+
+
 def deviation_brute(system, functions, ell: int):
     """(min, max) over every replica 0/1 pattern expectation, full loops."""
     factors = []

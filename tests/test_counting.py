@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxlab.boxnorm import lp_box_norm
+from boxlab.boxnorm import REL_TOL, lp_box_norm
 from boxlab.counting import (
     counting_lemma_certificate,
     ell_von_neumann,
@@ -26,7 +27,7 @@ from boxlab.errors import (
 )
 from boxlab.spaces import INF, Exponent, edge_function, lp_norm, make_system
 
-from oracles import lambda_form_brute
+from oracles import lambda_form_brute, product_lp_norm_brute
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -280,3 +281,113 @@ class TestCountingCertificate:
         f = edge_function(sys_, (0, 1, 2), np.ones((2, 2, 2)))
         with pytest.raises(NotTwoUniform):
             counting_lemma_certificate(sys_, [f], [f], 1.0, Exponent(2.0))
+
+
+def reference_worst_subset(system, assign, p):
+    """The von Neumann witness scan, one product_lp_norm per subset."""
+    worst, witness = 1.0, ()
+    for r in range(1, len(system.edges) + 1):
+        for sub in itertools.combinations(system.edges, r):
+            val = product_lp_norm(system, [assign[e] for e in sub], p)
+            if val > worst:
+                worst, witness = val, sub
+    return witness, worst
+
+
+def reference_worst_pair(system, assign_f, assign_g, p):
+    """The counting witness scan, one product_lp_norm per disjoint pair."""
+    worst, witness = 1.0, ((), ())
+    for states in itertools.product(range(3), repeat=len(system.edges)):
+        side_f = tuple(e for e, s in zip(system.edges, states) if s == 1)
+        side_g = tuple(e for e, s in zip(system.edges, states) if s == 2)
+        funcs = [assign_f[e] for e in side_f] + [assign_g[e] for e in side_g]
+        val = product_lp_norm(system, funcs, p)
+        if val > worst:
+            worst, witness = val, (side_f, side_g)
+    return witness, worst
+
+
+def brute_worst(system, assign_f, assign_g, p):
+    """Largest oracle norm over every disjoint pair (g side empty if no g)."""
+    states = range(3) if assign_g is not None else range(2)
+    best = 1.0
+    for choice in itertools.product(states, repeat=len(system.edges)):
+        funcs = [assign_f[e] for e, s in zip(system.edges, choice) if s == 1]
+        funcs += [assign_g[e] for e, s in zip(system.edges, choice) if s == 2]
+        best = max(best, product_lp_norm_brute(system, funcs, p.value))
+    return best
+
+
+ENUM_SHAPES = {
+    "K3": [(0, 1), (0, 2), (1, 2)],
+    "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    "path": [(0, 1), (1, 2), (2, 3)],
+}
+ENUM_PS = [Exponent(1.0), Exponent(2.0), Exponent(3.5), Exponent(2.0**20), INF]
+
+
+def assert_matches_reference(system, fam_f, fam_g, p, oracle=True):
+    vn = von_neumann_certificate(system, fam_f, 1.0, p, ell=2)
+    witness, worst = reference_worst_subset(system, fam_f, p)
+    assert (vn.worst_subset, vn.worst_subset_lp) == (witness, worst)
+    cc = counting_lemma_certificate(system, fam_f, fam_g, 1.0, p, ell=2)
+    witness, worst = reference_worst_pair(system, fam_f, fam_g, p)
+    assert (cc.worst_pair, cc.worst_pair_lp) == (witness, worst)
+    if oracle:
+        assert math.isclose(
+            vn.worst_subset_lp, brute_worst(system, fam_f, None, p), rel_tol=REL_TOL
+        )
+        assert math.isclose(
+            cc.worst_pair_lp, brute_worst(system, fam_f, fam_g, p), rel_tol=REL_TOL
+        )
+    return vn, cc
+
+
+class TestCertificateEnumeration:
+    """Both certificates' depth-first walk against a per-subset scan."""
+
+    @pytest.mark.parametrize("shape", sorted(ENUM_SHAPES))
+    @pytest.mark.parametrize("p", ENUM_PS, ids=repr)
+    def test_matches_per_subset_scan(self, shape, p):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        edges = ENUM_SHAPES[shape]
+        atoms = 2 if shape == "K4" else 3
+        n = 1 + max(v for e in edges for v in e)
+        sys_ = make_system([rng.uniform(0.2, 2.0, size=atoms) for _ in range(n)], edges)
+        fam_f = signed_family(sys_, rng, -2.0, 2.0)
+        fam_g = signed_family(sys_, rng, -2.0, 2.0)
+        assert_matches_reference(sys_, fam_f, fam_g, p)
+
+    @pytest.mark.parametrize("p", [Exponent(2.0), INF], ids=repr)
+    def test_zero_edge_tensor(self, p):
+        rng = np.random.Generator(np.random.Philox(key=12))
+        sys_ = triangle_system(rng)
+        fam_f = signed_family(sys_, rng, -2.0, 2.0)
+        fam_f[(0, 2)] = edge_function(sys_, (0, 2), np.zeros((3, 3)))
+        fam_g = signed_family(sys_, rng, -2.0, 2.0)
+        assert product_lp_norm(sys_, [fam_f[(0, 1)], fam_f[(0, 2)]], p) == 0.0
+        assert_matches_reference(sys_, fam_f, fam_g, p)
+
+    @pytest.mark.parametrize("p", ENUM_PS, ids=repr)
+    def test_tied_norms_keep_the_first_witness(self, p):
+        # Every edge carries 2 off the diagonal and 1 on it; with two atoms a
+        # triangle has at most two off-diagonal edges, so at p = inf every
+        # subset of two or more edges reaches 4, and pairs with f = g tie
+        # across every split of one edge set at any p.
+        sys_ = make_system([[1.0, 1.0]] * 3, ENUM_SHAPES["K3"])
+        fam = {e: edge_function(sys_, e, [[1.0, 2.0], [2.0, 1.0]]) for e in sys_.edges}
+        vn, cc = assert_matches_reference(sys_, fam, fam, p)
+        if p.is_inf:
+            assert vn.worst_subset == ((0, 1), (0, 2))
+            assert cc.worst_pair == (((0, 2), (1, 2)), ())
+            assert vn.worst_subset_lp == cc.worst_pair_lp == 4.0
+
+    def test_block_path(self):
+        # 41**3 = 68,921 cells: the three-edge products take Grid.expect's
+        # block path.
+        rng = np.random.Generator(np.random.Philox(key=13))
+        sys_ = triangle_system(rng, atoms=41)
+        fam_f = signed_family(sys_, rng, -2.0, 2.0)
+        fam_g = signed_family(sys_, rng, -2.0, 2.0)
+        assert_matches_reference(sys_, fam_f, fam_g, Exponent(2.0), oracle=False)
+

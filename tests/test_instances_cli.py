@@ -18,6 +18,7 @@ from boxlab.instances import (
     parse_json,
     save_instance,
 )
+from boxlab.spaces import edge_function, make_system
 
 
 class TestEmitJson:
@@ -139,6 +140,22 @@ def perturbed_instance(tmp_path):
     )
     save_instance(path, system, functions, meta)
     return path
+
+
+@pytest.fixture
+def reweighted_pair(tmp_path):
+    """Two K3 instances on 2 atoms, equal but for vertex 0's weights."""
+    rng = np.random.Generator(np.random.Philox(key=21))
+    paths = []
+    for name, w0 in (("even", [1.0, 1.0]), ("heavy", [1.0, 9.0])):
+        system = make_system([w0, [1.0, 1.0], [1.0, 1.0]], [(0, 1), (0, 2), (1, 2)])
+        functions = {
+            e: edge_function(system, e, rng.uniform(0.0, 1.0, size=(2, 2)))
+            for e in system.edges
+        }
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_instance(paths[-1], system, functions)
+    return paths
 
 
 def run_cli(capsys, *argv):
@@ -295,6 +312,27 @@ class TestCliCertificates:
         )
         assert code == 3
         assert err["error"] == "MalformedProblem"
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_counting_weight_mismatch(self, reweighted_pair, capsys, swap):
+        first, second = reweighted_pair[::-1] if swap else reweighted_pair
+        code, out, err = run_cli(
+            capsys, "counting", "--instance", first,
+            "--instance2", second, "--C", "2", "--p", "2",
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "MalformedProblem"
+        assert "vertex weights" in err["message"]
+
+    def test_pseudorandom_psi_weight_mismatch(self, reweighted_pair, capsys):
+        code, out, err = run_cli(
+            capsys, "pseudorandom", "check", "--instance", reweighted_pair[0],
+            "--psi", reweighted_pair[1], "--C", "1.5", "--eta", "0.1",
+            "--p", "2", "--mode", "exact",
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "MalformedProblem"
+        assert "vertex weights" in err["message"]
 
     def test_pseudorandom_check_true(self, ones_instance, capsys):
         code, out, _ = run_cli(

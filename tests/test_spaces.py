@@ -290,6 +290,17 @@ class TestGridExpect:
         g, _, _ = _replicated_case((2, 3, 4), 4, seed=4)
         assert math.isclose(g.expect([]), 1.0, rel_tol=1e-12)
 
+    def test_cached_weight_tensor_is_read_only(self):
+        g, factors, _ = _replicated_case((2, 3, 4), 2, seed=7)
+        first = g.expect(factors)
+        assert [g.expect(factors) for _ in range(3)] == [first] * 3
+        assert g.full_weights is g.full_weights
+        assert g.full_weights.flags.c_contiguous
+        assert np.array_equal(g.full_weights, g.weight_tensor())
+        with pytest.raises(ValueError):
+            g.full_weights *= 2.0
+        assert g.expect(factors) == first == _materialised(g, factors)
+
     def test_single_long_axis(self):
         # The trailing block always holds the last axis, however long.
         rng = np.random.Generator(np.random.Philox(key=6))

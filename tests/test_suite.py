@@ -6,7 +6,7 @@ from boxlab.cli import main
 from boxlab.errors import BadSpec, MalformedProblem
 from boxlab.generators import GenSpec, generate
 from boxlab.instances import emit_json, parse_json, save_instance
-from boxlab.spaces import constant_function
+from boxlab.spaces import constant_function, make_system
 from boxlab.suite import (
     CHECKS,
     CheckResult,
@@ -83,6 +83,22 @@ class TestRegistryAndItems:
             base_dir=base,
         )
         assert res.holds is True
+
+    @pytest.mark.parametrize(
+        "kind,key", [("counting_instance", "instance2"), ("pseudorandom_instance", "psi")]
+    )
+    def test_second_instance_with_other_weights(self, tmp_path, ones_instance, kind, key):
+        other = str(tmp_path / "heavy.json")
+        system, functions, meta = generate(GenSpec(4, 3, 2, "ones"))
+        save_instance(other, system, functions, meta)
+        params = {"instance": ones_instance, key: other, "C": 1.5, "eta": 0.1, "p": 2}
+        with pytest.raises(MalformedProblem, match="edge set"):
+            run_item({"check": kind, "params": params})
+        system, functions, meta = generate(GenSpec(3, 2, 2, "ones"))
+        heavy = make_system([[1.0, 9.0]] + list(system.spaces[1:]), system.edges)
+        save_instance(other, heavy, functions, meta)
+        with pytest.raises(MalformedProblem, match="vertex weights"):
+            run_item({"check": kind, "params": params})
 
     def test_ell_rules_standalone(self):
         res = check_ell_rules({})
