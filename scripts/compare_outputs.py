@@ -10,14 +10,21 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   `perfbench/workloads.py` (seed 1);
 - `vonneumann` and `counting` on two K3 instances that no workload
   reaches: 41 atoms per vertex, whose 68,921-cell products take
-  `Grid.expect`'s block path, and one whose subset norms tie.
+  `Grid.expect`'s block path, and one whose subset norms tie;
+- `pseudorandom check --mode auto` against psi = ones on three 3-atom K3
+  instances that no workload reaches.  Two come from each tree's own
+  `gen` (perturbed_ones with epsilon 0.01, random_nonneg with seed 1):
+  their cut norms are exact and every C2b selector choice falls back to
+  the heuristic.  The third, written as plain JSON, has a zero edge, so
+  the choices of one C2b sup problem split between exact and heuristic.
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
-at the same relative paths for both trees.  The two K3 instances are
-written there as plain JSON, without either tree's code.  The exit code and stdout of
-every command are compared, with the `elapsed_ms` wall times ignored.  The
-script exits 0 only if nothing differs.
+at the same relative paths for both trees.  The K3 instances that no
+`gen` writes are written there as plain JSON, without either tree's code.
+The exit code and stdout of every command are compared, with the
+`elapsed_ms` wall times ignored.  The script exits 0 only if nothing
+differs.
 """
 
 import json
@@ -62,6 +69,26 @@ def certificate_cases() -> list:
     return commands
 
 
+def mixed_auto_cases() -> list:
+    """Write the zero-edge K3 and psi = ones; the `gen` and `--mode auto` commands."""
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    tensors = [rng.uniform(0.0, 2.0, size=(3, 3)).tolist() for _ in range(2)]
+    write_instance("zero_edge.json", [[1.0] * 3] * 3, tensors + [[[0.0] * 3] * 3])
+    write_instance("ones3_plain.json", [[1.0] * 3] * 3, [[[1.0] * 3] * 3] * 3)
+    commands = []
+    for name, kind in (("ones3", ["ones"]),
+                       ("pert3", ["perturbed_ones", "--epsilon", "0.01"]),
+                       ("nonneg3", ["random_nonneg", "--seed", "1"])):
+        argv = ["gen", "--n", "3", "--r", "2", "--atoms", "3", "--kind", *kind,
+                "--out", f"{name}.json"]
+        commands.append((f"gen {name}", argv))
+    for name, psi in (("pert3", "ones3"), ("nonneg3", "ones3"), ("zero_edge", "ones3_plain")):
+        argv = ["pseudorandom", "check", "--instance", f"{name}.json", "--psi", f"{psi}.json",
+                "--mode", "auto", "--C", "2", "--eta", "0.5", "--p", "2"]
+        commands.append((f"pseudorandom check auto {name}", argv))
+    return commands
+
+
 def run_tree(tree: str, out_path: str) -> None:
     """Run every command on `tree`'s boxlab and write the outputs as JSON."""
     sys.path[:0] = [
@@ -86,7 +113,7 @@ def run_tree(tree: str, out_path: str) -> None:
             os.mkdir(name)
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
-        commands += certificate_cases()
+        commands += certificate_cases() + mixed_auto_cases()
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

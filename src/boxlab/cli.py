@@ -13,6 +13,7 @@ contract).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -347,9 +348,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The process's one parser: building it costs 30x a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BoxlabError as exc:

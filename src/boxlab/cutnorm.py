@@ -121,7 +121,7 @@ def cut_norm(
     if len(e) == 1:
         val = expectation(system, e, f)
         return CutNormResult(abs(val), CutSet(e, (1,)), "exact", 2, 0, True)
-    problem = SupProblem(system, e, 1, f, tuple(Slot(face, 0, None) for face in faces))
+    problem = SupProblem(system, e, 1, f, tuple(Slot(face, 0) for face in faces))
     res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
     return CutNormResult(
         res.value, CutSet(e, res.masks), res.mode, res.combos, res.restarts_used, False

@@ -38,26 +38,32 @@ The module also owns what a boxed sup problem is: `SupProblem` places a
 kernel and its `Slot`s on one evaluation grid (base-edge coordinates once,
 every other coordinate in per-replica copies), and `sup_multilinear` is the
 one place that turns a problem into rows and chooses its mode.  Exact and
-heuristic results are both a `SupResult`, certified iff exact.
+heuristic results are both a `SupResult`, certified iff exact.  A slot may
+carry several labeled candidate bounds: the sup is then the max over every
+choice of one candidate per slot, each choice solved on the same grid, base
+vector and rows in `itertools.product` order (first slot slowest).  The
+first strictly largest value wins, so ties keep the earliest choice, and
+the result is certified only if every choice was solved exactly.
 
-The cap bounds the search work; past it exact refuses only when the budget
-runs out.  Up to the cap the search runs unbudgeted.  Past it, it runs on
-a budget of cap and raises `SizeCapExceeded` once the work charged passes
-it; "auto" then falls back to the heuristic.  Every prefix whose bound is
-evaluated costs one, pruned or not, and every prefix whose remaining slots
-are closed costs the vertices below it, so the work past the cap stays
-proportional to the cap.  Cut norms, the C2b check and the proof oracles
-all go through `sup_multilinear`, and every exact search through
-`exact_boxed_max`.
+The cap bounds the search work of each choice; past it exact refuses only
+when the budget runs out.  Up to the cap the search runs unbudgeted.  Past
+it, it runs on a budget of cap and raises `SizeCapExceeded` once the work
+charged passes it; "auto" then falls back to the heuristic for that choice.
+Every prefix whose bound is evaluated costs one, pruned or not, and every
+prefix whose remaining slots are closed costs the vertices below it, so the
+work past the cap stays proportional to the cap.  Cut norms, the C2b check
+and the proof oracles all go through `sup_multilinear`, and every exact
+search through `exact_boxed_max`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DigitOutOfRange, MalformedProblem, SizeCapExceeded
+from .errors import BoxlabError, DigitOutOfRange, MalformedProblem, SizeCapExceeded
 from .spaces import EdgeFunction, Grid, HypergraphSystem, as_edge, check_function
 
 COMBO_CAP = 1 << 24
@@ -69,7 +75,7 @@ MAX_CYCLES = 1000
 
 @dataclass(frozen=True)
 class SupResult:
-    """The vertex reached; `combos` is the total vertex count of the problem."""
+    """The vertex reached and its candidate `labels`; `combos` counts every choice's vertices."""
 
     value: float  # |signed|
     signed: float
@@ -77,6 +83,7 @@ class SupResult:
     mode: str
     combos: int
     restarts_used: int
+    labels: tuple[str, ...] = ()
 
     @property
     def certified(self) -> bool:
@@ -91,6 +98,7 @@ class SupResult:
             "mode": self.mode,
             "combos": self.combos,
             "restarts_used": self.restarts_used,
+            "labels": list(self.labels),
             "certified": self.certified,
         }
 
@@ -358,16 +366,16 @@ def projection_rows(grid: Grid, edge, digits, bound: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Slot:
-    """One optimized function: 0 <= g <= bound on edge, at one replica.
+    """One optimized function: 0 <= g <= one candidate bound on edge, at one replica.
 
-    bound None means the constant-one bound.  label is free-form and only
-    echoed into witnesses.
+    bounds is a tuple of (label, bound) pairs, one per candidate; bound None
+    means the constant-one bound.  Labels only name the winning candidate in
+    the result.
     """
 
     edge: tuple[int, ...]
     replica: int
-    bound: EdgeFunction | None
-    label: str = ""
+    bounds: tuple[tuple[str, EdgeFunction | None], ...] = (("", None),)
 
 
 @dataclass(frozen=True)
@@ -397,21 +405,34 @@ class SupProblem:
                 f"kernel replica {self.kernel_replica} outside 0..{self.ell - 1}"
             )
         for s in self.slots:
-            if tuple(s.edge) == base:
+            try:
+                edge = as_edge(s.edge)
+            except (BoxlabError, TypeError, ValueError) as exc:
+                raise MalformedProblem(f"slot edge {s.edge!r}: {exc}") from None
+            if edge[0] < 0 or edge[-1] >= self.system.n:
+                raise MalformedProblem(
+                    f"slot edge {edge} leaves vertices 0..{self.system.n - 1}"
+                )
+            if edge == base:
                 raise MalformedProblem(f"slot edge {s.edge} equals the base edge")
             if not (0 <= s.replica < self.ell):
                 raise DigitOutOfRange(
                     f"slot replica {s.replica} outside 0..{self.ell - 1}"
                 )
-            if s.bound is not None:
-                check_function(self.system, s.bound)
-                if s.bound.edge != tuple(s.edge):
+            if not s.bounds:
+                raise MalformedProblem(f"slot on {edge} has no candidate bounds")
+            labels = [label for label, _ in s.bounds]
+            if len(set(labels)) != len(labels):
+                raise MalformedProblem(f"slot on {edge} repeats a label: {labels}")
+            for bound in (b for _, b in s.bounds if b is not None):
+                check_function(self.system, bound)
+                if bound.edge != edge:
                     raise MalformedProblem(
-                        f"bound lives on {s.bound.edge}, slot on {s.edge}"
+                        f"bound lives on {bound.edge}, slot on {edge}"
                     )
-                if float(np.min(s.bound.values)) < 0.0:
+                if float(np.min(bound.values)) < 0.0:
                     raise MalformedProblem(
-                        f"slot bound on {s.edge} has negative entries"
+                        f"slot bound on {edge} has negative entries"
                     )
 
 
@@ -429,17 +450,31 @@ def digits_for(edge, base: set, replica: int):
     return tuple(0 if v in base else replica for v in edge)
 
 
-def _slot_rows(problem: SupProblem, grid: Grid):
+def _candidate_rows(problem: SupProblem, grid: Grid):
+    """Per slot, the (label, row matrix) of each candidate bound."""
     base = set(problem.base_edge)
     return [
-        projection_rows(
-            grid,
-            s.edge,
-            digits_for(s.edge, base, s.replica),
-            np.ones(problem.system.edge_shape(s.edge)) if s.bound is None else s.bound.values,
-        )
+        [
+            (label, projection_rows(
+                grid,
+                s.edge,
+                digits_for(s.edge, base, s.replica),
+                np.ones(problem.system.edge_shape(s.edge)) if b is None else b.values,
+            ))
+            for label, b in s.bounds
+        ]
         for s in problem.slots
     ]
+
+
+def _solve_choice(base_vec, rows, mode, restarts, seed, cap) -> SupResult:
+    if mode != "heuristic":
+        try:
+            return exact_boxed_max(base_vec, rows, cap=cap)
+        except SizeCapExceeded:
+            if mode == "exact":
+                raise
+    return heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
 
 
 def sup_multilinear(
@@ -461,11 +496,11 @@ def sup_multilinear(
     )
     digits = digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
     base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
-    rows = _slot_rows(problem, grid)
-    if mode != "heuristic":
-        try:
-            return exact_boxed_max(base_vec, rows, cap=cap)
-        except SizeCapExceeded:
-            if mode == "exact":
-                raise
-    return heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
+    best, combos, certified = None, 0, True
+    for choice in itertools.product(*_candidate_rows(problem, grid)):
+        res = _solve_choice(base_vec, [r for _, r in choice], mode, restarts, seed, cap)
+        combos += res.combos
+        certified = certified and res.certified
+        if best is None or res.value > best.value:
+            best = replace(res, labels=tuple(label for label, _ in choice))
+    return replace(best, mode="exact" if certified else "heuristic", combos=combos)

@@ -17,7 +17,9 @@ Sup checks run through the shared boxed-maximization engine
 (`engine.sup_multilinear`, whose `Slot`, `SupProblem` and `SupResult` this
 module re-exports): exact mode searches every slot vertex and is a
 certificate; heuristic mode only ever yields lower bounds, so it can refute
-a condition but not confirm it (verdict "unknown").
+a condition but not confirm it (verdict "unknown").  C2b and the proof
+oracles solve one sup problem per edge whose slots carry every selector
+label as a candidate bound (`selector_correlation_sup`).
 
 Two end-to-end certifiers compose the above.  `sum_family_certificate` takes a
 family lam close to one in the linear-forms sense plus a box-L_p bounded
@@ -63,7 +65,6 @@ from .spaces import (
     as_edge,
     checked_power,
     edge_function,
-    expectation,
     lp_norm,
 )
 
@@ -800,31 +801,23 @@ def near_majorant_certificate(
 # Correlation / mass oracles matching the proof-level inequalities
 
 
-def _selector_choices(
+def _selector_slots(
     system: HypergraphSystem, e, bound_families: dict, ell: int, exclude=None
-):
-    """Slots of every selector choice, in `itertools.product` order.
+) -> tuple[Slot, ...]:
+    """One slot per (edge, replica) pair off the base edge e, pair `exclude` left out.
 
-    One slot per (edge, replica) pair off the base edge e, edges in system
-    order and replicas ascending, the pair `exclude` left out; each slot
-    independently takes one label of bound_families, labels sorted.
+    Edges come in system order and replicas ascending; every slot has one
+    candidate bound per label of bound_families, labels sorted.
     """
-    pairs = [
-        (e2, w) for e2 in system.edges if e2 != e for w in range(ell) if (e2, w) != exclude
-    ]
     labels = sorted(bound_families)
-    for combo in itertools.product(labels, repeat=len(pairs)):
-        yield tuple(
-            Slot(e2, w, None if bound_families[lab] is None else bound_families[lab][e2], lab)
-            for (e2, w), lab in zip(pairs, combo)
-        )
-
-
-def _choice(slots) -> dict:
-    return {
-        "selectors": [s.label for s in slots],
-        "slots": [[list(s.edge), s.replica] for s in slots],
-    }
+    return tuple(
+        Slot(e2, w, tuple(
+            (lab, None if bound_families[lab] is None else bound_families[lab][e2])
+            for lab in labels
+        ))
+        for e2 in system.edges if e2 != e
+        for w in range(ell) if (e2, w) != exclude
+    )
 
 
 def selector_correlation_sup(
@@ -843,34 +836,26 @@ def selector_correlation_sup(
     """Max over per-slot bound choices of the boxed correlation supremum.
 
     bound_families maps labels to families (edge -> tensor) or None for the
-    constant-one bound; every slot independently picks one label.  Returns
-    the overall max with its selector assignment and masks; ties keep the
-    first choice.  The max is certified only if every choice was solved
-    exactly: a heuristic choice's value is only a lower bound on its sup.
+    constant-one bound; every slot independently picks one label, as one
+    candidate bound per label of a single `SupProblem`.  Returns the max
+    with its selector assignment and masks; ties keep the first choice in
+    `itertools.product` order (labels sorted, first slot slowest).  Each
+    choice has its own budget of cap, and the max is certified only if
+    every choice was solved exactly: a heuristic choice's value is only a
+    lower bound on its sup.
     """
     e = as_edge(e)
-    best = None
-    certified = True
-    for slots in _selector_choices(system, e, bound_families, ell, exclude_pair):
-        problem = SupProblem(system, e, ell, kernel, slots, kernel_replica)
-        res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
-        certified = certified and res.certified
-        if best is None or res.value > best["value"]:
-            best = {
-                "value": res.value,
-                **_choice(slots),
-                "masks": [hex(m) for m in res.masks],
-            }
-    if best is None:
-        best = {
-            "value": abs(expectation(system, kernel.edge, kernel)),
-            "selectors": [],
-            "slots": [],
-            "masks": [],
-        }
-    best["mode"] = "exact" if certified else "heuristic"
-    best["certified"] = certified
-    return best
+    slots = _selector_slots(system, e, bound_families, ell, exclude_pair)
+    problem = SupProblem(system, e, ell, kernel, slots, kernel_replica)
+    res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
+    return {
+        "value": res.value,
+        "selectors": list(res.labels),
+        "slots": [[list(s.edge), s.replica] for s in slots],
+        "masks": [hex(m) for m in res.masks],
+        "mode": res.mode,
+        "certified": res.certified,
+    }
 
 
 def replica_mass_max(
@@ -883,24 +868,26 @@ def replica_mass_max(
 
     All bounds are nonnegative, so the sup over each box is attained at the
     full bound; the value is a plain product expectation per selector
-    choice, maximized over choices.
+    choice, each bound lifted once onto one grid, maximized over choices in
+    `selector_correlation_sup`'s order.
     """
     e = as_edge(e)
     base = set(e)
+    slots = _selector_slots(system, e, bound_families, ell)
+    grid = sup_grid(system, e, [(s.edge, s.replica) for s in slots])
+    lifted = []
+    for s in slots:
+        digits = digits_for(s.edge, base, s.replica)
+        lifted.append([
+            (lab, None if b is None else grid.lift(s.edge, b.values, digits))
+            for lab, b in s.bounds
+        ])
     best = None
-    for slots in _selector_choices(system, e, bound_families, ell):
-        grid = sup_grid(system, e, [(s.edge, s.replica) for s in slots])
-        val = grid.expect(
-            [
-                grid.lift(s.edge, s.bound.values, digits_for(s.edge, base, s.replica))
-                for s in slots
-                if s.bound is not None
-            ]
-        )
+    for choice in itertools.product(*lifted):
+        val = grid.expect([f for _, f in choice if f is not None])
         if best is None or val > best["value"]:
-            best = {"value": val, **_choice(slots)}
-    if best is None:
-        best = {"value": 1.0, "selectors": [], "slots": []}
+            best = {"value": val, "selectors": [lab for lab, _ in choice]}
+    best["slots"] = [[list(s.edge), s.replica] for s in slots]
     return best
 
 

@@ -105,6 +105,31 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# Item parameters
+
+
+_REQUIRED = object()
+
+
+def _param(params: dict, key: str, kind, default=_REQUIRED):
+    """params[key] read as kind, or default when the key is absent.
+
+    An absent key without a default, or a value that kind cannot read,
+    raises MalformedProblem.
+    """
+    if key not in params:
+        if default is _REQUIRED:
+            raise MalformedProblem(f"suite item needs parameter {key!r}")
+        return default
+    try:
+        return kind(params[key])
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedProblem(
+            f"parameter {key!r}: cannot read {params[key]!r} as {kind.__name__}"
+        ) from None
+
+
+# ---------------------------------------------------------------------------
 # Random-instance helpers
 
 
@@ -135,8 +160,8 @@ def check_box_oracle(params: dict) -> CheckResult:
     orders of a cancelling alternating sum can only agree relative to the
     summand magnitude, the same scale the tiny-negative clamp uses.
     """
-    count = int(params.get("count", 500))
-    seed = int(params.get("seed", 101))
+    count = _param(params, "count", int, 500)
+    seed = _param(params, "seed", int, 101)
     rng = _philox(seed)
     worst = 0.0
     worst_case = {}
@@ -165,8 +190,8 @@ def check_box_oracle(params: dict) -> CheckResult:
 
 def check_gcs(params: dict) -> CheckResult:
     """Multilinear replica form bounded by the product of box norms."""
-    count = int(params.get("count", 500))
-    seed = int(params.get("seed", 102))
+    count = _param(params, "count", int, 500)
+    seed = _param(params, "seed", int, 102)
     rng = _philox(seed)
     worst_excess = -math.inf
     equality_gap = 0.0
@@ -223,8 +248,8 @@ def check_gcs(params: dict) -> CheckResult:
 
 def check_norm_axioms(params: dict) -> CheckResult:
     """Triangle inequality, homogeneity, definiteness, and monotonicities."""
-    count = int(params.get("count", 500))
-    seed = int(params.get("seed", 103))
+    count = _param(params, "count", int, 500)
+    seed = _param(params, "seed", int, 103)
     rng = _philox(seed)
     worst = -math.inf
     worst_name = ""
@@ -290,8 +315,8 @@ def check_norm_axioms(params: dict) -> CheckResult:
 
 def check_bilinear(params: dict) -> CheckResult:
     """Bilinear correlation bounded by box norm times moment norms."""
-    count = int(params.get("count", 200))
-    seed = int(params.get("seed", 104))
+    count = _param(params, "count", int, 200)
+    seed = _param(params, "seed", int, 104)
     rng = _philox(seed)
     worst = -math.inf
     for idx in range(count):
@@ -338,9 +363,9 @@ def _cut_bruteforce(system, e, f) -> float:
 
 def check_cutnorm(params: dict) -> CheckResult:
     """Exact mode vs brute force; heuristic quality; box-norm domination."""
-    seed = int(params.get("seed", 105))
-    per_size = int(params.get("per_size", 60))
-    heuristic_count = int(params.get("heuristic_count", 100))
+    seed = _param(params, "seed", int, 105)
+    per_size = _param(params, "per_size", int, 60)
+    heuristic_count = _param(params, "heuristic_count", int, 100)
     rng = _philox(seed)
     worst = -math.inf
     worst_name = ""
@@ -418,8 +443,8 @@ def _four_cycle_system():
 
 def check_vonneumann(params: dict) -> CheckResult:
     """Soundness: normalized hypotheses imply the certified inequality."""
-    count = int(params.get("count", 100))
-    seed = int(params.get("seed", 106))
+    count = _param(params, "count", int, 100)
+    seed = _param(params, "seed", int, 106)
     rng = _philox(seed)
     failures = 0
     worst_slack = math.inf
@@ -446,8 +471,8 @@ def check_vonneumann(params: dict) -> CheckResult:
 
 def check_counting(params: dict) -> CheckResult:
     """Soundness of the two-family counting difference bound."""
-    count = int(params.get("count", 100))
-    seed = int(params.get("seed", 107))
+    count = _param(params, "count", int, 100)
+    seed = _param(params, "seed", int, 107)
     rng = _philox(seed)
     failures = 0
     worst_slack = math.inf
@@ -538,7 +563,7 @@ def check_ell_rules(params: dict) -> CheckResult:
 
 def check_certifier_examples(params: dict) -> CheckResult:
     """Certifier fixed points: ones pass, a zero edge fails, margins work."""
-    seed = int(params.get("seed", 108))
+    seed = _param(params, "seed", int, 108)
     system, ones, _ = generate(GenSpec(n=3, r=2, atoms=2, kind="ones", seed=seed))
     outcomes = {}
     cert = certify_pseudorandom(
@@ -643,7 +668,7 @@ def build_sum_family_instance(seed: int = 109):
 
 def check_sum_family(params: dict) -> CheckResult:
     """End-to-end: bisected instance passes the sum-family certificate."""
-    seed = int(params.get("seed", 109))
+    seed = _param(params, "seed", int, 109)
     system, lam, phi, C, eta, p = build_sum_family_instance(seed)
     cert = sum_family_certificate(system, lam, phi, C, eta, p, mode="exact")
     exact_modes = all(
@@ -738,7 +763,7 @@ def build_near_majorant_instance(seed: int = 110):
 
 def check_near_majorant(params: dict) -> CheckResult:
     """End-to-end near-majorant certificate plus the four proof oracles."""
-    seed = int(params.get("seed", 110))
+    seed = _param(params, "seed", int, 110)
     system, nu, psi, C, eta, p, delta = build_near_majorant_instance(seed)
     cert = near_majorant_certificate(system, nu, psi, C, eta, p, mode="exact")
     n = system.n
@@ -764,7 +789,9 @@ def check_near_majorant(params: dict) -> CheckResult:
         and oracle_worst["shifted_gap"] <= eta + TOL
     )
     # companion oracles on the sum-family instance with internal constants
-    system2, lam, phi, C2, eta2, p2 = build_sum_family_instance(int(params.get("companion_seed", 109)))
+    system2, lam, phi, C2, eta2, p2 = build_sum_family_instance(
+        _param(params, "companion_seed", int, 109)
+    )
     ell2 = ell_pseudorandom(C2, p2)
     root = 1.0 / (ell2 ** (system2.n - 1))
     eta_bar = math.exp(system2.n * ell2 * math.log(2.0 * C2)) * math.exp(
@@ -808,7 +835,7 @@ def check_near_majorant(params: dict) -> CheckResult:
 
 def check_generators(params: dict) -> CheckResult:
     """Generator invariants: determinism, recentring, closed-form norms."""
-    seed = int(params.get("seed", 112))
+    seed = _param(params, "seed", int, 112)
     worst = 0.0
     details = {}
     spec = GenSpec(n=3, r=2, atoms=3, kind="perturbed_ones", seed=seed, epsilon=0.1)
@@ -848,7 +875,7 @@ def check_generators(params: dict) -> CheckResult:
 
 def check_determinism(params: dict) -> CheckResult:
     """Representative computations rerun twice must emit identical bytes."""
-    seed = int(params.get("seed", 111))
+    seed = _param(params, "seed", int, 111)
 
     def snapshot() -> str:
         out = {}
@@ -890,26 +917,30 @@ def _verdict_to_holds(verdict: str) -> bool | None:
 
 
 def check_pseudorandom_file(params: dict) -> CheckResult:
-    system, functions, _, digest = load_instance(params["instance"])
-    psi = None
-    psi_digest = None
-    if params.get("psi"):
-        sys2, psi, _, psi_digest = load_instance(params["psi"])
-        check_same_system(system, sys2, "the psi instance")
+    path = _param(params, "instance", str)
+    psi_path = _param(params, "psi", str) if params.get("psi") else None
     pp = PseudoParams(
-        float(params["C"]),
-        float(params["eta"]),
-        Exponent.parse(str(params["p"])),
+        _param(params, "C", float),
+        _param(params, "eta", float),
+        Exponent.parse(_param(params, "p", str)),
         ell=params.get("ell"),
     )
+    restarts = _param(params, "budget", int, 32)
+    seed = _param(params, "seed", int, 0)
+    system, functions, _, digest = load_instance(path)
+    psi = None
+    psi_digest = None
+    if psi_path is not None:
+        sys2, psi, _, psi_digest = load_instance(psi_path)
+        check_same_system(system, sys2, "the psi instance")
     cert = certify_pseudorandom(
         system,
         functions,
         psi,
         pp,
         mode=params.get("mode", "auto"),
-        restarts=int(params.get("budget", 32)),
-        seed=int(params.get("seed", 0)),
+        restarts=restarts,
+        seed=seed,
     )
     worst = max(r.worst_value for r in cert.conditions.values())
     return CheckResult(
@@ -929,10 +960,10 @@ def check_pseudorandom_file(params: dict) -> CheckResult:
 
 
 def check_vonneumann_file(params: dict) -> CheckResult:
-    system, functions, _, digest = load_instance(params["instance"])
-    cert = von_neumann_certificate(
-        system, functions, C=float(params["C"]), p=Exponent.parse(str(params["p"]))
-    )
+    path = _param(params, "instance", str)
+    C, p = _param(params, "C", float), Exponent.parse(_param(params, "p", str))
+    system, functions, _, digest = load_instance(path)
+    cert = von_neumann_certificate(system, functions, C=C, p=p)
     return CheckResult(
         name="vonneumann-instance",
         holds=bool(cert.holds and cert.hyp_box_lp_ok and cert.hyp_subset_lp_ok),
@@ -944,16 +975,12 @@ def check_vonneumann_file(params: dict) -> CheckResult:
 
 
 def check_counting_file(params: dict) -> CheckResult:
-    system, functions, _, digest = load_instance(params["instance"])
-    sys2, functions2, _, digest2 = load_instance(params["instance2"])
+    path, path2 = _param(params, "instance", str), _param(params, "instance2", str)
+    C, p = _param(params, "C", float), Exponent.parse(_param(params, "p", str))
+    system, functions, _, digest = load_instance(path)
+    sys2, functions2, _, digest2 = load_instance(path2)
     check_same_system(system, sys2, "the second instance")
-    cert = counting_lemma_certificate(
-        system,
-        functions,
-        functions2,
-        C=float(params["C"]),
-        p=Exponent.parse(str(params["p"])),
-    )
+    cert = counting_lemma_certificate(system, functions, functions2, C=C, p=p)
     return CheckResult(
         name="counting-instance",
         holds=bool(cert.holds and cert.hyp_box_lp_ok and cert.hyp_pair_lp_ok),
@@ -1019,7 +1046,10 @@ def run_item(item: dict, base_dir: str = ".") -> CheckResult:
     kind = item.get("check")
     if kind not in CHECKS:
         raise MalformedProblem(f"unknown check kind {kind!r}; know {sorted(CHECKS)}")
-    params = dict(item.get("params") or {})
+    params = {} if item.get("params") is None else item["params"]
+    if not isinstance(params, dict):
+        raise MalformedProblem(f"'params' of a {kind} item must be an object, got {params!r}")
+    params = dict(params)
     for key in ("instance", "instance2", "psi"):
         if key in params and isinstance(params[key], str):
             if not os.path.isabs(params[key]):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -245,7 +247,7 @@ def k3_problem(kernel_values, atoms):
     replicas 0 and 1, so 4 slots of atoms**2 atoms each."""
     sys_ = make_system([np.ones(atoms) / atoms] * 3, [(0, 1), (0, 2), (1, 2)])
     kernel = edge_function(sys_, (0, 1), kernel_values)
-    slots = tuple(Slot(e, w, None) for e in ((0, 2), (1, 2)) for w in (0, 1))
+    slots = tuple(Slot(e, w) for e in ((0, 2), (1, 2)) for w in (0, 1))
     return SupProblem(sys_, (0, 1), 2, kernel, slots)
 
 
@@ -306,7 +308,7 @@ class TestAutoBudget:
         atoms = 16
         sys_ = make_system([np.ones(atoms) / atoms, np.ones(1)], [(0,), (0, 1), (1,)])
         kernel = edge_function(sys_, (0,), np.ones(atoms))
-        slots = (Slot((0, 1), 0, None),) + tuple(Slot((1,), w, None) for w in range(n_ones))
+        slots = (Slot((0, 1), 0),) + tuple(Slot((1,), w) for w in range(n_ones))
         problem = SupProblem(sys_, (0,), n_ones, kernel, slots)
         res = sup_multilinear(problem, mode="auto", cap=1 << 16, restarts=1)
         assert res.combos == 1 << (16 + n_ones)
@@ -314,3 +316,36 @@ class TestAutoBudget:
         res = sup_multilinear(problem, mode="auto", cap=1 << 17)
         assert res.mode == "exact" and res.value == 1.0
         assert res.masks == (0xFFFF,) + (1,) * n_ones
+
+
+class TestCandidateBounds:
+    def test_choices_share_one_problem(self):
+        # Slot (0, 2) at replica 0 may be bounded by 1 or by 2; scaling one
+        # slot scales the value, so the "two" choice wins with the same masks.
+        rng = np.random.Generator(np.random.Philox(key=9))
+        problem = k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2)
+        sys_ = problem.system
+        two = edge_function(sys_, (0, 2), np.full((2, 2), 2.0))
+        slots = (Slot((0, 2), 0, (("one", None), ("two", two))),) + problem.slots[1:]
+        res = sup_multilinear(SupProblem(sys_, (0, 1), 2, problem.kernel, slots))
+        single = sup_multilinear(problem)
+        assert res.labels == ("two", "", "", "")
+        assert res.masks == single.masks and res.value == 2.0 * single.value
+        assert res.combos == 2 * single.combos
+        assert res.certified and res.restarts_used == 0
+        assert single.labels == ("",) * 4
+
+    def test_one_choice_is_the_engine_result(self, monkeypatch):
+        calls = []
+        real = engine.exact_boxed_max
+
+        def spy(base, rows, cap):
+            out = real(base, rows, cap=cap)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(engine, "exact_boxed_max", spy)
+        rng = np.random.Generator(np.random.Philox(key=10))
+        res = sup_multilinear(k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2))
+        assert len(calls) == 1
+        assert res == dataclasses.replace(calls[0], labels=("",) * 4)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from boxlab import cli
 from boxlab.cli import main
 from boxlab.errors import BoxlabError, MalformedProblem
 from boxlab.generators import GenSpec, generate
@@ -460,6 +461,35 @@ class TestCliErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("boxlab ")
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_a_fresh_parser(self, perturbed_instance, capsys):
+        # The parser is built once; no option of one call may leak into the
+        # next (the last cutnorm must use its default --mode again).
+        assert cli._parser() is cli._parser()
+        common = ["--instance", perturbed_instance, "--stable"]
+        runs = [
+            ["norm", *common, "--edge", "0", "--ell", "2"],
+            ["cutnorm", *common, "--edge", "0,2", "--mode", "heuristic", "--restarts", "2"],
+            ["norm", *common, "--edge", "1", "--ell", "2", "--p", "2"],
+            ["cutnorm", *common, "--edge", "0,2"],
+        ]
+        outs = []
+        for argv in runs:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        for argv, out in zip(runs, outs):
+            args = cli.build_parser().parse_args(argv)
+            assert args.fn(args) == 0
+            assert capsys.readouterr().out == out
+        assert json.loads(outs[1])["mode"] == "heuristic"
+        assert json.loads(outs[3])["mode"] == "exact"
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--instance", perturbed_instance])
+        assert exc.value.code == 3
+        assert main(runs[0]) == 0
+        assert capsys.readouterr().out == outs[0]
 
 
 class TestModuleEntry:

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 from boxlab.boxnorm import REL_TOL
 from boxlab.counting import full_assignment
+from boxlab.engine import digits_for, sup_grid
 from boxlab.generators import GenSpec, generate
 from boxlab.errors import (
     BadSpec,
     DigitOutOfRange,
     MalformedProblem,
     POutOfRange,
+    SizeCapExceeded,
     SubsetCapExceeded,
     WrongHypergraph,
 )
+from boxlab.instances import emit_json
 from boxlab.pseudo import (
     PseudoParams,
     Slot,
@@ -34,6 +37,7 @@ from boxlab.pseudo import (
     linear_forms_deviation,
     majorant_gap_correlation_sup,
     replica_mass_max,
+    selector_correlation_sup,
     shifted_majorant_gap_correlation_sup,
     sup_multilinear,
     sum_family_certificate,
@@ -125,16 +129,38 @@ class TestSupProblem:
         kernel = constant_function(sys_, (0, 1), 1.0)
         with pytest.raises(MalformedProblem):
             SupProblem(sys_, (0, 1), 2, kernel,
-                       (Slot((0, 1), 0, None),)).validate()
+                       (Slot((0, 1), 0),)).validate()
         with pytest.raises(DigitOutOfRange):
             SupProblem(sys_, (0, 1), 2, kernel,
-                       (Slot((0, 2), 5, None),)).validate()
+                       (Slot((0, 2), 5),)).validate()
         with pytest.raises(DigitOutOfRange):
             SupProblem(sys_, (0, 1), 2, kernel, (), kernel_replica=2).validate()
         bad_bound = edge_function(sys_, (0, 2), [[1.0, -1.0], [1.0, 1.0]])
         with pytest.raises(MalformedProblem):
             SupProblem(sys_, (0, 1), 2, kernel,
-                       (Slot((0, 2), 0, bad_bound),)).validate()
+                       (Slot((0, 2), 0, (("", bad_bound),)),)).validate()
+
+    @pytest.mark.parametrize("edge", [(1, 5), (2, 0), (0, 0, 2), (), (-1, 2), ("a",)])
+    def test_bad_slot_edge(self, edge):
+        # An edge must be strictly increasing over the system's vertices.
+        sys_ = k3_system()
+        kernel = constant_function(sys_, (0, 1), 1.0)
+        problem = SupProblem(sys_, (0, 1), 2, kernel, (Slot(edge, 0),))
+        with pytest.raises(MalformedProblem):
+            problem.validate()
+        with pytest.raises(MalformedProblem):
+            sup_multilinear(problem)
+
+    def test_candidate_bounds_checked(self):
+        sys_ = k3_system()
+        kernel = constant_function(sys_, (0, 1), 1.0)
+        bound = constant_function(sys_, (0, 2), 0.5)
+        for bounds in ((), None, (("a", None), ("a", bound)),
+                       (("a", None), ("b", constant_function(sys_, (1, 2), 0.5)))):
+            with pytest.raises(MalformedProblem):
+                SupProblem(sys_, (0, 1), 2, kernel, (Slot((0, 2), 0, bounds),)).validate()
+        two = Slot((0, 2), 0, (("a", None), ("b", bound)))
+        SupProblem(sys_, (0, 1), 2, kernel, (two,)).validate()
 
     @given(seeds)
     @settings(max_examples=10)
@@ -143,7 +169,7 @@ class TestSupProblem:
         sys_ = k3_system(2)
         kernel = edge_function(sys_, (0, 1), rng.uniform(-1, 1, size=(2, 2)))
         bound = edge_function(sys_, (1, 2), rng.uniform(0, 1, size=(2, 2)))
-        slots = (Slot((0, 2), 0, None), Slot((1, 2), 1, bound))
+        slots = (Slot((0, 2), 0), Slot((1, 2), 1, (("", bound),)))
         problem = SupProblem(sys_, (0, 1), 2, kernel, slots)
         res = sup_multilinear(problem, mode="exact")
         want = sup_correlation_brute(
@@ -159,7 +185,7 @@ class TestSupProblem:
         rng = np.random.Generator(np.random.Philox(key=seed))
         sys_ = k3_system(2)
         kernel = edge_function(sys_, (0, 1), rng.uniform(-1, 1, size=(2, 2)))
-        slots = (Slot((0, 2), 0, None), Slot((1, 2), 0, None))
+        slots = (Slot((0, 2), 0), Slot((1, 2), 0))
         problem = SupProblem(sys_, (0, 1), 2, kernel, slots)
         exact = sup_multilinear(problem, mode="exact")
         heur = sup_multilinear(problem, mode="heuristic", restarts=8, seed=1)
@@ -173,7 +199,7 @@ class TestSupProblem:
         kernel = edge_function(sys_, (0, 2), rng.uniform(-1, 1, size=(2, 2)))
         bound = edge_function(sys_, (1, 2), rng.uniform(0, 1, size=(2, 2)))
         problem = SupProblem(
-            sys_, (0, 1), 2, kernel, (Slot((1, 2), 0, bound),), kernel_replica=1
+            sys_, (0, 1), 2, kernel, (Slot((1, 2), 0, (("", bound),)),), kernel_replica=1
         )
         res = sup_multilinear(problem, mode="exact")
         want = sup_correlation_brute(
@@ -589,3 +615,135 @@ class TestLemmaOracles:
         assert out["value"] <= 1e-12
         # the excluded (kernel edge, replica) pair must not appear as a slot
         assert [[0, 2], 1] not in out["slots"]
+
+
+def _family_bound(bound_families, label, edge):
+    fam = bound_families[label]
+    return None if fam is None else fam[edge]
+
+
+def _pairs(system, e, ell, exclude=None):
+    return [(e2, w) for e2 in system.edges if e2 != e for w in range(ell) if (e2, w) != exclude]
+
+
+def per_choice_correlation(system, e, kernel, bound_families, ell, kernel_replica=0,
+                           exclude_pair=None, **kw):
+    """Reference: one single-candidate SupProblem per selector choice.
+
+    Returns what selector_correlation_sup should, and the mode of each choice.
+    """
+    pairs = _pairs(system, e, ell, exclude_pair)
+    best, certified, modes = None, True, []
+    for combo in itertools.product(sorted(bound_families), repeat=len(pairs)):
+        slots = tuple(
+            Slot(e2, w, ((lab, _family_bound(bound_families, lab, e2)),))
+            for (e2, w), lab in zip(pairs, combo)
+        )
+        res = sup_multilinear(SupProblem(system, e, ell, kernel, slots, kernel_replica), **kw)
+        modes.append(res.mode)
+        certified = certified and res.certified
+        if best is None or res.value > best["value"]:
+            best = {
+                "value": res.value,
+                "selectors": list(combo),
+                "slots": [[list(e2), w] for e2, w in pairs],
+                "masks": [hex(m) for m in res.masks],
+            }
+    best["mode"] = "exact" if certified else "heuristic"
+    best["certified"] = certified
+    return best, modes
+
+
+def per_choice_mass(system, e, bound_families, ell):
+    """Reference: one grid and one product expectation per selector choice."""
+    pairs = _pairs(system, e, ell)
+    best = None
+    for combo in itertools.product(sorted(bound_families), repeat=len(pairs)):
+        grid = sup_grid(system, e, pairs)
+        factors = []
+        for (e2, w), lab in zip(pairs, combo):
+            bound = _family_bound(bound_families, lab, e2)
+            if bound is not None:
+                factors.append(grid.lift(e2, bound.values, digits_for(e2, set(e), w)))
+        val = grid.expect(factors)
+        if best is None or val > best["value"]:
+            best = {"value": val, "selectors": list(combo),
+                    "slots": [[list(e2), w] for e2, w in pairs]}
+    return best
+
+
+def random_family(system, seed, low=0.0, high=1.0):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return {
+        e: edge_function(system, e, rng.uniform(low, high, size=system.edge_shape(e)))
+        for e in system.edges
+    }
+
+
+class TestSelectorChoicesMatchPerChoiceLoop:
+    """One SupProblem with candidate bounds equals the per-choice loop, bit for bit."""
+
+    def families(self, sys_, count):
+        fams = {"nu": random_family(sys_, 31), "one": None, "psi": random_family(sys_, 32)}
+        return dict(list(fams.items())[:count])
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_k3_correlation(self, count):
+        sys_ = k3_system()
+        kernel = edge_function(sys_, (0, 1), random_family(sys_, 33, -1.0, 1.0)[(0, 1)].values)
+        fams = self.families(sys_, count)
+        got = selector_correlation_sup(sys_, (0, 1), kernel, fams, 2)
+        want, modes = per_choice_correlation(sys_, (0, 1), kernel, fams, 2)
+        assert emit_json(got) == emit_json(want)
+        assert len(modes) == count ** 4 and got["certified"]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_k3_mass(self, count):
+        sys_ = k3_system(3)
+        fams = self.families(sys_, count)
+        got = replica_mass_max(sys_, (0, 2), fams, 2)
+        assert emit_json(got) == emit_json(per_choice_mass(sys_, (0, 2), fams, 2))
+
+    def test_shifted_kernel_with_excluded_pair(self):
+        sys_ = k3_system()
+        fams = self.families(sys_, 3)
+        kernel = edge_function(sys_, (0, 2), random_family(sys_, 34, -1.0, 1.0)[(0, 2)].values)
+        got = selector_correlation_sup(
+            sys_, (0, 1), kernel, fams, 2, kernel_replica=1, exclude_pair=((0, 2), 1)
+        )
+        want, modes = per_choice_correlation(
+            sys_, (0, 1), kernel, fams, 2, kernel_replica=1, exclude_pair=((0, 2), 1)
+        )
+        assert emit_json(got) == emit_json(want)
+        assert len(modes) == 3 ** 3 and [[0, 2], 1] not in got["slots"]
+
+    def test_exact_tie_keeps_first_choice(self):
+        # "unit" gives every slot the same rows as the constant-one bound,
+        # so every choice ties exactly and the first, all "one", must win.
+        sys_ = k3_system()
+        kernel = edge_function(sys_, (0, 1), random_family(sys_, 35, -1.0, 1.0)[(0, 1)].values)
+        fams = {"one": None, "unit": ones_family(sys_)}
+        got = selector_correlation_sup(sys_, (0, 1), kernel, fams, 2)
+        want, _ = per_choice_correlation(sys_, (0, 1), kernel, fams, 2)
+        assert emit_json(got) == emit_json(want)
+        assert got["selectors"] == ["one"] * 4 and got["value"] > 0.0
+        mass = replica_mass_max(sys_, (0, 1), fams, 2)
+        assert emit_json(mass) == emit_json(per_choice_mass(sys_, (0, 1), fams, 2))
+        assert mass["selectors"] == ["one"] * 4
+
+    def test_choices_split_between_exact_and_heuristic(self):
+        # A zero bound prunes its choice at the root, so it is exact at any
+        # cap; the all-"nu" choice runs out of a small budget.
+        sys_ = k3_system()
+        kernel = edge_function(sys_, (0, 1), random_family(sys_, 36, -1.0, 1.0)[(0, 1)].values)
+        zero = {e: constant_function(sys_, e, 0.0) for e in sys_.edges}
+        fams = {"nu": random_family(sys_, 37), "zero": zero}
+        kw = dict(mode="auto", restarts=4, seed=3, cap=1 << 6)
+        got = selector_correlation_sup(sys_, (0, 1), kernel, fams, 2, **kw)
+        want, modes = per_choice_correlation(sys_, (0, 1), kernel, fams, 2, **kw)
+        assert emit_json(got) == emit_json(want)
+        assert modes.count("heuristic") == 1 and modes.count("exact") == 15
+        assert not got["certified"] and got["mode"] == "heuristic"
+        assert got["selectors"] == ["nu"] * 4
+        with pytest.raises(SizeCapExceeded):
+            selector_correlation_sup(sys_, (0, 1), kernel, fams, 2, mode="exact", cap=1 << 6)

@@ -243,3 +243,31 @@ class TestSuiteCli:
         stdout = capsys.readouterr().out
         assert code == 0
         assert out_path.read_text() == stdout
+
+
+class TestMalformedItems:
+    """A malformed item exits 3, not 1: 1 says that a check is false."""
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"check": "box_oracle", "params": [1]},
+            {"check": "box_oracle", "params": {"count": "abc"}},
+            {"check": "pseudorandom_instance", "params": {"C": 1.5, "eta": 0.1, "p": 2}},
+            {"check": "vonneumann", "params": {"seed": 1e400}},
+            {"check": "counting_instance", "params": {"instance": "x.json", "C": 2, "p": 2}},
+        ],
+        ids=["params-not-object", "count-not-numeric", "instance-missing",
+             "seed-infinite", "instance2-missing"],
+    )
+    def test_exits_3(self, tmp_path, capsys, item):
+        sf = tmp_path / "s.json"
+        sf.write_text(json.dumps([item]).replace("Infinity", "1e400"))
+        assert main(["suite", "--file", str(sf), "--threads", "1"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "MalformedProblem"
+        with pytest.raises(MalformedProblem):
+            run_item(item)
+
+    def test_absent_or_null_params_use_defaults(self):
+        assert run_item({"check": "ell_rules"}).holds is True
+        assert run_item({"check": "ell_rules", "params": None}).holds is True
