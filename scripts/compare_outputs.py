@@ -16,12 +16,17 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   `gen` (perturbed_ones with epsilon 0.01, random_nonneg with seed 1):
   their cut norms are exact and every C2b selector choice falls back to
   the heuristic.  The third, written as plain JSON, has a zero edge, so
-  the choices of one C2b sup problem split between exact and heuristic.
+  the choices of one C2b sup problem split between exact and heuristic;
+- `norm --method recursive`, `norm --p 2` and `gcs` on three one-edge
+  instances that no workload reaches: a 2-edge with 9 atoms on its first
+  vertex (rows long enough for numpy's pairwise sum), a 3-edge at ell=6,
+  and a 3-edge with 8 atoms per vertex at ell=4, whose recursive peel is
+  split into blocks (its gcs grid is above the cell cap, so gcs exits 3).
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
-at the same relative paths for both trees.  The K3 instances that no
-`gen` writes are written there as plain JSON, without either tree's code.
+at the same relative paths for both trees.  The instances that no `gen`
+writes are written there as plain JSON, without either tree's code.
 The exit code and stdout of every command are compared, with the
 `elapsed_ms` wall times ignored.  The script exits 0 only if nothing
 differs.
@@ -41,9 +46,11 @@ SEED = 1
 ELAPSED = re.compile(r'("elapsed_ms": )[-+0-9.eE]+')
 
 
-def write_instance(path: str, spaces, values) -> None:
-    """A K3 instance file: `values[k]` is the tensor on the k-th edge."""
-    edges = [[0, 1], [0, 2], [1, 2]]
+K3 = [[0, 1], [0, 2], [1, 2]]
+
+
+def write_instance(path: str, spaces, values, edges=K3) -> None:
+    """An instance file: `values[k]` is the tensor on the k-th edge (K3 by default)."""
     functions = [{"edge": e, "values": v} for e, v in zip(edges, values)]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"spaces": spaces, "edges": edges, "functions": functions}, fh)
@@ -89,6 +96,25 @@ def mixed_auto_cases() -> list:
     return commands
 
 
+def peel_cases() -> list:
+    """Write one-edge instances for the recursive peel; their `norm` and `gcs` commands."""
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    commands = []
+    # The gcs grid of the 8-atom 3-edge (8**12 cells) is above the cell cap.
+    for name, sizes, ell in (("edge2_9x3", (9, 3), "2"), ("edge3_l6", (2, 2, 3), "6"),
+                             ("edge3_8", (8, 8, 8), "4")):
+        spaces = [rng.uniform(0.5, 1.5, size=z).tolist() for z in sizes]
+        values = rng.uniform(-1.0, 1.0, size=sizes).tolist()
+        write_instance(f"{name}.json", spaces, [values], [list(range(len(sizes)))])
+        base = ["--instance", f"{name}.json", "--edge", "0", "--ell", ell]
+        commands += [
+            (f"norm recursive {name}", ["norm", *base, "--method", "recursive"]),
+            (f"norm p=2 {name}", ["norm", *base, "--p", "2"]),
+            (f"gcs {name}", ["gcs", *base]),
+        ]
+    return commands
+
+
 def run_tree(tree: str, out_path: str) -> None:
     """Run every command on `tree`'s boxlab and write the outputs as JSON."""
     sys.path[:0] = [
@@ -113,7 +139,7 @@ def run_tree(tree: str, out_path: str) -> None:
             os.mkdir(name)
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
-        commands += certificate_cases() + mixed_auto_cases()
+        commands += certificate_cases() + mixed_auto_cases() + peel_cases()
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

@@ -15,6 +15,26 @@ Two independent evaluation routes are provided on purpose:
   the last coordinate of the edge, averaging the sub-power of the pointwise
   product of `ell` slices.  Tuples of slices are grouped into multisets with
   multinomial weights, which cuts m**ell work down to binom(m + ell - 1, ell).
+  The peel is batched: a batch holds B tensors on the same coordinates (the
+  first holds f alone).  Peeling a coordinate with m atoms computes each
+  power `X ** c` (c = 2..ell) once on the whole batch and turns every
+  tensor into M = binom(m + ell - 1, ell) tensors with one axis fewer, one
+  per multiset in `combinations_with_replacement` order: the slices of its
+  distinct atoms, each to the power of its count, multiplied in ascending
+  atom order (a multiset with fewer distinct atoms multiplies by 1.0,
+  which is exact).  On the first coordinate each tensor is one C-contiguous
+  row, summed against the weights by numpy's pairwise sum, and the sum is
+  raised to `ell` as a Python float.  Folding back, a tensor's power starts
+  at 0.0 and adds (coefficient * weight) * child power one multiset at a
+  time in multiset order; a multiset's weight multiplies w_t ** c_t, taken
+  on Python floats, in ascending atom order; the multisets are cached per
+  (m, ell).  The fold is a sequential scan, never a pairwise reduction, so
+  every power equals that of a loop over the multisets bit for bit (for
+  C-contiguous tensors, as `EdgeFunction` stores them).  A level whose
+  peeled batch or stack of powers would exceed one block (2**16 cells, as
+  in `Grid.expect`) is split along its batch axis into pieces of at most
+  one block, each of at least one tensor, peeled one after another; the
+  split changes no tensor's arithmetic.
 
 Both return the same number up to roundoff; tests enforce 1e-9 agreement.
 Powers are carried unrooted through the recursion and the single final root
@@ -24,6 +44,7 @@ zero and flagged; anything worse raises NumericalInconsistency.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -37,6 +58,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .spaces import (
+    BLOCK_CELLS,
     EdgeFunction,
     Exponent,
     Grid,
@@ -120,8 +142,61 @@ def box_power_direct(
     return grid.expect(factors)
 
 
-def _mean(system: HypergraphSystem, v: int, values: np.ndarray) -> float:
-    return float(np.sum(np.ascontiguousarray(system.spaces[v].weights * values)))
+@functools.lru_cache(maxsize=256)
+def _multiset_plan(m: int, ell: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The multisets of `ell` atoms out of `m`, in `combinations_with_replacement` order.
+
+    Multiset s has distinct atoms t_0 < t_1 < ... with counts c_0, c_1, ...
+    Its atoms and counts are coded as `rows[d][s]` = c_d * m + t_d, and as 0
+    past its last distinct atom (count 0); `coeffs[s]` is the multinomial
+    coefficient ell! / prod(c_d!).  The arrays are read-only, since every
+    caller shares them.
+    """
+    combos = list(itertools.combinations_with_replacement(range(m), ell))
+    rows = np.zeros((min(m, ell), len(combos)), dtype=np.intp)
+    coeffs = np.empty(len(combos))
+    for s, combo in enumerate(combos):
+        coeff = math.factorial(ell)
+        for d, (t, c) in enumerate(sorted(Counter(combo).items())):
+            rows[d, s] = c * m + t
+            coeff //= math.factorial(c)
+        coeffs[s] = float(coeff)
+    rows.flags.writeable = coeffs.flags.writeable = False
+    return tuple(rows), coeffs
+
+
+def _peel(system: HypergraphSystem, e: tuple[int, ...], batch: np.ndarray, ell: int) -> np.ndarray:
+    """The box powers on e of `batch[0]`, `batch[1]`, ..., peeling e[-1] first."""
+    if len(e) == 1:
+        sums = np.add.reduce(batch * system.spaces[e[0]].weights, axis=-1)
+        return np.array([s**ell for s in sums.tolist()])
+    w = system.spaces[e[-1]].weights.tolist()
+    m = len(w)
+    rows, coeffs = _multiset_plan(m, ell)
+    # Entry c * m + t of `wpow`, like row c * m + t of `pieces` below, is
+    # atom t to the power c; count 0 gives ones.
+    wpow = np.array([x**c for c in range(ell + 1) for x in w])
+    factor = wpow[rows[0]]
+    for r in rows[1:]:
+        factor = factor * wpow[r]
+    factor = coeffs * factor
+    size = len(coeffs)
+    rest = batch.shape[1:-1]
+    step = max(1, BLOCK_CELLS // (max(size, (ell + 1) * m) * math.prod(rest)))
+    powers = np.empty(batch.shape[0])
+    for lo in range(0, batch.shape[0], step):
+        x = batch[lo : lo + step].transpose(0, batch.ndim - 1, *range(1, batch.ndim - 1))
+        b = x.shape[0]
+        pieces = np.concatenate([np.ones(x.shape), x] + [x**c for c in range(2, ell + 1)], axis=1)
+        prod = pieces.take(rows[0], axis=1)
+        for r in rows[1:]:
+            prod *= pieces.take(r, axis=1)
+        sub = _peel(system, e[:-1], prod.reshape((b * size,) + rest), ell)
+        # 0.0 + t_0 + t_1 + ... left to right: a scan, not a pairwise sum.
+        terms = np.zeros((b, size + 1))
+        np.multiply(factor, sub.reshape(b, size), out=terms[:, 1:])
+        powers[lo : lo + b] = np.add.accumulate(terms, axis=1)[:, -1]
+    return powers
 
 
 def _box_power_recursive(
@@ -130,26 +205,7 @@ def _box_power_recursive(
     values: np.ndarray,
     ell: int,
 ) -> float:
-    if len(e) == 1:
-        return _mean(system, e[0], values) ** ell
-    j, rest = e[-1], e[:-1]
-    w = system.spaces[j].weights
-    m = w.shape[0]
-    total = 0.0
-    fact = math.factorial(ell)
-    for combo in itertools.combinations_with_replacement(range(m), ell):
-        counts = Counter(combo)
-        coeff = fact
-        weight = 1.0
-        prod = None
-        for t, c in sorted(counts.items()):
-            coeff //= math.factorial(c)
-            weight *= float(w[t]) ** c
-            piece = values[..., t] if c == 1 else values[..., t] ** c
-            prod = piece if prod is None else prod * piece
-        sub = _box_power_recursive(system, rest, prod, ell)
-        total += (coeff * weight) * sub
-    return total
+    return float(_peel(system, e, values[None], ell)[0])
 
 
 def box_norm(

@@ -90,18 +90,6 @@ class SupResult:
         """Exact results certify the sup; heuristic ones only bound it below."""
         return self.mode == "exact"
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "signed": self.signed,
-            "masks": [hex(m) for m in self.masks],
-            "mode": self.mode,
-            "combos": self.combos,
-            "restarts_used": self.restarts_used,
-            "labels": list(self.labels),
-            "certified": self.certified,
-        }
-
 
 def subset_rows(rows: np.ndarray) -> np.ndarray:
     """All 2**T subset sums of the T rows (axis 0); output row index equals the mask."""

@@ -35,8 +35,9 @@ GRID_CELL_CAP = 1 << 25
 # Guard for integer powers ell ** |e| used as exponents and work estimates.
 POWER_GUARD = 1 << 62
 
-# Cells of the largest array `Grid.expect` multiplies out per leading index.
-_BLOCK = 1 << 16
+# Cells of the largest array `Grid.expect` multiplies out per leading index,
+# and of the largest level the recursive box-norm peel builds at once.
+BLOCK_CELLS = 1 << 16
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -323,14 +324,14 @@ class Grid:
         pairwise sum.
         """
         factors = list(factors)
-        if self.cells <= _BLOCK:
+        if self.cells <= BLOCK_CELLS:
             acc = self.full_weights.copy()
             for a in factors:
                 acc *= a
             return float(np.sum(acc))
         split = len(self.shape) - 1
         trail = self.shape[split]
-        while split > 0 and trail * self.shape[split - 1] <= _BLOCK:
+        while split > 0 and trail * self.shape[split - 1] <= BLOCK_CELLS:
             split -= 1
             trail *= self.shape[split]
         groups: dict[tuple[int, ...], list[np.ndarray]] = {}

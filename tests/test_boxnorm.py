@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab.boxnorm import (
+    _box_power_recursive,
     _root_with_clamp,
     bilinear_bound_report,
     box_norm,
@@ -24,7 +26,7 @@ from boxlab.errors import (
     ShapeMismatch,
     SizeCapExceeded,
 )
-from boxlab.spaces import INF, Exponent, Grid, edge_function, make_system
+from boxlab.spaces import BLOCK_CELLS, INF, Exponent, Grid, edge_function, make_system
 
 from oracles import box_power_brute, gcs_form_brute
 
@@ -435,3 +437,126 @@ class TestSharedWork:
         got = gcs_certificate(sys_, (0, 1), fam, 2)
         assert len(calls) == 2 and {id(fn) for fn in calls} == {id(f), id(g)}
         assert got == want
+
+
+def _loop_power(system, e, values, ell):
+    """The recursive box power as one call per multiset of peeled atoms.
+
+    The per-multiset loop that the batched peel replaced, kept as the
+    reference for its arithmetic: the batched peel must give the same float.
+    """
+    if len(e) == 1:
+        w = system.spaces[e[0]].weights
+        return float(np.sum(np.ascontiguousarray(w * values))) ** ell
+    w = system.spaces[e[-1]].weights
+    total = 0.0
+    for combo in itertools.combinations_with_replacement(range(w.shape[0]), ell):
+        coeff = math.factorial(ell)
+        weight = 1.0
+        prod = None
+        for t, c in sorted(Counter(combo).items()):
+            coeff //= math.factorial(c)
+            weight *= float(w[t]) ** c
+            piece = values[..., t] if c == 1 else values[..., t] ** c
+            prod = piece if prod is None else prod * piece
+        total += (coeff * weight) * _loop_power(system, e[:-1], prod, ell)
+    return total
+
+
+def _loop_work(sizes, ell):
+    """Tensors the loop visits: one per multiset of each peeled coordinate."""
+    return math.prod(math.comb(z + ell - 1, ell) for z in sizes[1:])
+
+
+def _brute_work(sizes, ell):
+    """Products the brute-force oracle multiplies."""
+    return math.prod(z**ell for z in sizes) * ell ** len(sizes)
+
+
+@st.composite
+def peel_case(draw, k, ell, work, budget):
+    sizes = [draw(st.integers(1, 10)) for _ in range(k)]
+    # Shrink the largest coordinate that `work` counts until the case is cheap.
+    counted = range(1 if work is _loop_work else 0, k)
+    while work(sizes, ell) > budget:
+        sizes[max(counted, key=sizes.__getitem__)] -= 1
+    sys_, e, rng = _weighted_case(sizes, draw(st.integers(0, 2**31 - 1)))
+    return sys_, e, edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=sizes))
+
+
+class TestBatchedPeel:
+    """The batched recursive peel against the per-multiset loop, bit for bit."""
+
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=8)
+    def test_equals_loop(self, k, ell, data):
+        sys_, e, f = data.draw(peel_case(k, ell, _loop_work, 2000))
+        got = _box_power_recursive(sys_, e, f.values, ell)
+        assert type(got) is float
+        assert got == _loop_power(sys_, e, f.values, ell)
+
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=4)
+    def test_matches_brute_where_cheap(self, k, ell, data):
+        sys_, e, f = data.draw(peel_case(k, ell, _brute_work, 20000))
+        want = box_power_brute(sys_, e, f.values, ell)
+        got = _box_power_recursive(sys_, e, f.values, ell)
+        assert abs(want - got) <= 1e-9 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize(
+        "sizes,ell",
+        [((3, 1), 2), ((1, 1), 4), ((2, 1, 3), 4), ((4, 1, 1), 2), ((1, 1, 1, 1), 6)],
+    )
+    def test_one_atom_coordinates(self, sizes, ell):
+        sys_, e, rng = _weighted_case(sizes, seed=7)
+        f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=sizes))
+        got = _box_power_recursive(sys_, e, f.values, ell)
+        assert got == _loop_power(sys_, e, f.values, ell)
+        assert abs(got - box_power_brute(sys_, e, f.values, ell)) <= 1e-12
+
+    @pytest.mark.parametrize("sizes,ell", [((3, 2), 2), ((2, 3, 2), 4), ((9, 3), 6)])
+    def test_zero_and_all_negative(self, sizes, ell):
+        sys_, e, rng = _weighted_case(sizes, seed=8)
+        zero = np.zeros(sizes)
+        got = _box_power_recursive(sys_, e, zero, ell)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        neg = -rng.uniform(0.1, 1.0, size=sizes)
+        got = _box_power_recursive(sys_, e, neg, ell)
+        assert got == _loop_power(sys_, e, neg, ell) > 0.0
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (8, 2, 2), (2, 3, 2)])
+    def test_ell6(self, sizes):
+        sys_, e, rng = _weighted_case(sizes, seed=9)
+        f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=sizes))
+        assert _box_power_recursive(sys_, e, f.values, 6) == _loop_power(sys_, e, f.values, 6)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_split_changes_nothing(self, block, monkeypatch):
+        import boxlab.boxnorm as bn
+
+        sys_, e, rng = _weighted_case((3, 4, 3), seed=10)
+        f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=(3, 4, 3)))
+        want = _loop_power(sys_, e, f.values, 4)
+        monkeypatch.setattr(bn, "BLOCK_CELLS", block)
+        assert _box_power_recursive(sys_, e, f.values, 4) == want
+
+    def test_peak_memory_past_one_block(self):
+        # Peeling the last two coordinates of a 3-edge with 8 atoms at ell=4
+        # makes 330 * 330 tensors of 8 cells: 13.3 blocks, 7 MB in one array.
+        sys_, e, rng = _weighted_case((8, 8, 8), seed=11)
+        f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=(8, 8, 8)))
+        assert 330 * 330 * 8 >= 4 * BLOCK_CELLS
+        _box_power_recursive(sys_, (0, 1), f.values[:, :, 0], 4)  # build the plan
+        tracemalloc.start()
+        try:
+            got = _box_power_recursive(sys_, e, f.values, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few arrays of one block (0.5 MB each) at a time.
+        assert peak < 8 * 8 * BLOCK_CELLS
+        assert got == _loop_power(sys_, e, f.values, 4)
