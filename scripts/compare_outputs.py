@@ -11,6 +11,9 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 - `vonneumann` and `counting` on two K3 instances that no workload
   reaches: 41 atoms per vertex, whose 68,921-cell products take
   `Grid.expect`'s block path, and one whose subset norms tie;
+- `vonneumann` and `counting` at p = 2, 3.5, 2**20 and inf on a K5 with
+  2 atoms per vertex (10 edges: 3**10 products, whose walk is split on
+  its first edges) and on a K4 with 1, 2, 1 and 3 atoms per vertex;
 - `pseudorandom check --mode auto` against psi = ones on three 3-atom K3
   instances that no workload reaches.  Two come from each tree's own
   `gen` (perturbed_ones with epsilon 0.01, random_nonneg with seed 1):
@@ -73,6 +76,26 @@ def certificate_cases() -> list:
         commands.append((f"vonneumann {inst} p={p}", ["vonneumann", *common]))
         commands.append((f"counting {inst} p={p}",
                          ["counting", *common, "--instance2", f"{inst2}.json"]))
+    return commands
+
+
+def walk_cases() -> list:
+    """Write a 2-atom K5 pair and a K4 pair with atoms 1,2,1,3; their certificate commands."""
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    commands = []
+    for name, atoms in (("k5", (2, 2, 2, 2, 2)), ("k4_1213", (1, 2, 1, 3))):
+        n = len(atoms)
+        edges = [[a, b] for a in range(n) for b in range(a + 1, n)]
+        spaces = [rng.uniform(0.5, 1.5, size=z).tolist() for z in atoms]
+        for side in ("f", "g"):
+            tensors = [rng.uniform(-1.0, 1.0, size=(atoms[a], atoms[b])).tolist()
+                       for a, b in edges]
+            write_instance(f"{name}_{side}.json", spaces, tensors, edges)
+        for p in ("2", "3.5", "1048576", "inf"):
+            common = ["--instance", f"{name}_f.json", "--C", "2", "--p", p]
+            commands.append((f"vonneumann {name} p={p}", ["vonneumann", *common]))
+            commands.append((f"counting {name} p={p}",
+                             ["counting", *common, "--instance2", f"{name}_g.json"]))
     return commands
 
 
@@ -139,7 +162,7 @@ def run_tree(tree: str, out_path: str) -> None:
             os.mkdir(name)
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
-        commands += certificate_cases() + mixed_auto_cases() + peel_cases()
+        commands += certificate_cases() + walk_cases() + mixed_auto_cases() + peel_cases()
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

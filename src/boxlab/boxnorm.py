@@ -34,7 +34,13 @@ Two independent evaluation routes are provided on purpose:
   peeled batch or stack of powers would exceed one block (2**16 cells, as
   in `Grid.expect`) is split along its batch axis into pieces of at most
   one block, each of at least one tensor, peeled one after another; the
-  split changes no tensor's arithmetic.
+  split changes no tensor's arithmetic.  A one-atom coordinate has one
+  multiset, so its peel is just `X ** ell` and the fold
+  0.0 + (1.0 * w ** ell) * child, the same floats without the plan.
+  Before anything is allocated, `_check_peel` refuses (SizeCapExceeded) a
+  replica count whose multinomial coefficients overflow a float, or whose
+  plan or stack of powers for one tensor would pass `GRID_CELL_CAP` cells;
+  a first-coordinate sum whose `ell`-th power overflows makes the power inf.
 
 Both return the same number up to roundoff; tests enforce 1e-9 agreement.
 Powers are carried unrooted through the recursion and the single final root
@@ -47,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +62,11 @@ from .errors import (
     NumericalInconsistency,
     OddEll,
     ShapeMismatch,
+    SizeCapExceeded,
 )
 from .spaces import (
     BLOCK_CELLS,
+    GRID_CELL_CAP,
     EdgeFunction,
     Exponent,
     Grid,
@@ -142,6 +150,46 @@ def box_power_direct(
     return grid.expect(factors)
 
 
+def _count_vectors(m: int, ell: int) -> list[tuple[int, ...]]:
+    """Atom counts (c_0, ..., c_{m-1}) summing to ell, c_0 descending first.
+
+    That is the order of `combinations_with_replacement(range(m), ell)`.
+    """
+    if m == 1:
+        return [(ell,)]
+    return [(c,) + rest for c in range(ell, -1, -1) for rest in _count_vectors(m - 1, ell - c)]
+
+
+@functools.lru_cache(maxsize=256)
+def _check_peel(sizes: tuple[int, ...], ell: int) -> None:
+    """Refuse, before anything is allocated, a peel that cannot be carried out.
+
+    `sizes` are the atom counts of the edge.  For each peeled coordinate of
+    m >= 2 atoms, every multinomial coefficient must fit in a float, and the
+    plan's entries, the M children of one tensor and its stack of ell + 1
+    powers must each stay within `GRID_CELL_CAP` cells.  The largest
+    coefficient is at least binom(ell, ell // 2) >= 2**ell / (ell + 1),
+    past the float range once ell > 1100, so no larger factorial is taken.
+    """
+    for j in range(1, len(sizes)):
+        m, rest = sizes[j], math.prod(sizes[:j])
+        if m == 1:
+            continue
+        q, r = divmod(ell, m)
+        if ell > 1100 or math.factorial(ell) // (
+            math.factorial(q + 1) ** r * math.factorial(q) ** (m - r)
+        ) > sys.float_info.max:
+            raise SizeCapExceeded(
+                f"multinomial coefficients of ell={ell} over {m} atoms overflow a float"
+            )
+        count = math.comb(m + ell - 1, ell)
+        if max(count * min(m, ell), count * rest, (ell + 1) * m * rest) > GRID_CELL_CAP:
+            raise SizeCapExceeded(
+                f"peeling {m} atoms at ell={ell} ({count} multisets, {rest} cells "
+                f"each) exceeds the {GRID_CELL_CAP}-cell cap"
+            )
+
+
 @functools.lru_cache(maxsize=256)
 def _multiset_plan(m: int, ell: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The multisets of `ell` atoms out of `m`, in `combinations_with_replacement` order.
@@ -150,16 +198,19 @@ def _multiset_plan(m: int, ell: int) -> tuple[tuple[np.ndarray, ...], np.ndarray
     Its atoms and counts are coded as `rows[d][s]` = c_d * m + t_d, and as 0
     past its last distinct atom (count 0); `coeffs[s]` is the multinomial
     coefficient ell! / prod(c_d!).  The arrays are read-only, since every
-    caller shares them.
+    caller shares them.  Built from count vectors, after `_check_peel`.
     """
-    combos = list(itertools.combinations_with_replacement(range(m), ell))
-    rows = np.zeros((min(m, ell), len(combos)), dtype=np.intp)
-    coeffs = np.empty(len(combos))
-    for s, combo in enumerate(combos):
+    vectors = _count_vectors(m, ell)
+    rows = np.zeros((min(m, ell), len(vectors)), dtype=np.intp)
+    coeffs = np.empty(len(vectors))
+    for s, counts in enumerate(vectors):
         coeff = math.factorial(ell)
-        for d, (t, c) in enumerate(sorted(Counter(combo).items())):
-            rows[d, s] = c * m + t
-            coeff //= math.factorial(c)
+        d = 0
+        for t, c in enumerate(counts):
+            if c:
+                rows[d, s] = c * m + t
+                coeff //= math.factorial(c)
+                d += 1
         coeffs[s] = float(coeff)
     rows.flags.writeable = coeffs.flags.writeable = False
     return tuple(rows), coeffs
@@ -172,6 +223,10 @@ def _peel(system: HypergraphSystem, e: tuple[int, ...], batch: np.ndarray, ell: 
         return np.array([s**ell for s in sums.tolist()])
     w = system.spaces[e[-1]].weights.tolist()
     m = len(w)
+    if m == 1:
+        # The one multiset: the fold below is 0.0 + (1.0 * w**ell) * child.
+        sub = _peel(system, e[:-1], batch[..., 0] ** ell, ell)
+        return 0.0 + (1.0 * w[0] ** ell) * sub
     rows, coeffs = _multiset_plan(m, ell)
     # Entry c * m + t of `wpow`, like row c * m + t of `pieces` below, is
     # atom t to the power c; count 0 gives ones.
@@ -205,7 +260,11 @@ def _box_power_recursive(
     values: np.ndarray,
     ell: int,
 ) -> float:
-    return float(_peel(system, e, values[None], ell)[0])
+    _check_peel(values.shape, ell)
+    try:
+        return float(_peel(system, e, values[None], ell)[0])
+    except OverflowError:  # a first-coordinate sum to the power ell (even)
+        return math.inf
 
 
 def box_norm(

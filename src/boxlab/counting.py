@@ -14,16 +14,19 @@ edgewise differences.
 
 Their L_p hypotheses need the norm of every subset product: 2^|E| subsets
 for the von Neumann check, 3^|E| disjoint (f, g) subset pairs for the
-counting lemma.  `_product_norms` walks them depth first, one edge at a
-time: first the f side in edge order, then the g side, each child product
-being its parent's times one tensor lifted once.  So every cell is the
-product of the same factors in the same order as a per-subset
-`product_lp_norm`, and values are bit-identical to it.  At most |E|
-products are live at once, plus one grid per coordinate set touched, each
-with its weight tensor cached.  The worst subset or pair is then picked by
-a scan in the enumeration order of `itertools.combinations` by size (von
-Neumann) or `itertools.product` over edge states (counting), and only a
-strictly larger norm replaces it, so a tie keeps the first.
+counting lemma.  `_product_norms` builds them level by level in one stack
+with a state axis per edge: first the f side in edge order, then the g
+side, each step multiplying every row that leaves the edge on no side by
+its lifted tensor in one broadcast.  So every cell is the product of the
+same factors in the same order as a per-subset `product_lp_norm`, and
+values are bit-identical to it.  The rows reading one coordinate set take
+their norms in one `_grid_lp_norms` call, on one grid per set with its
+weight tensor cached.  The stack holds at most `LIVE_CELLS` cells: a
+larger walk is split on the states of its first edges, one walk per
+prefix.  The worst subset or pair is then picked by a scan in the
+enumeration order of `itertools.combinations` by size (von Neumann) or
+`itertools.product` over edge states (counting), and only a strictly
+larger norm replaces it, so a tie keeps the first.
 """
 
 from __future__ import annotations
@@ -49,12 +52,16 @@ from .spaces import (
     Exponent,
     Grid,
     HypergraphSystem,
-    _grid_lp_norm,
+    _grid_lp_norms,
     check_function,
 )
 
 SUBSET_CAP = 1 << 20
 PAIR_CAP = 1 << 20
+# Cells of the largest stack of products one `_product_norms` walk holds
+# (64 KB).  Larger stacks save little time, but the walk then holds several
+# such arrays at once and the peak RSS of a long run grows with them.
+LIVE_CELLS = 1 << 13
 # least_even_at_least accepts 2k for any x within this of 2k.
 _TIE_TOL = 1e-9
 
@@ -142,38 +149,29 @@ def ell_von_neumann(delta: int, p: Exponent) -> int:
 class _Products:
     """Products of edge tensors on one system, with one grid per coordinate set.
 
-    Tensors are lifted onto the grid of every coordinate that `edges` touch,
-    so a product of lifted tensors is laid out, up to unit axes, on the grid
-    of the coordinates its factors read.  Coordinate sets are vertex
-    bitmasks; each grid is built once, on first use.
+    Tensors are lifted onto the grid `full` of every coordinate that `edges`
+    touch, so a product of lifted tensors is laid out, up to unit axes, on
+    the grid of the coordinates its factors read.  Coordinate sets are
+    bitmasks over the axes of `full`; each grid is built once, on first use.
     """
 
     def __init__(self, system: HypergraphSystem, edges):
         self.system = system
-        self.grids: dict[int, Grid] = {}
-        self.coords = 0
-        for e in edges:
-            self.coords |= self.reads(e)
-        self.full = self.grid(self.coords)
+        self.full = Grid(system, {(v, 0) for e in edges for v in e})
+        self.grids: dict[int, Grid] = {(1 << len(self.full.keys)) - 1: self.full}
 
-    @staticmethod
-    def reads(edge) -> int:
-        return sum(1 << v for v in edge)
+    def reads(self, edge) -> int:
+        return sum(1 << self.full.pos[(v, 0)] for v in edge)
 
     def grid(self, coords: int) -> Grid:
         g = self.grids.get(coords)
         if g is None:
-            keys = [(v, 0) for v in range(self.system.n) if coords >> v & 1]
+            keys = [k for a, k in enumerate(self.full.keys) if coords >> a & 1]
             g = self.grids[coords] = Grid(self.system, keys)
         return g
 
     def lift(self, f: EdgeFunction) -> np.ndarray:
         return self.full.lift(f.edge, f.values, (0,) * len(f.edge))
-
-    def lp_norm(self, product: np.ndarray, coords: int, p: Exponent) -> float:
-        """L_p norm of a product of lifted tensors reading exactly `coords`."""
-        g = self.grid(coords)
-        return _grid_lp_norm(product.reshape(g.shape), p, lambda: g)
 
 
 def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
@@ -188,7 +186,25 @@ def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
     tensor = products.lift(funcs[0])
     for f in funcs[1:]:
         tensor = tensor * products.lift(f)
-    return products.lp_norm(tensor, products.coords, p)
+    return _grid_lp_norms(tensor.reshape(1, -1), p, lambda: products.full)[0]
+
+
+def _row_groups(masks: np.ndarray, ndim: int) -> list:
+    """The rows of a walk by coordinate set, from the set `masks` gives each row.
+
+    One (row indices, coordinate set, pick) per set: `pick` cuts a row on the
+    full grid down to the cells its set reads.
+    """
+    masks = masks.reshape(-1)
+    order = np.argsort(masks, kind="stable")
+    ordered = masks[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(masks)]
+    groups = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        coords = int(ordered[lo])
+        pick = tuple(slice(None) if coords >> a & 1 else slice(0, 1) for a in range(ndim))
+        groups.append((order[lo:hi], coords, pick))
+    return groups
 
 
 def _product_norms(system: HypergraphSystem, sides, p: Exponent) -> np.ndarray:
@@ -200,29 +216,73 @@ def _product_norms(system: HypergraphSystem, sides, p: Exponent) -> np.ndarray:
     with b = len(sides) + 1 and state_j = 1 + the side of edge j (0: none),
     holds the norm of that choice, so entries run in the order of
     `itertools.product(range(b), repeat=|E|)`; entry 0 is the empty
-    product, 1.  The choices are walked depth first, each child being its
-    parent's product times one lifted tensor, so at most |E| products are
-    live at once.
+    product, 1.
+
+    The products are built level by level in one stack of rows on the grid
+    of every coordinate the edges touch, with a state axis per edge.
+    Starting from ones, side by side and edge by edge, the rows whose edge j
+    is still on no side are multiplied by its lifted tensor in one
+    broadcast, written in place as that edge's next state.  When the stack
+    of all choices would pass `LIVE_CELLS` cells, the states of the first
+    edges are fixed instead, one walk per prefix, and a fixed edge's tensor
+    multiplies every row at its own step.  Either way every product
+    multiplies the same factors in the same order as `product_lp_norm` (the
+    leading 1.0 changes no bit).  The rows reading one coordinate set then
+    take their norms in one `_grid_lp_norms` call on that set's grid, each
+    cut down to the cells it reads; at p = inf rows are read whole, since a
+    sup norm is the same on every grid.
     """
     edges = system.edges
     products = _Products(system, edges)
     lifted = [[products.lift(f) for f in side] for side in sides]
-    base = len(sides) + 1
-    place = [base ** (len(edges) - 1 - j) for j in range(len(edges))]
     reads = [products.reads(e) for e in edges]
-    values = np.ones(base ** len(edges))
-
-    def visit(prod, code, taken, coords, side, start):
-        for s in range(side, len(sides)):
-            for j in range(start if s == side else 0, len(edges)):
-                if taken >> j & 1:
+    ndim = len(products.full.shape)
+    base = len(sides) + 1
+    fixed = 0
+    while fixed < len(edges) and base ** (len(edges) - fixed) * products.full.cells > LIVE_CELLS:
+        fixed += 1
+    free = len(edges) - fixed
+    span = base**free
+    values = np.empty(base ** len(edges))
+    # The coordinate set each row reads through its free edges.
+    free_reads = np.zeros((1,) * free, dtype=np.int64)
+    for j in range(fixed, len(edges)):
+        state_reads = np.where(np.arange(base) > 0, reads[j], 0)
+        free_reads = free_reads | state_reads.reshape((base,) + (1,) * (len(edges) - 1 - j))
+    groups_by_prefix: dict[int, list] = {}
+    for at, prefix in enumerate(itertools.product(range(base), repeat=fixed)):
+        stack = np.empty((base,) * free + products.full.shape)
+        stack[(0,) * free] = 1.0
+        for s, side in enumerate(lifted):
+            for j, tensor in enumerate(side):
+                # Filled so far: states 0..s+1 of the free edges before j,
+                # 0..s of the others.
+                axis = j - fixed
+                if axis < 0:
+                    if prefix[j] == s + 1:
+                        stack[(slice(0, s + 1),) * free] *= tensor
                     continue
-                child = lifted[s][j] if prod is None else prod * lifted[s][j]
-                at, reach = code + (s + 1) * place[j], coords | reads[j]
-                values[at] = products.lp_norm(child, reach, p)
-                visit(child, at, taken | 1 << j, reach, s, j + 1)
-
-    visit(None, 0, 0, 0, 0, 0)
+                head = (slice(0, s + 2),) * axis
+                tail = (slice(0, s + 1),) * (free - 1 - axis)
+                # State s + 1 of edge j: the rows in state 0 times the tensor.
+                np.multiply(stack[head + (0,) + tail], tensor, out=stack[head + (s + 1,) + tail])
+        rows = stack.reshape((span,) + products.full.shape)
+        block = values[at * span : (at + 1) * span]
+        if p.is_inf:  # a sup norm is the same on every grid a row is laid out on
+            block[:] = _grid_lp_norms(rows.reshape(span, -1), p, None)
+            continue
+        prefix_reads = 0
+        for j, state in enumerate(prefix):
+            prefix_reads |= reads[j] if state else 0
+        groups = groups_by_prefix.get(prefix_reads)
+        if groups is None:
+            groups = groups_by_prefix[prefix_reads] = _row_groups(free_reads | prefix_reads, ndim)
+        for idx, coords, pick in groups:
+            if coords == 0:  # the empty product, the constant one
+                block[idx] = 1.0
+            else:
+                group = rows[(idx,) + pick].reshape(len(idx), -1)
+                block[idx] = _grid_lp_norms(group, p, lambda: products.grid(coords))
     return values
 
 

@@ -9,7 +9,9 @@ grid of at most one block (2**16 cells) is multiplied out in one array and
 summed by numpy's pairwise sum, so its value equals that of the fully
 materialised product bit for bit.  A larger grid is summed block by block
 over its trailing axes, in a fixed order.  Either way the value is
-reproducible bit for bit, independent of thread count.
+reproducible bit for bit, independent of thread count.  `_grid_lp_norms`
+takes the L_p norms of a batch of tensors on one grid with the same sums,
+row by row, and every L_p norm goes through it.
 """
 
 from __future__ import annotations
@@ -291,11 +293,16 @@ class Grid:
 
     def weight_tensor(self, keys=None) -> np.ndarray:
         """Product of the weight vectors of `keys` (default: all axes)."""
-        acc = np.ones((1,) * len(self.shape))
-        for k in self.keys if keys is None else sorted(keys):
-            v, _ = k
-            acc = acc * self.lift((v,), self.system.spaces[v].weights, (k[1],))
-        return acc
+        keys = self.keys if keys is None else sorted(keys)
+        # (w_0 * w_1) * w_2 * ..., one outer product per key in axis order.
+        ws = [self.system.spaces[v].weights for v, _ in keys]
+        acc = ws[0] if ws else np.ones(1)
+        for w in ws[1:]:
+            acc = (acc[:, None] * w).reshape(-1)
+        shape = [1] * len(self.shape)
+        for k in keys:
+            shape[self.pos[k]] = self.shape[self.pos[k]]
+        return acc.reshape(shape)
 
     @functools.cached_property
     def full_weights(self) -> np.ndarray:
@@ -372,26 +379,46 @@ def expectation(system: HypergraphSystem, e, f: EdgeFunction) -> float:
     return g.expect([g.lift(e, f.values, (0,) * len(e))])
 
 
-def _grid_lp_norm(tensor: np.ndarray, p: Exponent, make_grid) -> float:
-    """Weighted L_p norm of a tensor on a grid's axes; the sup norm at p = inf.
+def _grid_lp_norms(rows: np.ndarray, p: Exponent, make_grid) -> list[float]:
+    """Weighted L_p norms of the rows of `rows`, each a tensor on one grid.
 
-    Finite p is computed after rescaling by max|t| so that enormous exponents
-    (p up to 2**20) stay inside float range; the root uses log/exp.
-    `make_grid()` gives the grid, and is called only for finite p and a
-    nonzero tensor.
+    `rows` has shape (R, cells), each row laid out in C order on the axes of
+    the grid that `make_grid()` gives; it is called only for finite p.  At
+    p = inf a row's norm is its max |x|.  Finite p is computed after
+    rescaling each row by its max m, so that enormous exponents (p up to
+    2**20) stay inside float range: one array pass takes |x| / m, its p-th
+    power and the product with `full_weights`; a row-wise sum then gives
+    each mean, and the root m * exp(log(mean) / p) is taken on Python
+    floats.  The row sum is numpy's pairwise sum over one C-contiguous row,
+    the sum `Grid.expect` takes of a grid of at most one block (2**16
+    cells), so each norm is bit-identical to a call with that row alone.  A
+    larger grid sums each row through `Grid.expect`'s block path.  A zero
+    row has norm 0.
     """
-    mag = np.abs(tensor)
-    m = float(np.max(mag)) if tensor.size else 0.0
-    if p.is_inf or m == 0.0:
-        return m
-    mean = make_grid().expect([np.power(mag / m, p.value)])
-    if mean <= 0.0:
-        return 0.0
-    return m * math.exp(math.log(mean) / p.value)
+    mag = np.abs(rows)
+    tops = np.maximum.reduce(mag, axis=1)
+    if p.is_inf:
+        return tops.tolist()
+    grid = make_grid()
+    m = tops.tolist()
+    # A zero row divides by 1 instead of 0; its norm is 0 either way.
+    mag /= (np.where(tops > 0.0, tops, 1.0) if 0.0 in m else tops)[:, None]
+    np.power(mag, p.value, out=mag)
+    if grid.cells <= BLOCK_CELLS:
+        mag *= grid.full_weights.reshape(-1)
+        means = np.add.reduce(mag, axis=1).tolist()
+    else:
+        means = [grid.expect([row.reshape(grid.shape)]) for row in mag]
+    return [
+        top * math.exp(math.log(mean) / p.value) if top > 0.0 and mean > 0.0 else 0.0
+        for top, mean in zip(m, means)
+    ]
 
 
 def lp_norm(system: HypergraphSystem, e, f: EdgeFunction, p: Exponent) -> float:
     """Weighted L_p norm of f on edge e; the sup norm when p is infinite."""
     e = check_on_edge(system, e, f)
     # The grid's axes are e's sorted coordinates, so f.values is laid out on it.
-    return _grid_lp_norm(f.values, p, lambda: Grid(system, [(v, 0) for v in e]))
+    return _grid_lp_norms(
+        f.values.reshape(1, -1), p, lambda: Grid(system, [(v, 0) for v in e])
+    )[0]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from boxlab.boxnorm import (
     _box_power_recursive,
+    _check_peel,
     _root_with_clamp,
     bilinear_bound_report,
     box_norm,
@@ -518,6 +519,27 @@ class TestBatchedPeel:
         assert got == _loop_power(sys_, e, f.values, ell)
         assert abs(got - box_power_brute(sys_, e, f.values, ell)) <= 1e-12
 
+    @pytest.mark.parametrize("ell", [2, 4, 6])
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_one_atom_coordinates_property(self, ell, data):
+        # Peeling a one-atom coordinate takes the fast path: X ** ell and one
+        # fold term, the same floats as the batched peel's single multiset.
+        k = data.draw(st.integers(2, 4))
+        sizes = [data.draw(st.integers(1, 5)) for _ in range(k)]
+        for j in data.draw(st.sets(st.integers(1, k - 1), min_size=1)):
+            sizes[j] = 1
+        while _loop_work(sizes, ell) > 2000:
+            sizes[max(range(k), key=sizes.__getitem__)] -= 1
+        sys_, e, rng = _weighted_case(sizes, data.draw(st.integers(0, 2**31 - 1)))
+        values = rng.uniform(-1.0, 1.0, size=sizes)
+        if data.draw(st.booleans()):
+            values[rng.random(sizes) < 0.5] = 0.0
+        f = edge_function(sys_, e, values)
+        got = _box_power_recursive(sys_, e, f.values, ell)
+        assert got == _loop_power(sys_, e, f.values, ell)
+        assert math.copysign(1.0, got) == math.copysign(1.0, _loop_power(sys_, e, f.values, ell))
+
     @pytest.mark.parametrize("sizes,ell", [((3, 2), 2), ((2, 3, 2), 4), ((9, 3), 6)])
     def test_zero_and_all_negative(self, sizes, ell):
         sys_, e, rng = _weighted_case(sizes, seed=8)
@@ -560,3 +582,62 @@ class TestBatchedPeel:
         # A few arrays of one block (0.5 MB each) at a time.
         assert peak < 8 * 8 * BLOCK_CELLS
         assert got == _loop_power(sys_, e, f.values, 4)
+
+
+class TestPeelGuard:
+    """Peels that cannot run are refused before anything is allocated.
+
+    Each case first checks `_check_peel` alone, so that the peel itself
+    only runs once the refusal is known to come first.
+    """
+
+    def _refused(self, sys_, e, f, ell, match):
+        with pytest.raises(SizeCapExceeded, match=match):
+            _check_peel(sys_.edge_shape(e), ell)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapExceeded, match=match):
+                box_norm(sys_, e, f, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("ell", [1102, 2002, 20_000_002])
+    def test_coefficients_past_float_range(self, ell):
+        # binom(1102, 551) > 2**1024: the 2-atom plan has no float coefficients.
+        sys_ = uniform_system([2, 2], [(0, 1)])
+        f = edge_function(sys_, (0, 1), [[1.0, -0.5], [0.25, 2.0]])
+        self._refused(sys_, (0, 1), f, ell, "overflow a float")
+
+    def test_largest_float_coefficient_accepted(self):
+        # binom(1020, 510) < 2**1024 < binom(1030, 515).
+        _check_peel((1, 2), 1020)
+        with pytest.raises(SizeCapExceeded):
+            _check_peel((1, 2), 1030)
+
+    def test_cell_cap(self, monkeypatch):
+        import boxlab.boxnorm as bn
+
+        monkeypatch.setattr(bn, "GRID_CELL_CAP", 100)
+        _check_peel.cache_clear()
+        try:
+            sys_ = uniform_system([3, 4], [(0, 1)])
+            f = edge_function(sys_, (0, 1), np.ones((3, 4)))
+            # 35 multisets of 4 atoms out of 4, each a tensor of 3 cells.
+            self._refused(sys_, (0, 1), f, 4, "cell cap")
+        finally:
+            _check_peel.cache_clear()
+
+    def test_one_atom_coordinates_need_no_plan(self):
+        sys_ = uniform_system([2, 1], [(0, 1)])
+        f = edge_function(sys_, (0, 1), [[0.5], [0.25]])
+        _check_peel((2, 1), 20_000_002)
+        assert _box_power_recursive(sys_, (0, 1), f.values, 20_000_002) == 0.0
+
+    def test_overflowing_power_is_inf(self):
+        # 2.0 ** 2002 is past the float range: the power is inf, not an
+        # OverflowError.
+        sys_ = uniform_system([2], [(0,)])
+        f = edge_function(sys_, (0,), [2.0, 2.0])
+        assert _box_power_recursive(sys_, (0,), f.values, 2002) == math.inf

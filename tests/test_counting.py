@@ -1,13 +1,16 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab import counting
 from boxlab.boxnorm import REL_TOL, lp_box_norm
 from boxlab.counting import (
+    _product_norms,
     counting_lemma_certificate,
     ell_von_neumann,
     full_assignment,
@@ -391,3 +394,112 @@ class TestCertificateEnumeration:
         fam_g = signed_family(sys_, rng, -2.0, 2.0)
         assert_matches_reference(sys_, fam_f, fam_g, Exponent(2.0), oracle=False)
 
+
+
+WALK_SHAPES = {**ENUM_SHAPES, "star": [(0, 1), (0, 2), (0, 3)]}
+
+
+def per_choice_norms(system, sides, p):
+    """The walk's entries, one product_lp_norm per choice of edge states."""
+    out = []
+    for states in itertools.product(range(len(sides) + 1), repeat=len(system.edges)):
+        funcs = [
+            side[j] for s, side in enumerate(sides) for j, t in enumerate(states) if t == s + 1
+        ]
+        out.append(product_lp_norm(system, funcs, p))
+    return out
+
+
+def walk_system(rng, edges, atoms):
+    n = 1 + max(v for e in edges for v in e)
+    return make_system([rng.uniform(0.2, 2.0, size=atoms[v]) for v in range(n)], edges)
+
+
+def walk_sides(system, rng, count, zero=()):
+    """`count` sides of random tensors; tensor j of side s is zero if s * |E| + j in `zero`."""
+    edges = system.edges
+    return [
+        [
+            edge_function(
+                system,
+                e,
+                np.zeros(system.edge_shape(e))
+                if s * len(edges) + j in zero
+                else rng.uniform(-2.0, 2.0, size=system.edge_shape(e)),
+            )
+            for j, e in enumerate(edges)
+        ]
+        for s in range(count)
+    ]
+
+
+@st.composite
+def walk_case(draw):
+    shape = draw(st.sampled_from(sorted(WALK_SHAPES)))
+    edges = WALK_SHAPES[shape]
+    rng = np.random.Generator(np.random.Philox(key=draw(seeds)))
+    top = 2 if shape == "K4" else 3
+    atoms = [draw(st.integers(1, top)) for _ in range(1 + max(v for e in edges for v in e))]
+    system = walk_system(rng, edges, atoms)
+    count = draw(st.integers(1, 2))
+    zero = draw(st.sets(st.integers(0, count * len(edges) - 1), max_size=2))
+    return system, walk_sides(system, rng, count, zero), draw(st.sampled_from(ENUM_PS))
+
+
+class TestLevelWalk:
+    """`_product_norms` against one `product_lp_norm` per choice, bit for bit."""
+
+    @given(walk_case())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_choice(self, case):
+        system, sides, p = case
+        assert _product_norms(system, sides, p).tolist() == per_choice_norms(system, sides, p)
+
+    @pytest.mark.parametrize("cap", [1, 50, 300])
+    @pytest.mark.parametrize("p", [Exponent(2.0), INF], ids=repr)
+    def test_prefix_split(self, cap, p, monkeypatch):
+        # K4 with 2 atoms: 729 pairs of 16 cells, past every cap here, so the
+        # walk fixes the states of its first 6, 5 or 4 edges.
+        rng = np.random.Generator(np.random.Philox(key=14))
+        system = walk_system(rng, ENUM_SHAPES["K4"], [2, 2, 2, 2])
+        sides = walk_sides(system, rng, 2, zero={3})
+        want = _product_norms(system, sides, p).tolist()
+        assert want == per_choice_norms(system, sides, p)
+        monkeypatch.setattr(counting, "LIVE_CELLS", cap)
+        assert _product_norms(system, sides, p).tolist() == want
+
+    @pytest.mark.parametrize("p", [Exponent(2.0), INF], ids=repr)
+    def test_rows_past_one_block(self, p):
+        # 41**3 = 68,921 cells: each three-vertex product is summed through
+        # Grid.expect's block path, one row at a time.
+        rng = np.random.Generator(np.random.Philox(key=15))
+        system = walk_system(rng, ENUM_SHAPES["K3"], [41, 41, 41])
+        sides = walk_sides(system, rng, 2)
+        assert _product_norms(system, sides, p).tolist() == per_choice_norms(system, sides, p)
+
+    def test_no_edges(self):
+        system = make_system([[1.0, 2.0]], [])
+        assert _product_norms(system, [[], []], Exponent(2.0)).tolist() == [1.0]
+
+    def test_peak_memory_on_k5(self):
+        # K5 with 2 atoms: 3**10 pairs of 32 cells would be a 15 MB stack;
+        # the walk holds at most LIVE_CELLS cells of products at a time.
+        rng = np.random.Generator(np.random.Philox(key=16))
+        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        system = walk_system(rng, edges, [2] * 5)
+        sides = walk_sides(system, rng, 2)
+        p = Exponent(3.5)
+        assert 3**10 * 32 > 16 * counting.LIVE_CELLS
+        tracemalloc.start()
+        try:
+            values = _product_norms(system, sides, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The values, then a few arrays of at most LIVE_CELLS floats each:
+        # the stack, a gathered group and its magnitudes, row indices.
+        assert peak < values.nbytes + 8 * 8 * counting.LIVE_CELLS
+        for code in np.random.Generator(np.random.Philox(key=17)).integers(0, 3**10, size=200):
+            states = np.unravel_index(code, (3,) * 10)
+            funcs = [sides[s][j] for s in (0, 1) for j in range(10) if states[j] == s + 1]
+            assert values[code] == product_lp_norm(system, funcs, p)

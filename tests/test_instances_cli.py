@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,3 +501,58 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("boxlab ")
+
+
+@pytest.fixture
+def k4_pair(tmp_path):
+    """Two K4 instances on 2 atoms per vertex, with random signed tensors."""
+    rng = np.random.Generator(np.random.Philox(key=23))
+    system = make_system([[1.0, 2.0]] * 4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    paths = []
+    for name in ("f", "g"):
+        functions = {
+            e: edge_function(system, e, rng.uniform(-1.0, 1.0, size=(2, 2)))
+            for e in system.edges
+        }
+        paths.append(str(tmp_path / f"k4_{name}.json"))
+        save_instance(paths[-1], system, functions)
+    return paths
+
+
+class TestCliLargeReplicaCounts:
+    """Replica counts whose peel cannot run exit 3 before anything is allocated.
+
+    The replica count of each command is checked against `_check_peel` first,
+    so the command only runs once its refusal is known to come first.
+    """
+
+    @pytest.mark.parametrize(
+        "command,ell",
+        [
+            (["vonneumann", "--C", "2", "--p", "1.001"], 2002),
+            (["norm", "--edge", "0", "--ell", "2002"], 2002),
+            (["counting", "--C", "2", "--p", "1.0000001"], 20_000_002),
+        ],
+    )
+    def test_exits_3(self, k4_pair, capsys, command, ell):
+        from boxlab.boxnorm import _check_peel
+        from boxlab.counting import ell_von_neumann
+        from boxlab.errors import SizeCapExceeded
+        from boxlab.spaces import Exponent
+
+        if "--p" in command:
+            assert ell_von_neumann(3, Exponent(float(command[-1]))) == ell
+        with pytest.raises(SizeCapExceeded):
+            _check_peel((2, 2), ell)
+        argv = command + ["--instance", k4_pair[0]]
+        if command[0] == "counting":
+            argv += ["--instance2", k4_pair[1]]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out is None
+        assert err["error"] == "SizeCapExceeded"
+        assert peak < 4 << 20

@@ -17,6 +17,7 @@ from boxlab.spaces import (
     INF,
     Exponent,
     Grid,
+    _grid_lp_norms,
     as_edge,
     checked_power,
     constant_function,
@@ -308,3 +309,53 @@ class TestGridExpect:
         g = Grid(sys_, [(0, 0)])
         f = [g.lift((0,), rng.uniform(-1.0, 1.0, size=70000), (0,))]
         assert abs(g.expect(f) - _materialised(g, f)) <= 1e-12
+
+
+def _reference_lp(row, p, grid):
+    """One row's L_p norm through `Grid.expect`, as a one-tensor norm takes it."""
+    mag = np.abs(row.reshape(grid.shape))
+    m = float(np.max(mag))
+    if p.is_inf or m == 0.0:
+        return m
+    mean = grid.expect([np.power(mag / m, p.value)])
+    return m * math.exp(math.log(mean) / p.value) if mean > 0.0 else 0.0
+
+
+LP_PS = [Exponent(1.0), Exponent(1.5), Exponent(2.0), Exponent(3.5), Exponent(2.0**20), INF]
+
+
+class TestGridLpNorms:
+    """The batched L_p kernel against `Grid.expect`, one row at a time, bit for bit."""
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        st.integers(1, 5),
+        st.sampled_from(LP_PS),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_rows_match_expect(self, atoms, count, p, seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        sys_ = make_system([rng.uniform(0.2, 2.0, size=z) for z in atoms], [(0,)])
+        grid = Grid(sys_, [(v, 0) for v in range(len(atoms))])
+        rows = rng.uniform(-2.0, 2.0, size=(count, grid.cells))
+        rows[rng.random(count) < 0.2] = 0.0
+        got = _grid_lp_norms(rows, p, lambda: grid)
+        assert got == [_reference_lp(row, p, grid) for row in rows]
+
+    @pytest.mark.parametrize("p", [Exponent(2.0), Exponent(3.5), INF], ids=repr)
+    def test_rows_past_one_block(self, p):
+        rng = np.random.Generator(np.random.Philox(key=9))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=41) for _ in range(3)], [(0,)])
+        grid = Grid(sys_, [(0, 0), (1, 0), (2, 0)])
+        assert grid.cells > 1 << 16
+        rows = rng.uniform(-2.0, 2.0, size=(2, grid.cells))
+        got = _grid_lp_norms(rows, p, lambda: grid)
+        assert got == [_reference_lp(row, p, grid) for row in rows]
+
+    def test_lp_norm_is_one_row(self):
+        rng = np.random.Generator(np.random.Philox(key=10))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=z) for z in (3, 4)], [(0, 1)])
+        f = edge_function(sys_, (0, 1), rng.uniform(-2.0, 2.0, size=(3, 4)))
+        grid = Grid(sys_, [(0, 0), (1, 0)])
+        for p in LP_PS:
+            assert lp_norm(sys_, (0, 1), f, p) == _reference_lp(f.values, p, grid)
