@@ -20,6 +20,9 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   their cut norms are exact and every C2b selector choice falls back to
   the heuristic.  The third, written as plain JSON, has a zero edge, so
   the choices of one C2b sup problem split between exact and heuristic;
+- `pseudorandom check` in exact and auto mode against psi = ones on two
+  K3 instances whose nu is one on one edge, so C2b selector choices tie
+  exactly: one with 3 atoms per vertex, one with 3, 3 and 1;
 - `norm --method recursive`, `norm --p 2` and `gcs` on three one-edge
   instances that no workload reaches: a 2-edge with 9 atoms on its first
   vertex (rows long enough for numpy's pairwise sum), a 3-edge at ell=6,
@@ -119,6 +122,30 @@ def mixed_auto_cases() -> list:
     return commands
 
 
+def tie_cases() -> list:
+    """Write two K3 instances whose nu is one on edge (1, 2); their exact and auto checks.
+
+    Against psi = ones, the nu and one bounds of every slot on (1, 2) are
+    equal, so the C2b selector choices of the other edges tie exactly and
+    the first in `itertools.product` order must stay the witness.  One has
+    3 atoms per vertex (exact runs out of budget), the other 3, 3 and 1.
+    """
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    commands = []
+    for name, atoms, scale in (("tie3", (3, 3, 3), 0.05), ("tie331", (3, 3, 1), 0.5)):
+        spaces = [rng.uniform(0.5, 1.5, size=z).tolist() for z in atoms]
+        shapes = [(atoms[a], atoms[b]) for a, b in K3]
+        nu = [(1.0 + scale * rng.uniform(-1.0, 1.0, size=z)).tolist() for z in shapes[:2]]
+        write_instance(f"{name}.json", spaces, nu + [np.ones(shapes[2]).tolist()])
+        write_instance(f"{name}_ones.json", spaces, [np.ones(z).tolist() for z in shapes])
+        for mode in ("exact", "auto"):
+            argv = ["pseudorandom", "check", "--instance", f"{name}.json",
+                    "--psi", f"{name}_ones.json", "--mode", mode,
+                    "--C", "2", "--eta", "0.5", "--p", "2"]
+            commands.append((f"pseudorandom check {mode} {name}", argv))
+    return commands
+
+
 def peel_cases() -> list:
     """Write one-edge instances for the recursive peel; their `norm` and `gcs` commands."""
     rng = np.random.Generator(np.random.Philox(key=SEED))
@@ -162,7 +189,8 @@ def run_tree(tree: str, out_path: str) -> None:
             os.mkdir(name)
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
-        commands += certificate_cases() + walk_cases() + mixed_auto_cases() + peel_cases()
+        commands += (certificate_cases() + walk_cases() + mixed_auto_cases() + tie_cases()
+                     + peel_cases())
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

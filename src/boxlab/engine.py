@@ -43,7 +43,14 @@ carry several labeled candidate bounds: the sup is then the max over every
 choice of one candidate per slot, each choice solved on the same grid, base
 vector and rows in `itertools.product` order (first slot slowest).  The
 first strictly largest value wins, so ties keep the earliest choice, and
-the result is certified only if every choice was solved exactly.
+the result is certified only if every choice was solved exactly.  The
+choices share one search context: each candidate's row sums, subset tables
+and pair rows are built once, when a choice first reads them, and each
+choice's incumbent is seeded from the best value of the choices before it
+(see `exact_boxed_max`).  A choice whose root bound cannot beat that seed
+costs one unit of budget and builds nothing.  Seeding returns the same
+winner as a cold search and never adds work, so a seeded choice may finish
+where a cold one would have run out of budget.
 
 The cap bounds the search work of each choice; past it exact refuses only
 when the budget runs out.  Up to the cap the search runs unbudgeted.  Past
@@ -147,6 +154,51 @@ def _fitting_bits(atoms: int, width: int) -> int:
     return bits
 
 
+class _Tables:
+    """Row sums, low subset tables and pair rows, each built once per row matrix.
+
+    One instance serves every choice of a sup problem, so a candidate's
+    tables are built by the first choice that reads them and shared by the
+    rest.  Entries are keyed by the identities of their row matrices and
+    keep those matrices alive.
+    """
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def _get(self, kind: str, rows, build):
+        key = (kind,) + tuple(map(id, rows))
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = (rows, build(*rows))
+        return entry[1]
+
+    def row_sum(self, rows: np.ndarray) -> np.ndarray:
+        return self._get("sum", (rows,), lambda r: np.sum(r, axis=0))
+
+    def low(self, rows: np.ndarray) -> np.ndarray:
+        """Subset sums of the low atoms whose subset sums fit a chunk."""
+        return self._get(
+            "low", (rows,), lambda r: subset_rows(r[:_fitting_bits(r.shape[0], r.shape[1])])
+        )
+
+    def pair(self, pre: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """pair[(u, t)] = pre[u] * last[t]."""
+        return self._get(
+            "pair", (pre, last),
+            lambda a, b: (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1]),
+        )
+
+
+def _sum_roundings(n: int) -> int:
+    """Most roundings one term meets in numpy's sum of n terms.
+
+    Below 8 terms the sum is sequential; up to 128 it keeps eight running
+    sums, joins them pairwise and adds the remainder; above, it halves.
+    """
+    return n if n < 8 else 25 + n.bit_length()
+
+
 class _Search:
     """One depth-first branch-and-bound run for the first maximizing masks.
 
@@ -154,40 +206,51 @@ class _Search:
     in closed form, for every mask of slot j at once by linearity.  `run`
     raises SizeCapExceeded once the work charged passes `budget`: one per
     prefix whose bound is evaluated, and 2**(atoms of slots j..k-1) per
-    prefix whose remaining slots are closed.
+    prefix whose remaining slots are closed.  Subset tables and pair rows
+    come from `tables` when the search first reads them.
     """
 
-    def __init__(self, base: np.ndarray, slot_rows, budget):
+    def __init__(self, base: np.ndarray, slot_rows, budget, tables: _Tables):
         self.base, self.slot_rows, self.budget = base, slot_rows, budget
+        self.tables = tables
         k = len(slot_rows)
         self.cells = cells = base.shape[0]
         self.j = j = max(k - 2, 0)
         self.last = last = slot_rows[-1]
         # reach[d]: per cell, the largest product slots d..k-1 can put there.
-        self.reach = [np.prod([np.sum(r, axis=0) for r in slot_rows[j:]], axis=0)]
-        for rows in reversed(slot_rows[:j]):
-            self.reach.insert(0, self.reach[0] * np.sum(rows, axis=0))
-        # Subset sums of each enumerated slot's low atoms, one block at a time.
-        self.low = [
-            subset_rows(rows[:_fitting_bits(rows.shape[0], cells)])
-            for rows in slot_rows[:j]
-        ]
-        # pair[(u, t)] = pre[u] * last[t]: the last slot's coefficients under
-        # mask m of the slot before it are the sums over u in m of
-        # sum_p v_p * pair[(u, t), p].
-        if k == 1:
-            self.pre_atoms, self.pair = 0, last
-        else:
-            pre = slot_rows[-2]
-            self.pre_atoms = pre.shape[0]
-            self.pair = (pre[:, None, :] * last[None, :, :]).reshape(-1, cells)
+        sums = [tables.row_sum(rows) for rows in slot_rows]
+        self.reach = [np.prod(sums[j:], axis=0)]
+        for row_sum in reversed(sums[:j]):
+            self.reach.insert(0, self.reach[0] * row_sum)
+        # The last slot's coefficients under mask m of the slot before it
+        # are the sums over u in m of sum_p v_p * pair[(u, t), p].
+        self.pre_atoms = 0 if k == 1 else slot_rows[-2].shape[0]
         self.pre_bits = bits = _fitting_bits(self.pre_atoms, last.shape[0])
         # Rows closed per block.  When slot j's masks come in several blocks,
         # one row at a time keeps the vertices in ascending order.
-        per_row = max(self.pair.shape[0] * cells, (1 << bits) * last.shape[0])
+        per_row = max(max(self.pre_atoms, 1) * last.shape[0] * cells,
+                      (1 << bits) * last.shape[0])
         self.chunk_rows = max(1, CHUNK_ELEMS // per_row) if bits == self.pre_atoms else 1
         self.best = (0.0, (0,) * k)  # the first vertex: every mask empty
         self.used = 0
+
+    def floor_margin(self) -> float:
+        """A bound on |search value - recomputed value| at any one vertex.
+
+        Both round the same exact terms base_p * prod_s g_s(p), whose
+        absolute sum is at most S = sum |base * reach[0]|.  Each term meets
+        k products in either route.  The search then sums cells into
+        coefficients, the slot before the last's atoms into its mask's
+        coefficients and the last slot's atoms into the value; the
+        recomputation sums cells once.  That is at most n roundings of
+        relative size eps / 2 per term in all, and n * eps * S covers
+        them twice over: once more for the rounding of S itself and of
+        the floor subtracted from.
+        """
+        n = (2 * len(self.slot_rows) + 2 * _sum_roundings(self.cells)
+             + self.pre_atoms + _sum_roundings(self.last.shape[0]) + 2)
+        total = float(np.sum(np.abs(self.base * self.reach[0])))
+        return n * float(np.finfo(np.float64).eps) * total
 
     def _charge(self, combos: int) -> None:
         if self.budget is not None:
@@ -198,7 +261,15 @@ class _Search:
                     f" ran past its budget of {self.budget}"
                 )
 
-    def run(self) -> tuple[int, ...]:
+    def run(self, floor: float = 0.0) -> tuple[int, ...]:
+        """First maximizing masks, or the empty masks if none can beat floor.
+
+        The incumbent starts at floor less `floor_margin`, so a vertex
+        whose recomputed value passes floor still beats it (see
+        `exact_boxed_max`).
+        """
+        if floor > 0.0:
+            self.best = (max(floor - self.floor_margin(), 0.0), self.best[1])
         self._charge(1)
         if _bound(self.base[None, :], self.reach[0])[0] > self.best[0]:
             self._node(self.base, 0, ())
@@ -206,10 +277,11 @@ class _Search:
 
     def _closed_forms(self, sub):
         """(first pre mask, coefficients[row, pre mask offset, t]) blocks."""
-        m = (sub[:, None, :] * self.pair[None, :, :]).sum(axis=2)
         if len(self.slot_rows) == 1:
-            yield 0, m[:, None, :]
+            yield 0, (sub[:, None, :] * self.last[None, :, :]).sum(axis=2)[:, None, :]
             return
+        pair = self.tables.pair(self.slot_rows[-2], self.last)
+        m = (sub[:, None, :] * pair[None, :, :]).sum(axis=2)
         bits = self.pre_bits
         m = np.moveaxis(m.reshape(-1, self.pre_atoms, self.last.shape[0]), 1, 0)
         low_sums = np.moveaxis(subset_rows(m[:bits]), 0, 1)
@@ -250,11 +322,12 @@ class _Search:
         inner = self.slot_rows[d:self.j]
         if d == self.j or _total_combos(inner) * self.cells <= CHUNK_ELEMS:
             block = vec[None, :]
-            for table in self.low[d:]:
+            for table in map(self.tables.low, inner):
                 block = (block[:, None, :] * table[None, :, :]).reshape(-1, self.cells)
             self._leaves(block, prefix, [1 << rows.shape[0] for rows in inner], 0)
             return
-        rows, table = self.slot_rows[d], self.low[d]
+        rows = self.slot_rows[d]
+        table = self.tables.low(rows)
         bits = table.shape[0].bit_length() - 1
         for hi in range(1 << (rows.shape[0] - bits)):
             block = vec * (table + _mask_row(rows[bits:], hi))
@@ -268,15 +341,38 @@ class _Search:
                     self._node(block[lo], d + 1, prefix + ((hi << bits) | lo,))
 
 
-def exact_boxed_max(base: np.ndarray, slot_rows, cap: int = COMBO_CAP) -> SupResult:
+def exact_boxed_max(
+    base: np.ndarray,
+    slot_rows,
+    cap: int = COMBO_CAP,
+    floor: float = 0.0,
+    tables: _Tables | None = None,
+) -> SupResult:
     """First maximizing vertex, by branch-and-bound; a certificate.
 
     Past the cap the search runs on a budget of cap and raises
     SizeCapExceeded when it runs out.
+
+    A positive floor seeds the incumbent at floor less
+    `_Search.floor_margin`, a bound on the gap between a vertex's search
+    value and its recomputed value.  The result is then the unseeded one
+    whenever that one's value exceeds floor, and otherwise either it or
+    the empty masks, so its value is at most floor.  The unseeded winner w
+    has the largest search value M, and M is above the seed whenever w's
+    recomputed value is above floor.  Every prefix holding w has a
+    bound plus slack of at least M, so it is kept, and every vertex before
+    w has a smaller search value, or w would not be first.  The seeded
+    incumbent is never below the unseeded one at the same point of the
+    search, so the seeded run evaluates a subset of the prefixes and
+    charges no more of the budget.  tables shares row sums, subset tables
+    and pair rows between calls on the same row matrices.
     """
     combos = _total_combos(slot_rows)
     budget = cap if combos > cap else None
-    masks = _Search(base, slot_rows, budget).run() if slot_rows else ()
+    masks = ()
+    if slot_rows:
+        search = _Search(base, slot_rows, budget, _Tables() if tables is None else tables)
+        masks = search.run(floor)
     signed = _vertex_value(base, [_mask_row(r, m) for r, m in zip(slot_rows, masks)])
     return SupResult(abs(signed), signed, masks, "exact", combos, 0)
 
@@ -455,16 +551,6 @@ def _candidate_rows(problem: SupProblem, grid: Grid):
     ]
 
 
-def _solve_choice(base_vec, rows, mode, restarts, seed, cap) -> SupResult:
-    if mode != "heuristic":
-        try:
-            return exact_boxed_max(base_vec, rows, cap=cap)
-        except SizeCapExceeded:
-            if mode == "exact":
-                raise
-    return heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
-
-
 def sup_multilinear(
     problem: SupProblem,
     mode: str = "exact",
@@ -484,9 +570,20 @@ def sup_multilinear(
     )
     digits = digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
     base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
+    tables = _Tables()
     best, combos, certified = None, 0, True
     for choice in itertools.product(*_candidate_rows(problem, grid)):
-        res = _solve_choice(base_vec, [r for _, r in choice], mode, restarts, seed, cap)
+        rows = [r for _, r in choice]
+        res = None
+        if mode != "heuristic":
+            floor = 0.0 if best is None else best.value
+            try:
+                res = exact_boxed_max(base_vec, rows, cap=cap, floor=floor, tables=tables)
+            except SizeCapExceeded:
+                if mode == "exact":
+                    raise
+        if res is None:
+            res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
         combos += res.combos
         certified = certified and res.certified
         if best is None or res.value > best.value:

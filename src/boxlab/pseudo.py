@@ -58,6 +58,7 @@ from .errors import (
     WrongHypergraph,
 )
 from .spaces import (
+    BLOCK_CELLS,
     EdgeFunction,
     Exponent,
     Grid,
@@ -458,23 +459,38 @@ def linear_forms_deviation(
         budget = 1 << 22
         while lo_bits > 0 and (1 << lo_bits) * cells > budget:
             lo_bits -= 1
+        # Row (hi, lo) is wvec times the hi factors, then factors 0..lo_bits-1
+        # ascending.  Each block doubles over the factors above the lowest
+        # `fixed`, which an outer loop multiplies in first, so a block
+        # holds at most BLOCK_CELLS elements; a block's row r is low mask
+        # (r << fixed) | mid.  An exact tie in value keeps the smaller mask,
+        # as an ascending scan would.
+        fixed = lo_bits
+        while fixed > 0 and (1 << (lo_bits - fixed + 1)) * cells <= BLOCK_CELLS:
+            fixed -= 1
+        block = np.empty((1 << (lo_bits - fixed), cells))
         best_min = (math.inf, 0)
         best_max = (-math.inf, 0)
         for hi in range(1 << (count - lo_bits)):
-            vec = wvec.copy()
+            top = wvec.copy()
             for k in range(count - lo_bits):
                 if (hi >> k) & 1:
-                    vec *= flat[lo_bits + k]
-            block = vec[None, :]
-            for f in range(lo_bits):
-                block = np.concatenate([block, block * flat[f][None, :]])
-            vals = np.sum(np.ascontiguousarray(block), axis=1)
-            i_min = int(np.argmin(vals))
-            i_max = int(np.argmax(vals))
-            if float(vals[i_min]) < best_min[0]:
-                best_min = (float(vals[i_min]), (hi << lo_bits) | i_min)
-            if float(vals[i_max]) > best_max[0]:
-                best_max = (float(vals[i_max]), (hi << lo_bits) | i_max)
+                    top *= flat[lo_bits + k]
+            for mid in range(1 << fixed):
+                block[0] = top
+                for k in range(fixed):
+                    if (mid >> k) & 1:
+                        block[0] *= flat[k]
+                for f in range(fixed, lo_bits):
+                    rows = 1 << (f - fixed)
+                    np.multiply(block[:rows], flat[f], out=block[rows:2 * rows])
+                vals = np.sum(block, axis=1)
+                low = (hi << lo_bits) | mid
+                i = int(np.argmin(vals))
+                best_min = min(best_min, (float(vals[i]), low | (i << fixed)))
+                i = int(np.argmax(vals))
+                best_max = max(best_max, (float(vals[i]), low | (i << fixed)),
+                               key=lambda pair: (pair[0], -pair[1]))
         checked = 1 << count
         exact = True
     else:
@@ -840,9 +856,10 @@ def selector_correlation_sup(
     candidate bound per label of a single `SupProblem`.  Returns the max
     with its selector assignment and masks; ties keep the first choice in
     `itertools.product` order (labels sorted, first slot slowest).  Each
-    choice has its own budget of cap, and the max is certified only if
-    every choice was solved exactly: a heuristic choice's value is only a
-    lower bound on its sup.
+    choice has its own budget of cap, its search seeded with the best value
+    of the choices before it, and the max is certified only if every choice
+    was solved exactly: a heuristic choice's value is only a lower bound on
+    its sup.
     """
     e = as_edge(e)
     slots = _selector_slots(system, e, bound_families, ell, exclude_pair)

@@ -1,8 +1,9 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab import engine
@@ -68,6 +69,36 @@ def exact_at_chunk(base, rows, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "CHUNK_ELEMS", chunk)
         return exact_boxed_max(base, rows)
+
+
+def _loop_sup(problem, mode="exact", restarts=32, seed=0, cap=engine.COMBO_CAP):
+    """The per-choice reference: one cold exact_boxed_max per candidate
+    choice, no floor and no shared tables, auto falling back per choice."""
+    kernel = problem.kernel
+    grid = engine.sup_grid(
+        problem.system,
+        problem.base_edge,
+        [(kernel.edge, problem.kernel_replica)] + [(s.edge, s.replica) for s in problem.slots],
+    )
+    digits = engine.digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
+    base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
+    best, combos, certified = None, 0, True
+    for choice in itertools.product(*engine._candidate_rows(problem, grid)):
+        rows = [r for _, r in choice]
+        res = None
+        if mode != "heuristic":
+            try:
+                res = exact_boxed_max(base_vec, rows, cap=cap)
+            except SizeCapExceeded:
+                if mode == "exact":
+                    raise
+        if res is None:
+            res = heuristic_boxed_max(base_vec, rows, restarts=restarts, seed=seed)
+        combos += res.combos
+        certified = certified and res.certified
+        if best is None or res.value > best.value:
+            best = dataclasses.replace(res, labels=tuple(label for label, _ in choice))
+    return dataclasses.replace(best, mode="exact" if certified else "heuristic", combos=combos)
 
 
 def random_problem(seed, n_slots=2, cells=5, max_atoms=3):
@@ -274,9 +305,9 @@ class TestAutoBudget:
         calls = []
         real = engine.exact_boxed_max
 
-        def spy(base, rows, cap):
+        def spy(base, rows, cap, **kw):
             calls.append(cap)
-            return real(base, rows, cap=cap)
+            return real(base, rows, cap=cap, **kw)
 
         monkeypatch.setattr(engine, "exact_boxed_max", spy)
         res = sup_multilinear(k3_problem(np.zeros((3, 3)), 3), mode="auto", cap=1 << 10)
@@ -339,8 +370,8 @@ class TestCandidateBounds:
         calls = []
         real = engine.exact_boxed_max
 
-        def spy(base, rows, cap):
-            out = real(base, rows, cap=cap)
+        def spy(base, rows, cap, **kw):
+            out = real(base, rows, cap=cap, **kw)
             calls.append(out)
             return out
 
@@ -349,3 +380,124 @@ class TestCandidateBounds:
         res = sup_multilinear(k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2))
         assert len(calls) == 1
         assert res == dataclasses.replace(calls[0], labels=("",) * 4)
+
+
+# Slot pool of the drawn problems: base edge (0, 1) of K3, slots on the
+# other two edges at replicas 0 and 1.
+SLOT_POOL = (((0, 2), 0), ((1, 2), 0), ((0, 2), 1), ((1, 2), 1))
+BOUND_KINDS = ("one", "ones", "rand", "half", "big")
+
+
+@st.composite
+def sup_problems(draw):
+    """Random candidate-bound problems: 1-3 atoms per vertex, 1-4 slots of
+    at most 14 atoms in all, 1-3 candidates per slot.  "ones" is an explicit all-ones bound, so it
+    ties "one" exactly; kernels may be zero or all negative."""
+    seed = draw(seeds)
+    atoms = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sys_ = make_system([rng.uniform(0.5, 1.5, size=a) for a in atoms],
+                       [(0, 1), (0, 2), (1, 2)])
+    placed = draw(st.lists(st.sampled_from(SLOT_POOL), min_size=1, max_size=4, unique=True))
+    slots, total_atoms = [], 0
+    for edge, replica in placed:
+        shape = sys_.edge_shape(edge)
+        total_atoms += int(np.prod(shape))
+        if slots and total_atoms > 14:  # keep every search small
+            break
+        kinds = draw(st.lists(st.sampled_from(BOUND_KINDS), min_size=1, max_size=3,
+                              unique=True))
+        bounds = []
+        for kind in kinds:
+            values = {
+                "one": None,
+                "ones": np.ones(shape),
+                "rand": rng.uniform(0.0, 2.0, size=shape),
+                "half": np.full(shape, 0.5),
+                "big": rng.uniform(1.0, 3.0, size=shape),
+            }[kind]
+            bounds.append((kind, None if values is None else edge_function(sys_, edge, values)))
+        slots.append(Slot(edge, replica, tuple(bounds)))
+    kernel_kind = draw(st.sampled_from(["signed", "zero", "negative", "integer"]))
+    shape = sys_.edge_shape((0, 1))
+    values = {
+        "signed": lambda: rng.uniform(-1.0, 1.0, size=shape),
+        "zero": lambda: np.zeros(shape),
+        "negative": lambda: -rng.uniform(0.1, 1.0, size=shape),
+        "integer": lambda: rng.integers(-1, 2, size=shape).astype(float),
+    }[kernel_kind]()
+    kernel = edge_function(sys_, (0, 1), values)
+    return SupProblem(sys_, (0, 1), 2, kernel, tuple(slots))
+
+
+def seeded_or_cap(problem, **kw):
+    """sup_multilinear's result, or SizeCapExceeded when it raised."""
+    try:
+        return sup_multilinear(problem, **kw)
+    except SizeCapExceeded as exc:
+        return exc
+
+
+class TestSearchContext:
+    @settings(max_examples=40)
+    @given(sup_problems())
+    def test_matches_per_choice_loop(self, problem):
+        want = _loop_sup(problem)
+        assert sup_multilinear(problem) == want
+        assert sup_multilinear(problem, mode="auto", restarts=2) == want
+
+    @settings(max_examples=40)
+    @given(sup_problems(), st.sampled_from([1, 1 << 4, 1 << 8]))
+    def test_tiny_caps_only_move_heuristic_to_exact(self, problem, cap):
+        # A seeded choice does no more work than a cold one, so it may now
+        # finish where the loop ran out of budget; nothing else may move.
+        want = _loop_sup(problem, mode="auto", restarts=2, cap=cap)
+        got = sup_multilinear(problem, mode="auto", restarts=2, cap=cap)
+        assert got.combos == want.combos
+        if got != want:
+            assert want.mode == "heuristic"
+            assert got.value >= want.value * (1.0 - 1e-12)
+        if got.mode == "heuristic":
+            assert want.mode == "heuristic"
+        try:
+            want = _loop_sup(problem, cap=cap)
+        except SizeCapExceeded:
+            got = seeded_or_cap(problem, cap=cap)
+            assert isinstance(got, SizeCapExceeded) or got.mode == "exact"
+        else:
+            assert sup_multilinear(problem, cap=cap) == want
+
+    @given(seeds, st.sampled_from([3, 4]), st.floats(0.0, 1.5))
+    def test_floor_keeps_results_above_it(self, seed, n_slots, scale):
+        # Past the floor the seeded search is the cold one; below it the
+        # value stays at most the floor, and it never needs more budget.
+        base, rows = random_problem(seed, n_slots=n_slots)
+        cold = exact_boxed_max(base, rows)
+        for floor in (scale * cold.value, cold.value, np.nextafter(cold.value, 0.0)):
+            seeded = exact_boxed_max(base, rows, floor=floor)
+            if cold.value > floor:
+                assert seeded == cold
+            else:
+                assert seeded.value <= floor
+            for cap in (1 << 4, 1 << 6, 1 << 8):
+                try:
+                    exact_boxed_max(base, rows, cap=cap)
+                except SizeCapExceeded:
+                    continue
+                exact_boxed_max(base, rows, cap=cap, floor=floor)
+
+    def test_tying_choice_keeps_the_first(self):
+        # "one" and "ones" bound every slot identically, so all four
+        # choices tie exactly: the first, ("one", "one"), must win.
+        rng = np.random.Generator(np.random.Philox(key=4))
+        base = k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2)
+        sys_ = base.system
+        slots = tuple(
+            Slot(s.edge, s.replica,
+                 (("one", None), ("ones", edge_function(sys_, s.edge, np.ones((2, 2))))))
+            for s in base.slots[:2]
+        )
+        problem = SupProblem(sys_, (0, 1), 2, base.kernel, slots)
+        res = sup_multilinear(problem)
+        assert res.labels == ("one", "one")
+        assert res == _loop_sup(problem)

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab import pseudo
 from boxlab.boxnorm import REL_TOL
 from boxlab.counting import full_assignment
 from boxlab.engine import digits_for, sup_grid
@@ -43,7 +45,7 @@ from boxlab.pseudo import (
     sum_family_certificate,
     near_majorant_certificate,
 )
-from boxlab.spaces import INF, Exponent, constant_function, edge_function, make_system
+from boxlab.spaces import INF, Exponent, Grid, constant_function, edge_function, make_system
 
 from oracles import conditional_brute, deviation_brute, sup_correlation_brute
 
@@ -316,12 +318,9 @@ class TestConditionChecks:
         assert rep.mode == "heuristic"
         assert rep.witness["mode"] == "heuristic"
 
-    def test_c2b_auto_uncertified_when_choices_split(self):
-        # Only edge (0, 1) has a nonzero kernel.  Under cap 2**15 its
-        # selector choices split: the spiky nu bounds get pruned and stay
-        # exact, with the largest auto value (0.22), while three choices
-        # run out of budget and report heuristic lower bounds.  Their true
-        # sup (0.54) exceeds eta, so the auto verdict must not be "true".
+    @staticmethod
+    def split_instance():
+        """K3 where only edge (0, 1) has a nonzero kernel; its sup is 0.54."""
         sys_ = k3_system(2)
         spike = np.zeros((2, 2))
         spike[0, 0] = 1.2
@@ -330,13 +329,31 @@ class TestConditionChecks:
         psi = {(0, 1): constant_function(sys_, (0, 1), 1.0)}
         for e in ((0, 2), (1, 2)):
             nu[e] = psi[e] = edge_function(sys_, e, spike)
-        params = PseudoParams(1.5, 0.3, Exponent(2.0))
-        rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2, cap=2**15)
+        return sys_, nu, psi, PseudoParams(1.5, 0.3, Exponent(2.0))
+
+    def test_c2b_auto_uncertified_when_choices_split(self):
+        # Under cap 2**12 the selector choices of edge (0, 1) split: the
+        # spiky nu bounds get pruned and stay exact, while the others run
+        # out of budget and report heuristic lower bounds (the largest is
+        # 0.19).  Their true sup (0.54) exceeds eta, so the auto verdict
+        # must not be "true".
+        sys_, nu, psi, params = self.split_instance()
+        rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2, cap=2**12)
         assert rep.worst_value < params.eta
         assert rep.verdict == "unknown" and rep.mode == "heuristic"
         assert rep.witness["mode"] == "heuristic"
         exact = check_C2b(sys_, nu, psi, params, mode="exact")
         assert exact.verdict == "false" and exact.worst_value > params.eta
+
+    def test_c2b_auto_seeded_choices_finish(self):
+        # Under cap 2**15 each choice is seeded with the best value of the
+        # choices before it, prunes more and finishes within its budget, so
+        # auto is the exact result.
+        sys_, nu, psi, params = self.split_instance()
+        rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2, cap=2**15)
+        exact = check_C2b(sys_, nu, psi, params, mode="exact")
+        assert rep.verdict == "false" and rep.mode == "exact"
+        assert rep == exact
 
     def test_c2b_value_and_witness_match_brute(self):
         # One replica: every other edge is one slot bounded by nu or by one.
@@ -425,6 +442,78 @@ class TestLinearFormsDeviation:
         assert math.isclose(
             rep.eta, max(hi - 1.0, 1.0 - lo, 0.0), rel_tol=1e-10, abs_tol=1e-14
         )
+
+    @staticmethod
+    def plain_scan(system, fam, ell):
+        """Every mask ascending: wvec times its factors ascending, one sum
+        each; the first extreme wins.  The module's order when all masks
+        fit one doubling, as they do below 2**22 elements."""
+        factors = [(e, d) for e in system.edges
+                   for d in itertools.product(range(ell), repeat=len(e))]
+        coords = sorted({v for e in system.edges for v in e})
+        grid = Grid(system, [(v, m) for v in coords for m in range(ell)])
+        wvec = np.broadcast_to(grid.weight_tensor(), grid.shape).reshape(-1)
+        flat = [np.broadcast_to(grid.lift(e, fam[e].values, d), grid.shape).reshape(-1)
+                for e, d in factors]
+        best_min, best_max = (math.inf, 0), (-math.inf, 0)
+        for mask in range(1 << len(factors)):
+            vec = wvec.copy()
+            for k in range(len(factors)):
+                if (mask >> k) & 1:
+                    vec *= flat[k]
+            val = float(np.sum(vec))
+            if val < best_min[0]:
+                best_min = (val, mask)
+            if val > best_max[0]:
+                best_max = (val, mask)
+        return best_min, best_max
+
+    @given(seeds, st.sampled_from([1, 4, 16, 64]), st.booleans())
+    @settings(max_examples=20)
+    def test_blocked_scan_matches_plain_loop(self, seed, block, integer):
+        # A small block forces the outer loop over the lowest factors;
+        # integer tensors make exact ties between patterns.
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        n_edges = int(rng.integers(1, 3))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=int(rng.integers(1, 4)))
+                            for _ in range(3)], [(0, 1), (1, 2)][:n_edges])
+        fam = {}
+        for e in sys_.edges:
+            shape = sys_.edge_shape(e)
+            vals = (rng.integers(0, 3, size=shape).astype(float) if integer
+                    else rng.uniform(0.0, 2.0, size=shape))
+            fam[e] = edge_function(sys_, e, vals)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pseudo, "BLOCK_CELLS", block)
+            rep = linear_forms_deviation(sys_, fam, 2)
+        want_min, want_max = self.plain_scan(sys_, fam, 2)
+        assert (rep.min_value, int(rep.witness_min["mask"], 16)) == want_min
+        assert (rep.max_value, int(rep.witness_max["mask"], 16)) == want_max
+
+    @pytest.mark.parametrize("block", [1, 64, pseudo.BLOCK_CELLS])
+    def test_all_ones_witnesses_are_the_empty_pattern(self, block):
+        # Every pattern ties at 1, so both witnesses keep mask 0x0.
+        sys_ = k3_system()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pseudo, "BLOCK_CELLS", block)
+            rep = linear_forms_deviation(sys_, ones_family(sys_), 2)
+        assert rep.witness_min == {"mask": "0x0", "factors": []}
+        assert rep.witness_max == {"mask": "0x0", "factors": []}
+
+    def test_sum_family_scan_stays_within_one_block(self):
+        # The thm42 shape: K3, 2 atoms, ell = 2, 4,096 patterns of 64 cells.
+        # One block of BLOCK_CELLS elements is 0.5 MB; the whole doubling
+        # was 4 MB.
+        system, lam, _ = generate(GenSpec(n=3, r=2, atoms=2, kind="perturbed_ones",
+                                          seed=109, epsilon=1e-11))
+        tracemalloc.start()
+        try:
+            rep = linear_forms_deviation(system, lam, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.patterns_checked == 1 << 12 and rep.exact
+        assert peak < 1_000_000
 
     def test_witnesses_decode_masks(self):
         rng = np.random.Generator(np.random.Philox(key=9))
