@@ -5,7 +5,8 @@
 
 For each tree, one subprocess imports that tree's `src/boxlab` and calls
 `boxlab.cli.main` in-process on:
-- the bundled `suite --stable` battery at `--threads 1` and `2`;
+- the bundled `suite --stable` battery at `--threads 1`, `2` and `3` (on a
+  2-CPU machine, 3 is more processes than CPUs);
 - every operation of the `norms` and `certify` workloads of
   `perfbench/workloads.py` (seed 1);
 - `vonneumann` and `counting` on two K3 instances that no workload
@@ -180,7 +181,7 @@ def run_tree(tree: str, out_path: str) -> None:
     if not os.path.realpath(boxlab.__file__).startswith(src + os.sep):
         raise SystemExit(f"imported {boxlab.__file__}, not the tree's {src}")
     commands = [
-        (f"suite --threads {t}", ["suite", "--stable", "--threads", str(t)]) for t in (1, 2)
+        (f"suite --threads {t}", ["suite", "--stable", "--threads", str(t)]) for t in (1, 2, 3)
     ]
     results = []
     with tempfile.TemporaryDirectory() as work:

@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatch,
     SizeCapExceeded,
     SubsetCapExceeded,
+    WorkerFailure,
     WrongHypergraph,
 )
 from .spaces import (

@@ -340,7 +340,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("suite", help="run a verification suite (default battery)")
     sp.add_argument("--file", default=None, help="suite JSON; omit for the battery")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="processes that run items, this one included (default: "
+        "BOXLAB_THREADS, else the usable CPUs, at most 8)",
+    )
     sp.add_argument("--out", default=None, help="also write the report here")
     add_stable(sp)
     sp.set_defaults(fn=cmd_suite)

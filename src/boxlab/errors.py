@@ -72,3 +72,7 @@ class MalformedProblem(BoxlabError):
 
 class BadSpec(BoxlabError):
     """An instance file or generator spec failed validation."""
+
+
+class WorkerFailure(BoxlabError):
+    """A suite worker process died, or a job could not be sent to it."""

@@ -3,9 +3,13 @@
 A suite is a list of named check items.  Each item either runs one of the
 built-in property batteries (random-instance batches with fixed seeds) or
 applies a certifier to instance files.  Items are pure functions of their
-parameters, so they can run in parallel; the report lists results in item
-order regardless of completion order, and every numeric in it (apart from
-the elapsed-time fields, which can be zeroed with stable=True) is
+parameters, so they can run in parallel.  The items are Python-bound, so
+threads would serialise them on the GIL: at more than one worker, this
+process runs items itself and spawned worker processes run the rest (see
+`_run_lanes`).  A script that calls `run_suite` must therefore guard its
+entry point with `if __name__ == "__main__":`.  The report lists results in
+item order regardless of completion order, and every numeric in it (apart
+from the elapsed-time fields, which can be zeroed with stable=True) is
 reproducible from the item parameters alone.
 
 Exit-code contract: 0 when every check holds, 1 when any check is false,
@@ -18,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +44,7 @@ from .counting import (
     von_neumann_certificate,
 )
 from .cutnorm import cut_norm
-from .errors import BadSpec, MalformedProblem
+from .errors import BadSpec, MalformedProblem, WorkerFailure
 from .generators import GenSpec, generate, predicted_product_box_norm
 from .instances import (
     check_same_system,
@@ -1031,6 +1036,11 @@ def default_suite() -> list[dict]:
 
 
 def resolve_threads(threads: int | None = None) -> int:
+    """Processes that run suite items, this one included.
+
+    `threads` if given, else BOXLAB_THREADS, else the CPUs this process
+    may run on, at most 8.
+    """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("BOXLAB_THREADS")
@@ -1039,6 +1049,8 @@ def resolve_threads(threads: int | None = None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise BadSpec(f"BOXLAB_THREADS must be an integer, got {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, min(8, len(os.sched_getaffinity(0))))
     return max(1, min(8, os.cpu_count() or 1))
 
 
@@ -1061,6 +1073,75 @@ def run_item(item: dict, base_dir: str = ".") -> CheckResult:
     return result
 
 
+def _run_item_in_worker(item: dict, base_dir: str) -> CheckResult:
+    """`run_item` in a worker process, sent by a name of its own.
+
+    Code that rebinds `run_item` in this module (a tracer, say) leaves this
+    name alone, so the job stays picklable.
+    """
+    return run_item(item, base_dir)
+
+
+def _run_lanes(items: list[dict], base_dir: str, workers: int) -> list[CheckResult]:
+    """Run the items on `workers` lanes; results in item order.
+
+    Lane 0 is the calling thread and runs items here.  Each of the other
+    lanes is a thread that sends one item at a time to a spawned worker
+    process and waits for its result.  Every lane takes the next item
+    index from one iterator, so items start in order.  After an item
+    fails no further item starts, and once the running ones end the
+    failure of the lowest-indexed failed item is raised: every item before
+    it has started, so it is the failure the serial loop raises.
+    """
+    import multiprocessing
+    import pickle
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def lane(run) -> None:
+        while True:
+            with lock:
+                k = None if failures else next(order, None)
+            if k is None:
+                return
+            try:
+                results[k] = run(k)
+            except BaseException as exc:
+                with lock:
+                    failures[k] = exc
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt: the other lanes stop, and it propagates
+
+    def here(k: int) -> CheckResult:
+        return run_item(items[k], base_dir)
+
+    def remote(k: int) -> CheckResult:
+        job = (_run_item_in_worker, items[k], base_dir)
+        try:
+            pickle.dumps(job)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise WorkerFailure(f"suite item {k} cannot be sent to a worker: {exc}") from exc
+        try:
+            return procs.submit(*job).result()
+        except BrokenProcessPool as exc:
+            raise WorkerFailure(f"a worker process died while running suite item {k}") from exc
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers - 1, mp_context=spawn) as procs:
+        with ThreadPoolExecutor(max_workers=workers - 1) as lanes:
+            dispatch = [lanes.submit(lane, remote) for _ in range(workers - 1)]
+            lane(here)
+            for future in dispatch:
+                future.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def run_suite(
     items: list[dict],
     threads: int | None = None,
@@ -1068,15 +1149,13 @@ def run_suite(
     command: list[str] | None = None,
     stable: bool = False,
 ) -> dict:
-    """Run all items (in parallel) and assemble the report dictionary."""
-    workers = resolve_threads(threads)
+    """Run all items, on worker processes when asked, and assemble the report."""
+    workers = min(resolve_threads(threads), len(items))
     t0 = time.perf_counter()
-    if workers == 1:
+    if workers <= 1:
         results = [run_item(item, base_dir) for item in items]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_item, item, base_dir) for item in items]
-            results = [f.result() for f in futures]
+        results = _run_lanes(items, base_dir, workers)
     total_ms = (time.perf_counter() - t0) * 1000.0
     report = {
         "command": list(command or []),

@@ -1,9 +1,16 @@
+import concurrent.futures.process
 import json
+import os
+import sys
+import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
+from boxlab import suite
 from boxlab.cli import main
-from boxlab.errors import BadSpec, MalformedProblem
+from boxlab.errors import BadSpec, MalformedProblem, WorkerFailure
 from boxlab.generators import GenSpec, generate
 from boxlab.instances import emit_json, parse_json, save_instance
 from boxlab.spaces import constant_function, make_system
@@ -123,6 +130,17 @@ class TestThreadResolution:
     def test_floor_of_one(self):
         assert resolve_threads(0) == 1
         assert resolve_threads(-5) == 1
+
+    def test_default_is_usable_cpus_at_most_8(self, monkeypatch):
+        monkeypatch.delenv("BOXLAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert resolve_threads(None) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(20)))
+        assert resolve_threads(None) == 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_threads(None) == 5
 
 
 class TestRunSuiteAndExitCodes:
@@ -248,22 +266,29 @@ class TestSuiteCli:
 class TestMalformedItems:
     """A malformed item exits 3, not 1: 1 says that a check is false."""
 
+    MALFORMED = [
+        ({"check": "box_oracle", "params": [1]}, "params-not-object"),
+        ({"check": "box_oracle", "params": {"count": "abc"}}, "count-not-numeric"),
+        ({"check": "pseudorandom_instance", "params": {"C": 1.5, "eta": 0.1, "p": 2}},
+         "instance-missing"),
+        ({"check": "vonneumann", "params": {"seed": 1e400}}, "seed-infinite"),
+        ({"check": "counting_instance", "params": {"instance": "x.json", "C": 2, "p": 2}},
+         "instance2-missing"),
+    ]
+
     @pytest.mark.parametrize(
-        "item",
+        "item,threads",
         [
-            {"check": "box_oracle", "params": [1]},
-            {"check": "box_oracle", "params": {"count": "abc"}},
-            {"check": "pseudorandom_instance", "params": {"C": 1.5, "eta": 0.1, "p": 2}},
-            {"check": "vonneumann", "params": {"seed": 1e400}},
-            {"check": "counting_instance", "params": {"instance": "x.json", "C": 2, "p": 2}},
+            pytest.param(item, threads, id=name if threads == "1" else f"{name}-threads-{threads}")
+            for item, name in MALFORMED
+            for threads in ("1", "2")
         ],
-        ids=["params-not-object", "count-not-numeric", "instance-missing",
-             "seed-infinite", "instance2-missing"],
     )
-    def test_exits_3(self, tmp_path, capsys, item):
+    def test_exits_3(self, tmp_path, capsys, item, threads):
         sf = tmp_path / "s.json"
-        sf.write_text(json.dumps([item]).replace("Infinity", "1e400"))
-        assert main(["suite", "--file", str(sf), "--threads", "1"]) == 3
+        items = [{"check": "ell_rules"}, item]
+        sf.write_text(json.dumps(items).replace("Infinity", "1e400"))
+        assert main(["suite", "--file", str(sf), "--threads", threads]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "MalformedProblem"
         with pytest.raises(MalformedProblem):
             run_item(item)
@@ -271,3 +296,150 @@ class TestMalformedItems:
     def test_absent_or_null_params_use_defaults(self):
         assert run_item({"check": "ell_rules"}).holds is True
         assert run_item({"check": "ell_rules", "params": None}).holds is True
+
+
+# ---------------------------------------------------------------------------
+# Items on worker processes.  The helpers are module-level, so that a spawned
+# worker can import them by name.
+
+
+def _marked_run(item, base_dir):
+    """`run_item` that first marks its item as started, by a file named after it.
+
+    Opening with "x" fails if the same item starts twice.  An item's
+    optional "sleep" key holds it back before it runs, and "interrupt"
+    makes it raise KeyboardInterrupt instead.
+    """
+    if "marks" in item:
+        open(os.path.join(item["marks"], item["name"]), "x").close()
+    if item.get("interrupt"):
+        raise KeyboardInterrupt
+    time.sleep(item.get("sleep", 0.0))
+    return run_item(item, base_dir)
+
+
+def _die(item, base_dir):
+    os._exit(7)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the worker pool with one that runs each job in the lane's thread.
+
+    Returns the list of pool sizes asked for; no process starts.
+    """
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def _items(count, **extra):
+    checks = ("ell_rules", "generators")
+    return [{"name": f"item-{k}", "check": checks[k % 2], **extra} for k in range(count)]
+
+
+class TestProcessLanes:
+    def test_one_item_starts_no_pool(self, inline_pool):
+        run_suite(_items(1), threads=8)
+        assert inline_pool == []
+
+    def test_pool_holds_all_lanes_but_this_one(self, inline_pool):
+        serial = emit_json(run_suite(_items(3), threads=1, stable=True))
+        assert emit_json(run_suite(_items(3), threads=8, stable=True)) == serial
+        run_suite(_items(5), threads=2)
+        assert inline_pool == [2, 1]
+
+    @pytest.mark.parametrize(
+        "first,error",
+        [
+            ({"check": "box_oracle", "params": [1]}, MalformedProblem),
+            ({"check": "ell_rules", "interrupt": True}, KeyboardInterrupt),
+        ],
+        ids=["malformed", "interrupt"],
+    )
+    def test_no_item_starts_after_a_failure(
+        self, inline_pool, monkeypatch, tmp_path, first, error
+    ):
+        monkeypatch.setattr(suite, "run_item", _marked_run)
+        items = [first] + _items(6, marks=str(tmp_path), sleep=0.05)[1:]
+        with pytest.raises(error):
+            run_suite(items, threads=2)
+        # Only the item taken alongside the failing one may have started.
+        assert os.listdir(tmp_path) in ([], ["item-1"])
+
+    def test_lowest_indexed_failure_is_raised(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(suite, "run_item", _marked_run)
+        items = [
+            {"check": "ell_rules"},
+            {"check": "box_oracle", "params": [1], "sleep": 0.2},
+            {"check": "astrology"},
+        ]
+        for threads in (1, 3):
+            with pytest.raises(MalformedProblem, match="must be an object"):
+                run_suite(items, threads=threads)
+
+    def _exits_3_with_worker_failure(self, tmp_path, capsys, monkeypatch, worker):
+        monkeypatch.setattr(suite, "run_item", _marked_run)
+        monkeypatch.setattr(suite, "_run_item_in_worker", worker)
+        sf = tmp_path / "s.json"
+        sf.write_text(json.dumps(_items(4, sleep=0.05)))
+        assert main(["suite", "--file", str(sf), "--threads", "2"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "WorkerFailure"
+
+    def test_unpicklable_job_exits_3(self, tmp_path, capsys, monkeypatch):
+        self._exits_3_with_worker_failure(
+            tmp_path, capsys, monkeypatch, lambda item, base_dir: None
+        )
+
+    def test_dead_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        self._exits_3_with_worker_failure(tmp_path, capsys, monkeypatch, _die)
+
+    def test_four_lanes_under_fast_switching(self, monkeypatch, tmp_path):
+        items = _items(30, marks=str(tmp_path))
+        plain = [{k: v for k, v in item.items() if k != "marks"} for item in items]
+        serial = emit_json(run_suite(plain, threads=1, stable=True))
+        monkeypatch.setattr(suite, "run_item", _marked_run)
+        monkeypatch.setattr(suite, "_run_item_in_worker", _marked_run)
+        out = {}
+
+        def target():
+            try:
+                out["report"] = run_suite(items, threads=4, stable=True)
+            except BaseException as exc:
+                out["error"] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=target, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        if "error" in out:
+            raise out["error"]
+        names = [item["name"] for item in items]
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        assert [c["name"] for c in out["report"]["checks"]] == names
+        assert emit_json(out["report"]) == serial
