@@ -28,7 +28,11 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   instances that no workload reaches: a 2-edge with 9 atoms on its first
   vertex (rows long enough for numpy's pairwise sum), a 3-edge at ell=6,
   and a 3-edge with 8 atoms per vertex at ell=4, whose recursive peel is
-  split into blocks (its gcs grid is above the cell cap, so gcs exits 3).
+  split into blocks (its gcs grid is above the cell cap, so gcs exits 3);
+- `cutnorm --mode heuristic` on a 2-edge with 3 atoms per vertex and on a
+  3-edge with 2, at `--restarts` 1, 32 and one past a block of restarts,
+  with seeds 0 and 2**64 + 1, and `pseudorandom check --mode heuristic`
+  on a nonnegative 3-atom K3.
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
@@ -166,6 +170,33 @@ def peel_cases() -> list:
     return commands
 
 
+def heuristic_cases() -> list:
+    """Write a 3x3 2-edge, a 2x2x2 3-edge and a nonnegative K3; their heuristic commands.
+
+    The ascent runs restarts in blocks of 2**16 // (2 * widest slot * cells),
+    so one past that count takes a second block.
+    """
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    commands = []
+    for name, sizes, widest in (("cut2_3x3", (3, 3), 3), ("cut3_2x2x2", (2, 2, 2), 4)):
+        spaces = [rng.uniform(0.5, 1.5, size=z).tolist() for z in sizes]
+        values = rng.uniform(-1.0, 1.0, size=sizes).tolist()
+        write_instance(f"{name}.json", spaces, [values], [list(range(len(sizes)))])
+        past_block = 1 + (1 << 16) // (2 * widest * int(np.prod(sizes)))
+        edge = ",".join(str(v) for v in range(len(sizes)))
+        for restarts in (1, 32, past_block):
+            for seed in (0, (1 << 64) + 1):
+                argv = ["cutnorm", "--instance", f"{name}.json", "--edge", edge,
+                        "--mode", "heuristic", "--restarts", str(restarts), "--seed", str(seed)]
+                commands.append((f"cutnorm heuristic {name} r={restarts} seed={seed}", argv))
+    tensors = [rng.uniform(0.0, 2.0, size=(3, 3)).tolist() for _ in K3]
+    write_instance("nonneg_plain.json", [[1.0] * 3] * 3, tensors)
+    argv = ["pseudorandom", "check", "--instance", "nonneg_plain.json", "--mode", "heuristic",
+            "--C", "2", "--eta", "0.5", "--p", "2"]
+    commands.append(("pseudorandom check heuristic nonneg_plain", argv))
+    return commands
+
+
 def run_tree(tree: str, out_path: str) -> None:
     """Run every command on `tree`'s boxlab and write the outputs as JSON."""
     sys.path[:0] = [
@@ -191,7 +222,7 @@ def run_tree(tree: str, out_path: str) -> None:
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
         commands += (certificate_cases() + walk_cases() + mixed_auto_cases() + tie_cases()
-                     + peel_cases())
+                     + peel_cases() + heuristic_cases())
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

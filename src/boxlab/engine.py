@@ -31,8 +31,17 @@ Exact mode is a depth-first branch-and-bound over the slots in order:
   vertex by multiplying the slots in order and summing over the cells.
 Heuristic mode runs the classic alternating ascent: the objective is linear
 in each slot, so the conditional optimum sets atom t on iff its coefficient
-helps the current sign; restarts draw initial masks from a seeded Philox
-stream.
+helps the current sign.  Each restart draws its initial masks from a seeded
+Philox stream and ascends once on +value and once on -value.  All of these
+run as one batch, ordered by restart and then sign, one array pass per slot
+step; restarts are taken in blocks whose slot-step product fits in
+CHUNK_ELEMS elements, so memory stays bounded for any restart count.  The
+batch changes no float: each member's context is multiplied in slot order,
+its coefficients and value are the same pairwise sums over the cells, and
+its slot vectors add the picked rows in atom order.  A member that moved
+nothing in a full sweep is at a fixed point, so sweeping it until the whole
+batch settles changes nothing.  The first largest |value| in (restart, sign)
+order wins, carried across blocks by a strict comparison.
 
 The module also owns what a boxed sup problem is: `SupProblem` places a
 kernel and its `Slot`s on one evaluation grid (base-edge coordinates once,
@@ -377,34 +386,59 @@ def exact_boxed_max(
     return SupResult(abs(signed), signed, masks, "exact", combos, 0)
 
 
-def ascent_boxed(
-    base: np.ndarray,
-    slot_rows,
-    init_masks,
-    sigma: float,
-) -> tuple[float, tuple[int, ...]]:
-    """Coordinate ascent on sigma * value; returns the signed value reached."""
-    masks = list(init_masks)
-    cur = [_mask_row(rows, m) for rows, m in zip(slot_rows, masks)]
+def _mask_rows(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """`_mask_row` of every member's mask (bits: members x atoms), in one pass.
+
+    Over two or more cells np.sum adds the picked rows to +0.0 in ascending
+    atom order, and so does this, adding each atom's row only where it is
+    picked.  On one cell np.sum pairs up the atoms instead, so one-cell
+    rows take `_mask_row` member by member.
+    """
+    if rows.shape[1] == 1:
+        return np.array([_mask_row(rows, _bits_mask(b)) for b in bits]).reshape(-1, 1)
+    out = np.zeros((bits.shape[0], rows.shape[1]))
+    for t in range(rows.shape[0]):
+        np.add(out, rows[t], out=out, where=bits[:, t, None])
+    return out
+
+
+def _bits_mask(bits: np.ndarray) -> int:
+    return sum(1 << t for t in np.flatnonzero(bits).tolist())
+
+
+def _ascend(base: np.ndarray, slot_rows, bits, sigma: np.ndarray) -> np.ndarray:
+    """Alternating ascent of a batch of members on sigma * value, in place on bits.
+
+    bits[s] (members x atoms) holds every member's mask of slot s.  A slot
+    step multiplies each member's context in slot order, takes its
+    coefficients by one pairwise sum over the cells, and sets atom t on iff
+    sigma * coefficient > 0; only the members whose mask moved get a new
+    slot vector.  The batch stops after a full sweep that moves no member
+    (a member that moved none is at a fixed point, so later sweeps keep it
+    there) or after MAX_CYCLES sweeps.  Returns every member's signed value.
+    """
+    members = sigma.shape[0]
+    cur = [_mask_rows(rows, b) for rows, b in zip(slot_rows, bits)]
     for _ in range(MAX_CYCLES):
         changed = False
         for s, rows in enumerate(slot_rows):
-            context = base.copy()
+            context = np.repeat(base[None], members, axis=0)
             for s2, vec in enumerate(cur):
                 if s2 != s:
                     context *= vec
-            coeff = np.sum(np.ascontiguousarray(rows * context[None, :]), axis=1)
-            new_mask = 0
-            for t in range(rows.shape[0]):
-                if sigma * coeff[t] > 0.0:
-                    new_mask |= 1 << t
-            if new_mask != masks[s]:
-                masks[s] = new_mask
-                cur[s] = _mask_row(rows, new_mask)
+            coeff = np.sum(rows[None] * context[:, None, :], axis=-1)
+            new = sigma[:, None] * coeff > 0.0
+            moved = np.flatnonzero((new != bits[s]).any(axis=1))
+            if moved.size:
+                bits[s][moved] = new[moved]
+                cur[s][moved] = _mask_rows(rows, new[moved])
                 changed = True
         if not changed:
             break
-    return _vertex_value(base, cur), tuple(masks)
+    prod = np.repeat(base[None], members, axis=0)
+    for vec in cur:
+        prod *= vec
+    return np.sum(prod, axis=-1)
 
 
 def heuristic_boxed_max(
@@ -417,21 +451,36 @@ def heuristic_boxed_max(
 
     Deterministic given (restarts, seed): the Philox stream fixes every
     initial mask, and the best value with the smallest restart index wins.
+    Restarts run in blocks of at most CHUNK_ELEMS elements per slot step.
     """
     if restarts < 1:
         raise MalformedProblem(f"need at least one restart, got {restarts}")
+    if not 0 <= seed < 1 << 128:
+        raise MalformedProblem(f"seed must lie in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     combos = _total_combos(slot_rows)
+    atoms = [rows.shape[0] for rows in slot_rows]
+    widest = max(atoms + [1])
+    block = max(1, CHUNK_ELEMS // (2 * widest * max(1, base.shape[0])))
     best = SupResult(-1.0, 0.0, tuple(0 for _ in slot_rows), "heuristic", combos, 0)
-    for r in range(restarts):
-        init = []
-        for rows in slot_rows:
-            bits = rng.integers(0, 2, size=rows.shape[0])
-            init.append(int(sum(1 << t for t in range(rows.shape[0]) if bits[t])))
-        for sigma in (1.0, -1.0):
-            val, masks = ascent_boxed(base, slot_rows, init, sigma)
-            if abs(val) > best.value:
-                best = SupResult(abs(val), val, masks, "heuristic", combos, r + 1)
+    cuts = list(itertools.accumulate(atoms, initial=0))
+    for first in range(0, restarts, block):
+        count = min(block, restarts - first)
+        # Each draw from [0, 2) takes one 32-bit word of the stream, and the
+        # generator keeps a word's unused half between calls, so one draw of
+        # count restarts' atoms equals one draw per restart and slot.
+        init = rng.integers(0, 2, size=(count, cuts[-1])) != 0
+        # Member 2r ascends on +value and member 2r+1 on -value from restart r.
+        both = np.repeat(init, 2, axis=0)
+        bits = [both[:, lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        signed = _ascend(base, slot_rows, bits, np.tile([1.0, -1.0], count)).tolist()
+        win, top = None, best.value
+        for i, val in enumerate(signed):
+            if abs(val) > top:
+                win, top = i, abs(val)
+        if win is not None:
+            masks = tuple(_bits_mask(b[win]) for b in bits)
+            best = SupResult(top, signed[win], masks, "heuristic", combos, first + win // 2 + 1)
     return best
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab import engine
+from boxlab.cutnorm import cut_norm, faces_of
 from boxlab.engine import (
     CHUNK_ELEMS,
     Slot,
     SupProblem,
-    ascent_boxed,
+    SupResult,
     exact_boxed_max,
     heuristic_boxed_max,
     projection_rows,
@@ -71,9 +74,8 @@ def exact_at_chunk(base, rows, chunk):
         return exact_boxed_max(base, rows)
 
 
-def _loop_sup(problem, mode="exact", restarts=32, seed=0, cap=engine.COMBO_CAP):
-    """The per-choice reference: one cold exact_boxed_max per candidate
-    choice, no floor and no shared tables, auto falling back per choice."""
+def problem_rows(problem):
+    """The base vector and per-slot (label, rows) candidates that sup_multilinear solves."""
     kernel = problem.kernel
     grid = engine.sup_grid(
         problem.system,
@@ -82,8 +84,15 @@ def _loop_sup(problem, mode="exact", restarts=32, seed=0, cap=engine.COMBO_CAP):
     )
     digits = engine.digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
     base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
+    return base_vec, engine._candidate_rows(problem, grid)
+
+
+def _loop_sup(problem, mode="exact", restarts=32, seed=0, cap=engine.COMBO_CAP):
+    """The per-choice reference: one cold exact_boxed_max per candidate
+    choice, no floor and no shared tables, auto falling back per choice."""
+    base_vec, candidates = problem_rows(problem)
     best, combos, certified = None, 0, True
-    for choice in itertools.product(*engine._candidate_rows(problem, grid)):
+    for choice in itertools.product(*candidates):
         rows = [r for _, r in choice]
         res = None
         if mode != "heuristic":
@@ -99,6 +108,91 @@ def _loop_sup(problem, mode="exact", restarts=32, seed=0, cap=engine.COMBO_CAP):
         if best is None or res.value > best.value:
             best = dataclasses.replace(res, labels=tuple(label for label, _ in choice))
     return dataclasses.replace(best, mode="exact" if certified else "heuristic", combos=combos)
+
+
+def _ascent_reference(base, slot_rows, init_masks, sigma):
+    """Coordinate ascent of one restart and sign on sigma * value.
+
+    The per-restart loop that the batched ascent replaced, kept as the
+    reference for its arithmetic: the batch must give the same floats.
+    """
+    masks = list(init_masks)
+    cur = [engine._mask_row(rows, m) for rows, m in zip(slot_rows, masks)]
+    for _ in range(engine.MAX_CYCLES):
+        changed = False
+        for s, rows in enumerate(slot_rows):
+            context = base.copy()
+            for s2, vec in enumerate(cur):
+                if s2 != s:
+                    context *= vec
+            coeff = np.sum(np.ascontiguousarray(rows * context[None, :]), axis=1)
+            new_mask = 0
+            for t in range(rows.shape[0]):
+                if sigma * coeff[t] > 0.0:
+                    new_mask |= 1 << t
+            if new_mask != masks[s]:
+                masks[s] = new_mask
+                cur[s] = engine._mask_row(rows, new_mask)
+                changed = True
+        if not changed:
+            break
+    return engine._vertex_value(base, cur), tuple(masks)
+
+
+def _heuristic_reference(base, slot_rows, restarts, seed):
+    """heuristic_boxed_max as one ascent per restart and sign, one draw per restart and slot."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    combos = engine._total_combos(slot_rows)
+    best = SupResult(-1.0, 0.0, tuple(0 for _ in slot_rows), "heuristic", combos, 0)
+    for r in range(restarts):
+        init = []
+        for rows in slot_rows:
+            bits = rng.integers(0, 2, size=rows.shape[0])
+            init.append(int(sum(1 << t for t in range(rows.shape[0]) if bits[t])))
+        for sigma in (1.0, -1.0):
+            val, masks = _ascent_reference(base, slot_rows, init, sigma)
+            if abs(val) > best.value:
+                best = SupResult(abs(val), val, masks, "heuristic", combos, r + 1)
+    return best
+
+
+def same_result(got, want):
+    """Every SupResult field equal, the sign of a zero `signed` included."""
+    return got == want and math.copysign(1.0, got.signed) == math.copysign(1.0, want.signed)
+
+
+@st.composite
+def ascent_problems(draw):
+    """0-4 slots of 1-4 atoms (up to 9 on one cell); bases and rows may hold -0.0."""
+    rng = np.random.Generator(np.random.Philox(key=draw(seeds)))
+    cells = draw(st.sampled_from([1, 2, 3, 5, 9, 17]))
+    base = {
+        "signed": lambda: rng.uniform(-1.0, 1.0, size=cells),
+        "zero": lambda: np.zeros(cells),
+        "negative_zeros": lambda: np.where(rng.uniform(size=cells) < 0.5, -0.0,
+                                           rng.uniform(-1.0, 1.0, size=cells)),
+    }[draw(st.sampled_from(["signed", "zero", "negative_zeros"]))]()
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        atoms = draw(st.integers(1, 9 if cells == 1 else 4))
+        # Scales far apart make the order of every sum show in its float.
+        scales = 10.0 ** rng.integers(-6, 7, size=(atoms, 1))
+        full = rng.uniform(0.0, 1.0, size=(atoms, cells)) * scales
+        full[rng.uniform(size=full.shape) < 0.5] = draw(st.sampled_from([0.0, -0.0]))
+        rows.append(full)
+    return base, rows
+
+
+def cut_norm_rows(seed, k):
+    """The base vector and face rows that cut_norm solves on a random k-edge."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    e = tuple(range(k))
+    atoms = tuple(int(a) for a in rng.integers(1, 4 if k == 2 else 3, size=k, endpoint=True))
+    sys_ = make_system([rng.uniform(0.5, 1.5, size=a) for a in atoms], [e])
+    f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=atoms))
+    problem = SupProblem(sys_, e, 1, f, tuple(Slot(face, 0) for face in faces_of(e)))
+    base, candidates = problem_rows(problem)
+    return base, [rows for ((_, rows),) in candidates]
 
 
 def random_problem(seed, n_slots=2, cells=5, max_atoms=3):
@@ -225,17 +319,90 @@ class TestAscentAndHeuristic:
         with pytest.raises(MalformedProblem):
             heuristic_boxed_max(np.zeros(2), [np.ones((1, 2))], restarts=0)
 
+    def test_seed_validation(self):
+        for seed in (-1, 1 << 128):
+            with pytest.raises(MalformedProblem):
+                heuristic_boxed_max(np.zeros(2), [np.ones((1, 2))], seed=seed)
+        heuristic_boxed_max(np.zeros(2), [np.ones((1, 2))], seed=(1 << 128) - 1)
+
     @given(seeds)
     def test_ascent_reaches_a_vertex_value(self, seed):
         base, rows = random_problem(seed)
-        val, masks = ascent_boxed(base, rows, [0] * len(rows), 1.0)
-        total = 0.0
-        for p in range(base.shape[0]):
-            term = float(base[p])
-            for s, m in enumerate(masks):
-                term *= mask_row_manual(rows[s].tolist(), m)[p]
-            total += term
-        assert abs(total - val) <= 1e-10 * max(1.0, abs(val))
+        res = heuristic_boxed_max(base, rows, restarts=1, seed=seed)
+        assert same_result(res, _heuristic_reference(base, rows, 1, seed))
+        total = vertex_value(base, rows, res.masks)
+        assert abs(total - res.signed) <= 1e-10 * max(1.0, res.value)
+
+
+class TestBatchedAscent:
+    """heuristic_boxed_max runs every restart and sign as one batch; it must
+    return exactly what one ascent per restart and sign returns."""
+
+    @settings(max_examples=200)
+    @given(ascent_problems(), st.integers(1, 9), seeds)
+    def test_matches_reference(self, problem, restarts, seed):
+        base, rows = problem
+        got = heuristic_boxed_max(base, rows, restarts=restarts, seed=seed)
+        assert same_result(got, _heuristic_reference(base, rows, restarts, seed))
+
+    @settings(max_examples=40)
+    @given(seeds, st.sampled_from([2, 3]), st.integers(1, 9))
+    def test_cut_norm_rows_match_reference(self, seed, k, restarts):
+        base, rows = cut_norm_rows(seed, k)
+        got = heuristic_boxed_max(base, rows, restarts=restarts, seed=seed)
+        assert same_result(got, _heuristic_reference(base, rows, restarts, seed))
+
+    @pytest.mark.parametrize("n_slots", [0, 3])
+    def test_zero_base_ties_to_the_first_restart(self, n_slots):
+        rows = [np.ones((2, 4))] * n_slots
+        got = heuristic_boxed_max(np.zeros(4), rows, restarts=5, seed=7)
+        assert got.restarts_used == 1 and got.signed == 0.0
+        assert same_result(got, _heuristic_reference(np.zeros(4), rows, 5, 7))
+
+    def test_plus_sign_wins_a_tie(self):
+        # sigma = +1 reaches +1 on atom 0 and sigma = -1 reaches -1 on atom 1.
+        got = heuristic_boxed_max(np.array([1.0, -1.0]), [np.eye(2)], restarts=3, seed=0)
+        assert (got.signed, got.masks, got.restarts_used) == (1.0, (1,), 1)
+        assert same_result(got, _heuristic_reference(np.array([1.0, -1.0]), [np.eye(2)], 3, 0))
+
+    def test_one_cell_sums_as_mask_row(self):
+        # On one cell np.sum pairs up the ten picked atoms and gets 1 + 4
+        # ulps; added in order, each half ulp would round away and leave 1.
+        rows = [np.array([[1.0]] + [[2.0**-53]] * 9)]
+        got = heuristic_boxed_max(np.ones(1), rows, restarts=1, seed=0)
+        assert got.masks == ((1 << 10) - 1,)
+        assert got.signed == float(engine._mask_row(rows[0], (1 << 10) - 1)[0]) == 1 + 2.0**-50
+        assert same_result(got, _heuristic_reference(np.ones(1), rows, 1, 0))
+
+    @settings(max_examples=40)
+    @given(seeds, st.integers(1, 9), st.sampled_from([1, 60, 200]))
+    def test_restart_blocks_change_nothing(self, seed, restarts, chunk):
+        # A 3x3 cut norm is 54 elements per restart: chunk 1 and 60 run one
+        # restart per block, chunk 200 three.
+        base, rows = cut_norm_rows(seed, 2)
+        want = _heuristic_reference(base, rows, restarts, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "CHUNK_ELEMS", chunk)
+            got = heuristic_boxed_max(base, rows, restarts=restarts, seed=seed)
+        assert same_result(got, want)
+
+    def test_peak_memory_past_one_block(self):
+        # 20,000 restarts of a 3x3 cut norm run in blocks of 1,213; as one
+        # batch, a slot step's product alone would take 8.6 MB.
+        sys_ = make_system([np.ones(3) / 3] * 2, [(0, 1)])
+        rng = np.random.Generator(np.random.Philox(key=3))
+        f = edge_function(sys_, (0, 1), rng.uniform(-1.0, 1.0, size=(3, 3)))
+        cut_norm(sys_, (0, 1), f, mode="heuristic", restarts=1)  # warm the imports
+        assert 20_000 * 2 * 3 * 9 > 16 * CHUNK_ELEMS
+        tracemalloc.start()
+        try:
+            got = cut_norm(sys_, (0, 1), f, mode="heuristic", restarts=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few arrays of one block (0.5 MB each) at a time.
+        assert peak < 4 * 8 * CHUNK_ELEMS
+        assert got.mode == "heuristic"
 
 
 class TestProjectionRows:

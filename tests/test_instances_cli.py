@@ -275,6 +275,16 @@ class TestCliCutGcs:
         assert math.isclose(out["value"], want, rel_tol=1e-15)
         assert out["mode"] == "exact"
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+    def test_cutnorm_bad_seed_exits_3(self, perturbed_instance, capsys, seed):
+        # The Philox key must lie in [0, 2**128).
+        code, out, err = run_cli(
+            capsys, "cutnorm", "--instance", perturbed_instance,
+            "--edge", "0,1", "--mode", "heuristic", "--seed", seed,
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "MalformedProblem"
+
     def test_gcs_reports_hold(self, perturbed_instance, capsys):
         code, out, _ = run_cli(
             capsys, "gcs", "--instance", perturbed_instance,
@@ -358,6 +368,17 @@ class TestCliCertificates:
         assert code == 0
         assert out["verdict"] == "true"
         assert out["conditions"]["C2b"]["mode"] == "exact"
+
+    def test_pseudorandom_check_bad_seed_exits_3(self, tmp_path, capsys):
+        path = str(tmp_path / "nonneg.json")
+        system, functions, meta = generate(GenSpec(3, 2, 2, "random_nonneg", seed=1))
+        save_instance(path, system, functions, meta)
+        code, out, err = run_cli(
+            capsys, "pseudorandom", "check", "--instance", path, "--C", "2",
+            "--eta", "0.5", "--p", "2", "--mode", "heuristic", "--seed", "-1",
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "MalformedProblem"
 
     def test_pseudorandom_sum_family_requires_psi(self, ones_instance, capsys):
         code, _, err = run_cli(
