@@ -29,6 +29,12 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   vertex (rows long enough for numpy's pairwise sum), a 3-edge at ell=6,
   and a 3-edge with 8 atoms per vertex at ell=4, whose recursive peel is
   split into blocks (its gcs grid is above the cell cap, so gcs exits 3);
+- `norm --method direct` and `gcs` on three one-edge instances whose
+  replicated grids take `Grid.expect`'s block path and that no workload
+  reaches: a 3-edge with atoms 2, 3 and 4 at ell=4 (331,776 cells), a
+  3-edge with atoms 1, 5 and 4 at ell=4 (160,000 cells; its one-atom
+  leading axes are read by no factor) and a 4-edge with atoms 5, 4, 4
+  and 4 at ell=2 (102,400 cells);
 - `cutnorm --mode heuristic` on a 2-edge with 3 atoms per vertex and on a
   3-edge with 2, at `--restarts` 1, 32 and one past a block of restarts,
   with seeds 0 and 2**64 + 1, and `pseudorandom check --mode heuristic`
@@ -170,6 +176,23 @@ def peel_cases() -> list:
     return commands
 
 
+def block_path_cases() -> list:
+    """Write one-edge instances whose replicated grids pass one block; their commands."""
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    commands = []
+    for name, sizes, ell in (("edge3_234", (2, 3, 4), "4"), ("edge3_154", (1, 5, 4), "4"),
+                             ("edge4_5444", (5, 4, 4, 4), "2")):
+        spaces = [rng.uniform(0.5, 1.5, size=z).tolist() for z in sizes]
+        values = rng.uniform(-1.0, 1.0, size=sizes).tolist()
+        write_instance(f"{name}.json", spaces, [values], [list(range(len(sizes)))])
+        base = ["--instance", f"{name}.json", "--edge", "0", "--ell", ell]
+        commands += [
+            (f"norm direct {name}", ["norm", *base, "--method", "direct"]),
+            (f"gcs {name}", ["gcs", *base]),
+        ]
+    return commands
+
+
 def heuristic_cases() -> list:
     """Write a 3x3 2-edge, a 2x2x2 3-edge and a nonnegative K3; their heuristic commands.
 
@@ -222,7 +245,7 @@ def run_tree(tree: str, out_path: str) -> None:
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
         commands += (certificate_cases() + walk_cases() + mixed_auto_cases() + tie_cases()
-                     + peel_cases() + heuristic_cases())
+                     + peel_cases() + block_path_cases() + heuristic_cases())
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

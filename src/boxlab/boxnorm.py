@@ -8,7 +8,14 @@ Two independent evaluation routes are provided on purpose:
   It is the reference oracle.  `Grid.expect` sums it: a grid of at most one
   block (2**16 cells) is one pairwise sum over the fully multiplied array,
   bit-identical to materialising it; a larger grid is summed block by block
-  over its trailing axes in a fixed order, without a full-grid array.
+  over its trailing axes in a fixed order, without a full-grid array.  Its
+  products are folded one factor at a time, left to right.  From 4096
+  cells on, each factor is first copied over the innermost axes of at
+  least 256 cells, so numpy multiplies runs that long, and a product of
+  factors is held only over the axes they have read so far; smaller
+  products take the plain in-place loop.  A product rounds each cell
+  alone, so the layout changes no bit: every cell multiplies the same
+  operands in the same order, and the sums are unchanged.
   `Grid`'s cell cap is its only size bound: a replicated grid above
   `GRID_CELL_CAP` (2**25) cells raises SizeCapExceeded.
 * `box_norm(..., method="recursive")` peels one coordinate at a time, always

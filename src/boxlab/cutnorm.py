@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import COMBO_CAP, Slot, SupProblem, sup_multilinear
+from .engine import COMBO_CAP, Slot, SupProblem, check_search, sup_multilinear
 from .errors import ShapeMismatch
 from .spaces import (
     EdgeFunction,
@@ -119,6 +119,7 @@ def cut_norm(
         raise ShapeMismatch(f"unknown cut norm mode {mode!r}")
     faces = faces_of(e)
     if len(e) == 1:
+        check_search(restarts, seed)
         val = expectation(system, e, f)
         return CutNormResult(abs(val), CutSet(e, (1,)), "exact", 2, 0, True)
     problem = SupProblem(system, e, 1, f, tuple(Slot(face, 0) for face in faces))

@@ -80,7 +80,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoxlabError, DigitOutOfRange, MalformedProblem, SizeCapExceeded
-from .spaces import EdgeFunction, Grid, HypergraphSystem, as_edge, check_function
+from .spaces import (
+    EdgeFunction,
+    Grid,
+    HypergraphSystem,
+    as_edge,
+    check_function,
+    check_seed,
+)
 
 COMBO_CAP = 1 << 24
 # Elements per vectorized block; also how much of the tree is evaluated
@@ -441,6 +448,17 @@ def _ascend(base: np.ndarray, slot_rows, bits, sigma: np.ndarray) -> np.ndarray:
     return np.sum(prod, axis=-1)
 
 
+def check_search(restarts: int, seed: int) -> None:
+    """Refuse a heuristic's restart count below one or seed outside [0, 2**128).
+
+    Every sup mode checks both, so whether they are refused never depends
+    on whether a heuristic runs.
+    """
+    if restarts < 1:
+        raise MalformedProblem(f"need at least one restart, got {restarts}")
+    check_seed(seed)
+
+
 def heuristic_boxed_max(
     base: np.ndarray,
     slot_rows,
@@ -453,10 +471,7 @@ def heuristic_boxed_max(
     initial mask, and the best value with the smallest restart index wins.
     Restarts run in blocks of at most CHUNK_ELEMS elements per slot step.
     """
-    if restarts < 1:
-        raise MalformedProblem(f"need at least one restart, got {restarts}")
-    if not 0 <= seed < 1 << 128:
-        raise MalformedProblem(f"seed must lie in [0, 2**128), got {seed}")
+    check_search(restarts, seed)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     combos = _total_combos(slot_rows)
     atoms = [rows.shape[0] for rows in slot_rows]
@@ -611,6 +626,7 @@ def sup_multilinear(
     problem.validate()
     if mode not in ("auto", "exact", "heuristic"):
         raise MalformedProblem(f"unknown sup mode {mode!r}")
+    check_search(restarts, seed)
     kernel = problem.kernel
     grid = sup_grid(
         problem.system,

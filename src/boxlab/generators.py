@@ -32,6 +32,7 @@ from .errors import BadSpec, NumericalInconsistency
 from .spaces import (
     EdgeFunction,
     HypergraphSystem,
+    check_seed,
     edge_function,
     expectation,
     make_prob_space,
@@ -78,6 +79,7 @@ class GenSpec:
         return sizes
 
     def validate(self) -> None:
+        check_seed(self.seed, BadSpec)
         if self.kind not in KINDS:
             raise BadSpec(f"unknown generator kind {self.kind!r}; know {KINDS}")
         if self.n < 1:

@@ -9,9 +9,11 @@ grid of at most one block (2**16 cells) is multiplied out in one array and
 summed by numpy's pairwise sum, so its value equals that of the fully
 materialised product bit for bit.  A larger grid is summed block by block
 over its trailing axes, in a fixed order.  Either way the value is
-reproducible bit for bit, independent of thread count.  `_grid_lp_norms`
-takes the L_p norms of a batch of tensors on one grid with the same sums,
-row by row, and every L_p norm goes through it.
+reproducible bit for bit, independent of thread count.  Its products are
+built by `_fold`, whose array layout never changes which operands a cell
+multiplies, or in what order.  `_grid_lp_norms` takes the L_p norms of a
+batch of tensors on one grid with the same sums, row by row, and every L_p
+norm goes through it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import (
     EmptyHypergraph,
     EmptySpace,
+    MalformedProblem,
     NonPositiveWeight,
     POutOfRange,
     ShapeMismatch,
@@ -40,6 +43,12 @@ POWER_GUARD = 1 << 62
 # Cells of the largest array `Grid.expect` multiplies out per leading index,
 # and of the largest level the recursive box-norm peel builds at once.
 BLOCK_CELLS = 1 << 16
+
+# `_fold` multiplies a product of fewer cells by the plain in-place loop;
+# from this size on it copies factors over the innermost axes of at least
+# `INNER_CELLS` cells, so that numpy multiplies contiguous runs that long.
+FOLD_MIN_CELLS = 1 << 12
+INNER_CELLS = 1 << 8
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -253,6 +262,13 @@ def checked_power(base: int, exp: int) -> int:
     return out
 
 
+def check_seed(seed: int, error: type[Exception] = MalformedProblem) -> int:
+    """`seed` as an int, refusing (with `error`) one outside Philox's [0, 2**128)."""
+    if not 0 <= seed < 1 << 128:
+        raise error(f"seed must lie in [0, 2**128), got {seed}")
+    return int(seed)
+
+
 class Grid:
     """Product evaluation grid with one axis per (vertex, replica) key.
 
@@ -319,23 +335,31 @@ class Grid:
     def expect(self, factors) -> float:
         """Sum of `product(factors)` without materialising a large grid.
 
-        Up to one block of cells, one copy of `full_weights` is multiplied in
-        place by each factor in turn and summed once by numpy's
-        pairwise sum: bit-identical to `np.sum` of the contiguous product.
-        A larger grid splits its axes into leading ones, looped over in C
-        order, and trailing ones, the longest suffix of at most one block
-        (at least the last axis).  Factors reading the same leading axes are
-        multiplied once into a cached array over those axes times the
-        trailing ones; per leading index one reused buffer takes the weights
-        and one slice of each cache, and the block sums are added by one
-        pairwise sum.
+        Up to one block of cells, `full_weights` is folded with every factor
+        and summed once by numpy's pairwise sum: bit-identical to `np.sum`
+        of the contiguous product.  A larger grid splits its axes into
+        leading ones, looped over in C order, and trailing ones, the longest
+        suffix of at most one block (at least the last axis).  Factors are
+        grouped by the leading axes they read.  Those reading none are
+        folded into the trailing weights; every other group of two or more
+        is folded into one cached array over its leading axes times the
+        trailing ones.  Per leading index one reused buffer takes the
+        trailing product times the leading weight and is multiplied by one
+        slice of each cache, and the block sums are added by one pairwise
+        sum.
+
+        Every product goes through `_fold`: left to right, one factor at a
+        time.  A product of fewer than `FOLD_MIN_CELLS` cells is the plain
+        loop, one copy multiplied in place.  A larger one copies each factor
+        over its innermost `INNER_CELLS` or more cells, so numpy multiplies
+        long contiguous runs instead of short broadcast ones, and holds a
+        partial product only over the axes read so far.  Layout changes no
+        bit: a product rounds each cell alone, each cell still multiplies
+        the same operands in the same order, and every sum is unchanged.
         """
         factors = list(factors)
         if self.cells <= BLOCK_CELLS:
-            acc = self.full_weights.copy()
-            for a in factors:
-                acc *= a
-            return float(np.sum(acc))
+            return float(np.sum(_fold(self.full_weights, factors, self.shape)))
         split = len(self.shape) - 1
         trail = self.shape[split]
         while split > 0 and trail * self.shape[split - 1] <= BLOCK_CELLS:
@@ -345,19 +369,13 @@ class Grid:
         for a in factors:
             reads = tuple(ax for ax in range(split) if a.shape[ax] != 1)
             groups.setdefault(reads, []).append(a)
-        base = self.weight_tensor(self.keys[split:])
-        for a in groups.pop((), []):
-            base = base * a
-        caches = []
-        for reads, group in groups.items():
-            if len(group) == 1:
-                cache = group[0]
-            else:
-                shape = np.broadcast_shapes(*(a.shape for a in group))
-                cache = np.broadcast_to(group[0], shape).copy()
-                for a in group[1:]:
-                    cache *= a
-            caches.append((reads, cache))
+        caches = [
+            (reads, _fold(g[0], g[1:], np.broadcast_shapes(*(a.shape for a in g))))
+            for reads, g in groups.items()
+            if reads
+        ]
+        trail_w = self.weight_tensor(self.keys[split:])
+        base = _fold(trail_w, groups.get((), []), trail_w.shape)
         lead_w = self.weight_tensor(self.keys[:split]).reshape(-1)
         buf = np.empty(base.shape)
         sums = np.empty(lead_w.shape[0])
@@ -370,6 +388,53 @@ class Grid:
                 buf *= cache[tuple(at)]
             sums[i] = np.sum(buf)
         return float(np.sum(sums))
+
+
+def _fold(first: np.ndarray, factors, shape: tuple[int, ...]) -> np.ndarray:
+    """((first * a0) * a1) * ... on `shape`, the operands' broadcast shape.
+
+    With no factor this is `first` itself; otherwise a new C-contiguous
+    array.  Below `FOLD_MIN_CELLS` cells it is one broadcast copy of
+    `first` multiplied in place by each factor.  Beyond, the innermost axes
+    of at least `INNER_CELLS` cells form an inner block, and every operand
+    is copied over it unless it already spans it contiguously, so numpy
+    multiplies runs of at least that many cells.  The partial product is
+    held only over the outer axes read so far and grows into a new array
+    when a factor reads a new one.  Each cell multiplies the same operands
+    in the same order either way, and a product rounds each cell alone, so
+    the result is bit-identical to the plain loop.
+    """
+    if not factors:
+        return first
+    if math.prod(shape) < FOLD_MIN_CELLS:
+        acc = np.empty(shape, first.dtype)
+        acc[...] = first
+        for a in factors:
+            acc *= a
+        return acc
+    j, inner = len(shape), 1
+    while j > 0 and inner < INNER_CELLS:
+        j -= 1
+        inner *= shape[j]
+
+    def spread(a: np.ndarray) -> np.ndarray:
+        if a.shape[j:] == shape[j:] and a.flags.c_contiguous:
+            return a
+        out = np.empty(a.shape[:j] + shape[j:], a.dtype)
+        out[...] = a
+        return out
+
+    acc = spread(first)
+    owned = acc is not first
+    for a in factors:
+        a = spread(a)
+        grown = shape if acc.shape == shape else np.broadcast(acc, a).shape
+        if owned and grown == acc.shape:
+            acc *= a
+        else:
+            acc = np.multiply(acc, a, out=np.empty(grown, acc.dtype))
+            owned = True
+    return acc
 
 
 def expectation(system: HypergraphSystem, e, f: EdgeFunction) -> float:

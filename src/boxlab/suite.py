@@ -68,6 +68,7 @@ from .pseudo import (
 from .spaces import (
     Exponent,
     INF,
+    check_seed,
     edge_function,
     expectation,
     lp_norm,
@@ -79,7 +80,7 @@ TOL = 1e-9
 
 
 def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 @dataclass

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from boxlab.boxnorm import box_norm
 from boxlab.cutnorm import CutSet, cut_norm, cut_value, faces_of
-from boxlab.errors import ShapeMismatch
+from boxlab.errors import MalformedProblem, ShapeMismatch
 from boxlab.spaces import edge_function, make_system
 
 from oracles import cut_norm_brute
@@ -143,6 +143,16 @@ class TestCutNormHeuristic:
         for e, fn in (((0,), g), ((0, 1), f)):
             with pytest.raises(ShapeMismatch):
                 cut_norm(sys_, e, fn, mode="banana")
+
+    @pytest.mark.parametrize("mode", ["auto", "exact", "heuristic"])
+    @pytest.mark.parametrize("restarts,seed", [(32, -1), (32, 1 << 128), (0, 0)])
+    def test_bad_restarts_or_seed(self, mode, restarts, seed):
+        # Refused on every edge and in every mode, whether or not a heuristic runs.
+        sys_, f = random_2d(3)
+        g = edge_function(sys_, (0,), np.full(sys_.edge_shape((0,)), 0.5))
+        for e, fn in (((0,), g), ((0, 1), f)):
+            with pytest.raises(MalformedProblem):
+                cut_norm(sys_, e, fn, mode=mode, restarts=restarts, seed=seed)
 
 
 class TestResultShape:

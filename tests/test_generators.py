@@ -36,6 +36,12 @@ class TestGenSpecValidation:
         assert GenSpec(3, 2, (2, 3, 4), "ones").sizes() == (2, 3, 4)
         assert GenSpec(3, 2, 5, "ones").sizes() == (5, 5, 5)
 
+    def test_seed_range(self):
+        for seed in (-1, 1 << 128):
+            with pytest.raises(BadSpec):
+                GenSpec(3, 2, 2, "ones", seed=seed).validate()
+        GenSpec(3, 2, 2, "ones", seed=(1 << 128) - 1).validate()
+
     def test_epsilon_range(self):
         with pytest.raises(BadSpec):
             GenSpec(3, 2, 2, "perturbed_ones", epsilon=1.0).validate()

@@ -190,6 +190,17 @@ class TestCliGenAndNorm:
         assert code == 0
         assert out["spec"]["atoms"] == [2, 3, 4]
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+    def test_gen_bad_seed_exits_3(self, tmp_path, capsys, seed):
+        out_path = tmp_path / "gen.json"
+        code, out, err = run_cli(
+            capsys, "gen", "--n", "3", "--r", "2", "--atoms", "2",
+            "--kind", "ones", "--seed", seed, "--out", str(out_path),
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "BadSpec"
+        assert not out_path.exists()
+
     def test_norm_edge_index_and_list_agree(self, perturbed_instance, capsys):
         code_a, out_a, _ = run_cli(
             capsys, "norm", "--instance", perturbed_instance,
@@ -285,6 +296,19 @@ class TestCliCutGcs:
         assert (code, out) == (3, None)
         assert err["error"] == "MalformedProblem"
 
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
+    @pytest.mark.parametrize("bad", [("--seed", "-1"), ("--restarts", "0")])
+    def test_cutnorm_bad_search_args_exit_3_without_heuristic(
+        self, perturbed_instance, capsys, mode, bad
+    ):
+        # An exact solve runs no heuristic, and must refuse the same arguments.
+        code, out, err = run_cli(
+            capsys, "cutnorm", "--instance", perturbed_instance,
+            "--edge", "0,1", "--mode", mode, *bad,
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "MalformedProblem"
+
     def test_gcs_reports_hold(self, perturbed_instance, capsys):
         code, out, _ = run_cli(
             capsys, "gcs", "--instance", perturbed_instance,
@@ -376,6 +400,14 @@ class TestCliCertificates:
         code, out, err = run_cli(
             capsys, "pseudorandom", "check", "--instance", path, "--C", "2",
             "--eta", "0.5", "--p", "2", "--mode", "heuristic", "--seed", "-1",
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "MalformedProblem"
+
+    def test_pseudorandom_check_exact_bad_seed_exits_3(self, perturbed_instance, capsys):
+        code, out, err = run_cli(
+            capsys, "pseudorandom", "check", "--instance", perturbed_instance,
+            "--C", "2", "--eta", "0.5", "--p", "2", "--mode", "exact", "--seed", "-1",
         )
         assert (code, out) == (3, None)
         assert err["error"] == "MalformedProblem"

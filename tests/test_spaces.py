@@ -1,10 +1,13 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab import spaces
 from boxlab.errors import (
     EmptyHypergraph,
     EmptySpace,
@@ -17,6 +20,7 @@ from boxlab.spaces import (
     INF,
     Exponent,
     Grid,
+    _fold,
     _grid_lp_norms,
     as_edge,
     checked_power,
@@ -309,6 +313,189 @@ class TestGridExpect:
         g = Grid(sys_, [(0, 0)])
         f = [g.lift((0,), rng.uniform(-1.0, 1.0, size=70000), (0,))]
         assert abs(g.expect(f) - _materialised(g, f)) <= 1e-12
+
+
+def _seed_expect(grid, factors):
+    """`Grid.expect` with its old loops: in-place copies, one factor at a time.
+
+    The reference for `_fold`, which must give the same bits.  It reads
+    `spaces.BLOCK_CELLS` when called, as `Grid.expect` does.
+    """
+    factors = list(factors)
+    if grid.cells <= spaces.BLOCK_CELLS:
+        acc = grid.full_weights.copy()
+        for a in factors:
+            acc *= a
+        return float(np.sum(acc))
+    split = len(grid.shape) - 1
+    trail = grid.shape[split]
+    while split > 0 and trail * grid.shape[split - 1] <= spaces.BLOCK_CELLS:
+        split -= 1
+        trail *= grid.shape[split]
+    groups = {}
+    for a in factors:
+        reads = tuple(ax for ax in range(split) if a.shape[ax] != 1)
+        groups.setdefault(reads, []).append(a)
+    base = grid.weight_tensor(grid.keys[split:])
+    for a in groups.pop((), []):
+        base = base * a
+    caches = []
+    for reads, group in groups.items():
+        if len(group) == 1:
+            cache = group[0]
+        else:
+            shape = np.broadcast_shapes(*(a.shape for a in group))
+            cache = np.broadcast_to(group[0], shape).copy()
+            for a in group[1:]:
+                cache *= a
+        caches.append((reads, cache))
+    lead_w = grid.weight_tensor(grid.keys[:split]).reshape(-1)
+    buf = np.empty(base.shape)
+    sums = np.empty(lead_w.shape[0])
+    for i, idx in enumerate(np.ndindex(*grid.shape[:split])):
+        np.multiply(base, lead_w[i], out=buf)
+        for reads, cache in caches:
+            at = [0] * split
+            for ax in reads:
+                at[ax] = idx[ax]
+            buf *= cache[tuple(at)]
+        sums[i] = np.sum(buf)
+    return float(np.sum(sums))
+
+
+def _assert_same_bits(got, want):
+    assert got == want or math.isnan(got) and math.isnan(want)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@st.composite
+def _grid_and_factors(draw, max_cells, sizes=None):
+    """A replicated grid of at most max_cells cells and 0-16 lifted factors.
+
+    Vertices may have one atom (an axis `lift` leaves at size 1).  A factor
+    reads any subset of the vertices, the empty one included, one replica
+    each, in any coordinate order (a transposed view); factors may repeat
+    what earlier ones read.  Values are random floats, mixed with 0.0 and
+    -0.0 or of magnitude 1e-8 to 1e8, and a factor may be all -0.0.  With
+    wide magnitudes a few cells dominate the sum, so that one changed
+    rounding in them shows in it.
+    """
+    if sizes is None:
+        sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    per_copy = math.prod(sizes)
+    ell = 1
+    while per_copy ** (ell + 1) <= max_cells and ell < 4:
+        ell += 1
+    ell = draw(st.integers(1, ell))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**32 - 1))))
+    sys_ = make_system([rng.uniform(0.5, 1.5, size=z) for z in sizes], [(0,)])
+    grid = Grid(sys_, [(v, m) for v in range(len(sizes)) for m in range(ell)])
+    fill = draw(st.sampled_from(["wide", "plain", "zeros"]))
+    signed = draw(st.booleans())
+    factors = []
+    for _ in range(draw(st.integers(0, 16))):
+        if factors and draw(st.booleans()):
+            edge, digits = draw(st.sampled_from(factors))[1:]
+        else:
+            edge = tuple(draw(st.permutations(range(len(sizes))))[: draw(st.integers(0, len(sizes)))])
+            digits = tuple(draw(st.integers(0, ell - 1)) for _ in edge)
+        shape = tuple(sizes[v] for v in edge)
+        if draw(st.integers(0, 7)) == 0:
+            vals = np.full(shape, -0.0)
+        elif fill == "wide":
+            vals = 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+        else:
+            vals = rng.uniform(0.5, 2.0, size=shape)
+            if fill == "zeros":
+                vals[rng.random(shape) < 0.3] = 0.0
+                vals[rng.random(shape) < 0.3] = -0.0
+        if signed:
+            vals *= rng.choice([-1.0, 1.0], size=shape)
+        factors.append((grid.lift(edge, vals, digits), edge, digits))
+    return grid, [a for a, _, _ in factors]
+
+
+class TestFoldMatchesSeedLoops:
+    """`Grid.expect` against its old loops, bit for bit, zeros' signs included."""
+
+    @settings(max_examples=100)
+    @given(_grid_and_factors(max_cells=1 << 18))
+    def test_any_grid(self, case):
+        grid, factors = case
+        _assert_same_bits(grid.expect(factors), _seed_expect(grid, factors))
+
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from([(3, 5, 17, 257), (4, 4, 4, 4, 4, 4, 4, 4), (65537,), (4,) * 8 + (2,)]),
+        st.data(),
+    )
+    def test_around_one_block(self, sizes, data):
+        # 65535, 65536, 65537 and 131072 cells, one replica each.
+        grid, factors = data.draw(_grid_and_factors(max_cells=1 << 17, sizes=list(sizes)))
+        _assert_same_bits(grid.expect(factors), _seed_expect(grid, factors))
+
+    @settings(max_examples=100)
+    @given(
+        _grid_and_factors(max_cells=1 << 12),
+        st.sampled_from([2, 8, 64, 512]),
+        st.sampled_from([1, 16, 1 << 12]),
+        st.sampled_from([1, 4, 1 << 8]),
+    )
+    def test_small_blocks(self, case, block, fold_min, inner):
+        # Small blocks give several leading axes and groups; small fold
+        # constants put small caches and bases through the expanded fold.
+        grid, factors = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "BLOCK_CELLS", block)
+            mp.setattr(spaces, "FOLD_MIN_CELLS", fold_min)
+            mp.setattr(spaces, "INNER_CELLS", inner)
+            _assert_same_bits(grid.expect(factors), _seed_expect(grid, factors))
+
+    @settings(max_examples=100)
+    @given(
+        _grid_and_factors(max_cells=1 << 14),
+        st.sampled_from([1, 16, 1 << 12]),
+        st.sampled_from([1, 4, 1 << 8]),
+    )
+    def test_fold_cells(self, case, fold_min, inner):
+        # Cell by cell, -0.0 included: a sum of zeros would hide the sign.
+        grid, factors = case
+        folds = [(grid.full_weights, factors)]
+        if factors:
+            folds.append((factors[0], factors[1:]))
+        for first, rest in folds:
+            shape = np.broadcast_shapes(first.shape, *(a.shape for a in rest))
+            want = np.broadcast_to(first, shape).copy()
+            for a in rest:
+                want *= a
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spaces, "FOLD_MIN_CELLS", fold_min)
+                mp.setattr(spaces, "INNER_CELLS", inner)
+                got = _fold(first, rest, shape)
+            assert got.shape == shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_peak_memory_at_most_seed_loops(self):
+        # The 3-edge, 4-atom, ell=4 box power: 4**12 cells in four 2 MB
+        # caches.  The old loops peaked at 9,453,232 bytes here; growing
+        # products may not raise that.
+        rng = np.random.Generator(np.random.Philox(key=13))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=4) for _ in range(3)], [(0, 1, 2)])
+        e = (0, 1, 2)
+        grid = Grid(sys_, [(v, m) for v in e for m in range(4)])
+        vals = rng.uniform(-1.0, 1.0, size=(4, 4, 4))
+        factors = [grid.lift(e, vals, d) for d in itertools.product(range(4), repeat=3)]
+        grid.expect(factors[:1])  # warm the imports
+        peaks = {}
+        for name, run in (("seed", _seed_expect), ("fold", Grid.expect)):
+            tracemalloc.start()
+            try:
+                got = run(grid, factors)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            _assert_same_bits(got, _seed_expect(grid, factors))
+        assert peaks["fold"] <= peaks["seed"]
 
 
 def _reference_lp(row, p, grid):

@@ -272,6 +272,7 @@ class TestMalformedItems:
         ({"check": "pseudorandom_instance", "params": {"C": 1.5, "eta": 0.1, "p": 2}},
          "instance-missing"),
         ({"check": "vonneumann", "params": {"seed": 1e400}}, "seed-infinite"),
+        ({"check": "box_oracle", "params": {"count": 2, "seed": -5}}, "seed-negative"),
         ({"check": "counting_instance", "params": {"instance": "x.json", "C": 2, "p": 2}},
          "instance2-missing"),
     ]
