@@ -38,7 +38,11 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 - `cutnorm --mode heuristic` on a 2-edge with 3 atoms per vertex and on a
   3-edge with 2, at `--restarts` 1, 32 and one past a block of restarts,
   with seeds 0 and 2**64 + 1, and `pseudorandom check --mode heuristic`
-  on a nonnegative 3-atom K3.
+  on a nonnegative 3-atom K3;
+- `pseudorandom thm42` and `thm43` at `--C 1.5 --p inf` (ell = 4) on a
+  2-atom perturbed_ones K3 from each tree's own `gen`, with itself as
+  psi: its 48 replica factors give 2**48 patterns, past the pattern cap,
+  so the linear-forms scan samples 517 patterns and is flagged degraded.
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
@@ -220,6 +224,18 @@ def heuristic_cases() -> list:
     return commands
 
 
+def sampled_scan_cases() -> list:
+    """The `gen` command of a 2-atom perturbed K3; its thm42 and thm43 commands at ell = 4."""
+    commands = [("gen pert2", ["gen", "--n", "3", "--r", "2", "--atoms", "2",
+                               "--kind", "perturbed_ones", "--epsilon", "0.1", "--seed", "7",
+                               "--out", "pert2.json"])]
+    for thm in ("thm42", "thm43"):
+        argv = ["pseudorandom", thm, "--instance", "pert2.json", "--psi", "pert2.json",
+                "--C", "1.5", "--eta", "0.05", "--p", "inf"]
+        commands.append((f"pseudorandom {thm} sampled scan", argv))
+    return commands
+
+
 def run_tree(tree: str, out_path: str) -> None:
     """Run every command on `tree`'s boxlab and write the outputs as JSON."""
     sys.path[:0] = [
@@ -245,7 +261,8 @@ def run_tree(tree: str, out_path: str) -> None:
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
         commands += (certificate_cases() + walk_cases() + mixed_auto_cases() + tie_cases()
-                     + peel_cases() + block_path_cases() + heuristic_cases())
+                     + peel_cases() + block_path_cases() + heuristic_cases()
+                     + sampled_scan_cases())
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

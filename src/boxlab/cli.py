@@ -204,9 +204,12 @@ def cmd_pseudorandom(args) -> int:
 
 
 def _parse_atoms(text: str):
-    if "," in text:
-        return tuple(int(tk) for tk in text.split(","))
-    return int(text)
+    try:
+        if "," in text:
+            return tuple(int(tk) for tk in text.split(","))
+        return int(text)
+    except ValueError:
+        raise MalformedProblem(f"atoms {text!r} is not an integer or a list of them") from None
 
 
 def cmd_gen(args) -> int:

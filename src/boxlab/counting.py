@@ -335,7 +335,6 @@ def von_neumann_certificate(
     C: float,
     p: Exponent,
     ell: int | None = None,
-    subset_cap: int = SUBSET_CAP,
 ) -> VonNeumannCertificate:
     """Check |counting form| <= C * min edge box norm on a 2-uniform system.
 
@@ -346,16 +345,16 @@ def von_neumann_certificate(
     assign = full_assignment(system, functions)
     if system.uniformity() != 2:
         raise NotTwoUniform(f"edges must all be doubletons, got {system.edges}")
-    if not C >= 1.0:
-        raise BadSpec(f"the constant C must be >= 1, got {C}")
+    if not 1.0 <= C < math.inf:
+        raise BadSpec(f"the constant C must be finite and >= 1, got {C}")
     from .spaces import max_degree
 
     if ell is None:
         ell = ell_von_neumann(max_degree(system), p)
     ell = require_even(ell)
     edges = system.edges
-    if len(edges) >= 1 and (1 << len(edges)) > subset_cap:
-        raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {subset_cap}")
+    if len(edges) >= 1 and (1 << len(edges)) > SUBSET_CAP:
+        raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {SUBSET_CAP}")
     box_norms = {e: box_norm(system, e, assign[e], ell).value for e in edges}
     box_lp = {e: lp_box_norm(system, e, assign[e], ell, p) for e in edges}
     hyp_box = all(v <= 1.0 + REL_TOL for v in box_lp.values())
@@ -436,7 +435,6 @@ def counting_lemma_certificate(
     C: float,
     p: Exponent,
     ell: int | None = None,
-    pair_cap: int = PAIR_CAP,
 ) -> CountingCertificate:
     """Check |counting(f) - counting(g)| <= C * sum of box norms of f - g.
 
@@ -449,14 +447,14 @@ def counting_lemma_certificate(
     assign_g = full_assignment(system, functions_g)
     if system.uniformity() != 2:
         raise NotTwoUniform(f"edges must all be doubletons, got {system.edges}")
-    if not C >= 1.0:
-        raise BadSpec(f"the constant C must be >= 1, got {C}")
+    if not 1.0 <= C < math.inf:
+        raise BadSpec(f"the constant C must be finite and >= 1, got {C}")
     if ell is None:
         ell = ell_von_neumann(max_degree(system), p)
     ell = require_even(ell)
     edges = system.edges
-    if 3 ** len(edges) > pair_cap:
-        raise PairCapExceeded(f"3**{len(edges)} disjoint pairs exceed cap {pair_cap}")
+    if 3 ** len(edges) > PAIR_CAP:
+        raise PairCapExceeded(f"3**{len(edges)} disjoint pairs exceed cap {PAIR_CAP}")
     hyp_box = True
     for e in edges:
         if lp_box_norm(system, e, assign_f[e], ell, p) > 1.0 + REL_TOL:

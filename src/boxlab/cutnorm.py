@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import COMBO_CAP, Slot, SupProblem, check_search, sup_multilinear
+from .engine import Slot, SupProblem, check_search, sup_multilinear
 from .errors import ShapeMismatch
 from .spaces import (
     EdgeFunction,
@@ -111,7 +111,6 @@ def cut_norm(
     mode: str = "auto",
     restarts: int = 32,
     seed: int = 0,
-    cap: int = COMBO_CAP,
 ) -> CutNormResult:
     """Cut norm of f on e: sup |cut value| over cylinder intersections."""
     e = check_on_edge(system, e, f)
@@ -123,7 +122,7 @@ def cut_norm(
         val = expectation(system, e, f)
         return CutNormResult(abs(val), CutSet(e, (1,)), "exact", 2, 0, True)
     problem = SupProblem(system, e, 1, f, tuple(Slot(face, 0) for face in faces))
-    res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
+    res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed)
     return CutNormResult(
         res.value, CutSet(e, res.masks), res.mode, res.combos, res.restarts_used, False
     )

@@ -39,9 +39,9 @@ CHUNK_ELEMS elements, so memory stays bounded for any restart count.  The
 batch changes no float: each member's context is multiplied in slot order,
 its coefficients and value are the same pairwise sums over the cells, and
 its slot vectors add the picked rows in atom order.  A member that moved
-nothing in a full sweep is at a fixed point, so sweeping it until the whole
-batch settles changes nothing.  The first largest |value| in (restart, sign)
-order wins, carried across blocks by a strict comparison.
+nothing in a full sweep is at a fixed point, so it leaves the batch.  The
+first largest |value| in (restart, sign) order wins, carried across blocks
+by a strict comparison.
 
 The module also owns what a boxed sup problem is: `SupProblem` places a
 kernel and its `Slot`s on one evaluation grid (base-edge coordinates once,
@@ -61,10 +61,11 @@ costs one unit of budget and builds nothing.  Seeding returns the same
 winner as a cold search and never adds work, so a seeded choice may finish
 where a cold one would have run out of budget.
 
-The cap bounds the search work of each choice; past it exact refuses only
-when the budget runs out.  Up to the cap the search runs unbudgeted.  Past
-it, it runs on a budget of cap and raises `SizeCapExceeded` once the work
-charged passes it; "auto" then falls back to the heuristic for that choice.
+`COMBO_CAP` bounds the search work of each choice; past it exact refuses
+only when the budget runs out.  Up to the cap the search runs unbudgeted.
+Past it, it runs on a budget of the cap and raises `SizeCapExceeded` once
+the work charged passes it; "auto" then falls back to the heuristic for
+that choice.
 Every prefix whose bound is evaluated costs one, pruned or not, and every
 prefix whose remaining slots are closed costs the vertices below it, so the
 work past the cap stays proportional to the cap.  Cut norms, the C2b check
@@ -420,27 +421,30 @@ def _ascend(base: np.ndarray, slot_rows, bits, sigma: np.ndarray) -> np.ndarray:
     step multiplies each member's context in slot order, takes its
     coefficients by one pairwise sum over the cells, and sets atom t on iff
     sigma * coefficient > 0; only the members whose mask moved get a new
-    slot vector.  The batch stops after a full sweep that moves no member
-    (a member that moved none is at a fixed point, so later sweeps keep it
-    there) or after MAX_CYCLES sweeps.  Returns every member's signed value.
+    slot vector.  Only the members that moved in a sweep take the next one
+    (a member that moved none is at a fixed point, so later sweeps would
+    keep it there), for at most MAX_CYCLES sweeps.  Returns every member's
+    signed value.
     """
     members = sigma.shape[0]
     cur = [_mask_rows(rows, b) for rows, b in zip(slot_rows, bits)]
+    active = np.arange(members)
     for _ in range(MAX_CYCLES):
-        changed = False
+        changed = np.zeros(active.size, dtype=bool)
         for s, rows in enumerate(slot_rows):
-            context = np.repeat(base[None], members, axis=0)
+            context = np.repeat(base[None], active.size, axis=0)
             for s2, vec in enumerate(cur):
                 if s2 != s:
-                    context *= vec
+                    context *= vec[active]
             coeff = np.sum(rows[None] * context[:, None, :], axis=-1)
-            new = sigma[:, None] * coeff > 0.0
-            moved = np.flatnonzero((new != bits[s]).any(axis=1))
-            if moved.size:
-                bits[s][moved] = new[moved]
-                cur[s][moved] = _mask_rows(rows, new[moved])
-                changed = True
-        if not changed:
+            new = sigma[active, None] * coeff > 0.0
+            moved = (new != bits[s][active]).any(axis=1)
+            if moved.any():
+                bits[s][active[moved]] = new[moved]
+                cur[s][active[moved]] = _mask_rows(rows, new[moved])
+                changed |= moved
+        active = active[changed]
+        if not active.size:
             break
     prod = np.repeat(base[None], members, axis=0)
     for vec in cur:
@@ -620,9 +624,11 @@ def sup_multilinear(
     mode: str = "exact",
     restarts: int = 32,
     seed: int = 0,
-    cap: int = COMBO_CAP,
 ) -> SupResult:
-    """Solve one boxed sup problem; exact results certify an upper bound."""
+    """Solve one boxed sup problem; exact results certify an upper bound.
+
+    Each selector choice's exact search has a budget of `COMBO_CAP`.
+    """
     problem.validate()
     if mode not in ("auto", "exact", "heuristic"):
         raise MalformedProblem(f"unknown sup mode {mode!r}")
@@ -643,7 +649,7 @@ def sup_multilinear(
         if mode != "heuristic":
             floor = 0.0 if best is None else best.value
             try:
-                res = exact_boxed_max(base_vec, rows, cap=cap, floor=floor, tables=tables)
+                res = exact_boxed_max(base_vec, rows, cap=COMBO_CAP, floor=floor, tables=tables)
             except SizeCapExceeded:
                 if mode == "exact":
                     raise

@@ -35,7 +35,7 @@ class OddEll(BoxlabError):
 
 
 class SizeCapExceeded(BoxlabError):
-    """An enumeration would exceed the configured work cap."""
+    """An enumeration would exceed its module's work cap."""
 
 
 class NumericalInconsistency(BoxlabError):

@@ -89,6 +89,9 @@ class GenSpec:
         for z in self.sizes():
             if z < 1:
                 raise BadSpec(f"space sizes must be >= 1, got {z}")
+        for name in ("epsilon", "scale", "weight_low", "weight_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadSpec(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "perturbed_ones" and not (0.0 <= self.epsilon < 1.0):
             raise BadSpec(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.kind == "product_weights" and not (
@@ -100,6 +103,10 @@ class GenSpec:
             )
         if self.kind in ("random_nonneg", "random_signed") and self.scale <= 0.0:
             raise BadSpec(f"scale must be positive, got {self.scale}")
+        # numpy's uniform needs a finite high - low; with finite ends only
+        # random_signed's range can be wider than that.
+        if self.kind == "random_signed" and not math.isfinite(2.0 * self.scale):
+            raise BadSpec(f"the range [-scale, scale] overflows for scale {self.scale}")
 
     def to_dict(self) -> dict:
         return {

@@ -42,7 +42,6 @@ from .boxnorm import REL_TOL, box_norm, lp_box_norm, require_even
 from .counting import SUBSET_CAP, full_assignment, lambda_form, least_even_at_least
 from .cutnorm import cut_norm
 from .engine import (
-    COMBO_CAP,
     Slot,
     SupProblem,
     SupResult,
@@ -104,8 +103,8 @@ class PseudoParams:
         return require_even(self.ell)
 
     def validate(self) -> None:
-        if not self.C >= 1.0:
-            raise BadSpec(f"C must be >= 1, got {self.C}")
+        if not 1.0 <= self.C < math.inf:
+            raise BadSpec(f"C must be finite and >= 1, got {self.C}")
         if not (0.0 < self.eta < 1.0):
             raise BadSpec(f"eta must lie in (0, 1), got {self.eta}")
         if self.c2b_replicas < 1:
@@ -179,14 +178,13 @@ def check_C1(
     system: HypergraphSystem,
     nu,
     params: PseudoParams,
-    subset_cap: int = SUBSET_CAP,
 ) -> ConditionReport:
     """Every nonempty sub-collection product has expectation >= 1 - eta."""
     fam = full_assignment(system, nu, nonnegative=True)
     params.validate()
     edges = system.edges
-    if (1 << len(edges)) > subset_cap:
-        raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {subset_cap}")
+    if (1 << len(edges)) > SUBSET_CAP:
+        raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {SUBSET_CAP}")
     worst = math.inf
     witness: tuple = ()
     for r in range(1, len(edges) + 1):
@@ -266,7 +264,6 @@ def check_C2b(
     mode: str = "auto",
     restarts: int = 32,
     seed: int = 0,
-    cap: int = COMBO_CAP,
 ) -> ConditionReport:
     """Replica correlation of nu_e - psi_e against nu-or-one bounded slots."""
     fam_nu = full_assignment(system, nu, nonnegative=True)
@@ -280,7 +277,7 @@ def check_C2b(
         kernel = edge_function(system, e, fam_nu[e].values - fam_psi[e].values)
         best = selector_correlation_sup(
             system, e, kernel, {"nu": fam_nu, "one": None}, replicas,
-            mode=mode, restarts=restarts, seed=seed, cap=cap,
+            mode=mode, restarts=restarts, seed=seed,
         )
         if not best["certified"]:
             any_heuristic = True
@@ -329,15 +326,14 @@ def check_C3(
     system: HypergraphSystem,
     nu,
     params: PseudoParams,
-    subset_cap: int = SUBSET_CAP,
 ) -> ConditionReport:
     """Moments of conditional sub-collection densities stay below C + eta."""
     fam = full_assignment(system, nu, nonnegative=True)
     params.validate()
     ell = params.resolved_ell()
     edges = system.edges
-    if (1 << len(edges)) > subset_cap:
-        raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {subset_cap}")
+    if (1 << len(edges)) > SUBSET_CAP:
+        raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {SUBSET_CAP}")
     worst = -math.inf
     witness: dict = {}
     checked = 0
@@ -379,8 +375,9 @@ class DeviationReport:
     """Extremes of the replica product expectations over 0/1 patterns.
 
     eta is the deviation from one: max(max_value - 1, 1 - min_value, 0).
-    When the pattern count exceeds the cap the scan degrades to sampling
-    (structured patterns plus seeded random ones) and exact is False.
+    When the pattern count exceeds `PATTERN_CAP` the scan degrades to
+    sampling (structured patterns plus seeded random ones): exact is False
+    and degraded True.
     """
 
     min_value: float
@@ -388,9 +385,12 @@ class DeviationReport:
     eta: float
     patterns_checked: int
     exact: bool
-    degraded: bool
     witness_min: dict
     witness_max: dict
+
+    @property
+    def degraded(self) -> bool:
+        return not self.exact
 
     def to_dict(self) -> dict:
         return {
@@ -426,18 +426,15 @@ def linear_forms_deviation(
     system: HypergraphSystem,
     functions,
     ell: int,
-    mode: str = "exact",
-    samples: int = SAMPLE_DEFAULT,
-    seed: int = 0,
-    pattern_cap: int = PATTERN_CAP,
 ) -> DeviationReport:
     """Scan replica product expectations over all 0/1 exponent patterns.
 
     Each factor is one (edge, replica digits) pair; a pattern selects a
     subset of factors and its value is the expectation of their product
     over the fully replicated grid.  The all-zero pattern is the empty
-    product, hence exactly 1.  Exceeding the pattern cap never raises: the
-    scan degrades to sampling (flagged).
+    product, hence exactly 1.  More than `PATTERN_CAP` patterns never
+    raises: the scan then degrades to the empty, full and per-edge
+    patterns plus `SAMPLE_DEFAULT` random ones from Philox key 0 (flagged).
     """
     fam = full_assignment(system, functions)
     ell = require_even(ell)
@@ -453,8 +450,8 @@ def linear_forms_deviation(
     wvec = np.broadcast_to(weights, grid.shape).reshape(-1).copy()
     cells = wvec.shape[0]
 
-    degraded = False
-    if mode == "exact" and count < 63 and (1 << count) <= pattern_cap:
+    exact = (1 << count) <= PATTERN_CAP
+    if exact:
         lo_bits = count
         budget = 1 << 22
         while lo_bits > 0 and (1 << lo_bits) * cells > budget:
@@ -492,10 +489,7 @@ def linear_forms_deviation(
                 best_max = max(best_max, (float(vals[i]), low | (i << fixed)),
                                key=lambda pair: (pair[0], -pair[1]))
         checked = 1 << count
-        exact = True
     else:
-        if mode == "exact":
-            degraded = True  # pattern cap exceeded: never fatal, sample instead
         masks = [0, (1 << count) - 1]
         for e in system.edges:
             m = 0
@@ -503,8 +497,8 @@ def linear_forms_deviation(
                 if e2 == e:
                     m |= 1 << k
             masks.append(m)
-        rng = np.random.Generator(np.random.Philox(key=int(seed)))
-        for _ in range(max(0, samples)):
+        rng = np.random.Generator(np.random.Philox(key=0))
+        for _ in range(SAMPLE_DEFAULT):
             bits = rng.integers(0, 2, size=count)
             masks.append(int(sum(1 << k for k in range(count) if bits[k])))
         best_min = (math.inf, 0)
@@ -520,7 +514,6 @@ def linear_forms_deviation(
             if val > best_max[0]:
                 best_max = (val, mask)
         checked = len(masks)
-        exact = False
 
     eta = max(best_max[0] - 1.0, 1.0 - best_min[0], 0.0)
     return DeviationReport(
@@ -529,7 +522,6 @@ def linear_forms_deviation(
         eta=eta,
         patterns_checked=checked,
         exact=exact,
-        degraded=degraded,
         witness_min=_decode_mask(best_min[1], factors),
         witness_max=_decode_mask(best_max[1], factors),
     )
@@ -645,15 +637,15 @@ def sum_family_certificate(
     n = _require_all_coedges(system)
     fam_lam = full_assignment(system, lam, nonnegative=True)
     fam_phi = full_assignment(system, phi, nonnegative=True)
-    if not C >= 1.0:
-        raise BadSpec(f"C must be >= 1, got {C}")
-    if not eta > 0.0:
-        raise BadSpec(f"eta must be positive, got {eta}")
+    if not 1.0 <= C < math.inf:
+        raise BadSpec(f"C must be finite and >= 1, got {C}")
+    if not 0.0 < eta < math.inf:
+        raise BadSpec(f"eta must be positive and finite, got {eta}")
     ell = ell_pseudorandom(C, p)
     log4c = math.log(4.0 * C)
     eta_cap = math.exp(-n * checked_power(ell, n) * log4c)
     hyp = {"eta_in_range": bool(0.0 < eta <= eta_cap * (1.0 + 1e-12))}
-    dev = linear_forms_deviation(system, fam_lam, ell, mode="exact")
+    dev = linear_forms_deviation(system, fam_lam, ell)
     hyp["linear_forms_within_eta"] = bool(
         dev.exact
         and dev.max_value <= 1.0 + eta + REL_TOL
@@ -735,13 +727,13 @@ def near_majorant_certificate(
     n = _require_all_coedges(system)
     fam_nu = full_assignment(system, nu, nonnegative=True)
     fam_psi = full_assignment(system, psi)
-    if not C >= 1.0:
-        raise BadSpec(f"C must be >= 1, got {C}")
-    if not eta > 0.0:
-        raise BadSpec(f"eta must be positive, got {eta}")
+    if not 1.0 <= C < math.inf:
+        raise BadSpec(f"C must be finite and >= 1, got {C}")
+    if not 0.0 < eta < math.inf:
+        raise BadSpec(f"eta must be positive and finite, got {eta}")
     ell = ell_pseudorandom(C, p)
     hyp = {"eta_in_range": bool(0.0 < eta <= 1.0 / (n * ell) + 1e-15)}
-    dev = linear_forms_deviation(system, fam_psi, ell, mode="exact")
+    dev = linear_forms_deviation(system, fam_psi, ell)
     hyp["psi_patterns_in_band"] = bool(
         dev.exact
         and dev.min_value >= 1.0 - eta - REL_TOL
@@ -847,7 +839,6 @@ def selector_correlation_sup(
     mode: str = "exact",
     restarts: int = 32,
     seed: int = 0,
-    cap: int = COMBO_CAP,
 ) -> dict:
     """Max over per-slot bound choices of the boxed correlation supremum.
 
@@ -856,15 +847,15 @@ def selector_correlation_sup(
     candidate bound per label of a single `SupProblem`.  Returns the max
     with its selector assignment and masks; ties keep the first choice in
     `itertools.product` order (labels sorted, first slot slowest).  Each
-    choice has its own budget of cap, its search seeded with the best value
-    of the choices before it, and the max is certified only if every choice
-    was solved exactly: a heuristic choice's value is only a lower bound on
-    its sup.
+    choice has its own budget of `COMBO_CAP`, its search seeded with the
+    best value of the choices before it, and the max is certified only if
+    every choice was solved exactly: a heuristic choice's value is only a
+    lower bound on its sup.
     """
     e = as_edge(e)
     slots = _selector_slots(system, e, bound_families, ell, exclude_pair)
     problem = SupProblem(system, e, ell, kernel, slots, kernel_replica)
-    res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed, cap=cap)
+    res = sup_multilinear(problem, mode=mode, restarts=restarts, seed=seed)
     return {
         "value": res.value,
         "selectors": list(res.labels),
@@ -910,7 +901,8 @@ def replica_mass_max(
 
 # Named oracles for the intermediate correlation/mass bounds used by the
 # two theorem proofs.  Each quantifies slot bounds over three families and
-# all ell replicas of the complement coordinate.
+# all ell replicas of the complement coordinate.  The correlation oracles
+# are exact: a choice whose search runs out of budget raises SizeCapExceeded.
 
 
 def centered_family_correlation_sup(
@@ -919,10 +911,6 @@ def centered_family_correlation_sup(
     lam,
     phi,
     ell: int,
-    mode: str = "exact",
-    restarts: int = 32,
-    seed: int = 0,
-    cap: int = COMBO_CAP,
 ) -> dict:
     """Sup correlation of lam_e - 1 against slots bounded by lam, phi, or 1.
 
@@ -939,10 +927,6 @@ def centered_family_correlation_sup(
         kernel,
         {"lam": fam_lam, "one": None, "phi": fam_phi},
         ell,
-        mode=mode,
-        restarts=restarts,
-        seed=seed,
-        cap=cap,
     )
 
 
@@ -967,10 +951,6 @@ def majorant_gap_correlation_sup(
     nu,
     psi,
     ell: int,
-    mode: str = "exact",
-    restarts: int = 32,
-    seed: int = 0,
-    cap: int = COMBO_CAP,
 ) -> dict:
     """Sup correlation of nu_e - psi_e against slots bounded by nu, psi, or 1.
 
@@ -987,10 +967,6 @@ def majorant_gap_correlation_sup(
         kernel,
         {"nu": fam_nu, "one": None, "psi": fam_psi},
         ell,
-        mode=mode,
-        restarts=restarts,
-        seed=seed,
-        cap=cap,
     )
 
 
@@ -1002,10 +978,6 @@ def shifted_majorant_gap_correlation_sup(
     nu,
     psi,
     ell: int,
-    mode: str = "exact",
-    restarts: int = 32,
-    seed: int = 0,
-    cap: int = COMBO_CAP,
 ) -> dict:
     """Like majorant_gap_correlation_sup with the kernel moved off-base.
 
@@ -1030,8 +1002,4 @@ def shifted_majorant_gap_correlation_sup(
         ell,
         kernel_replica=kernel_replica,
         exclude_pair=(ke, kernel_replica),
-        mode=mode,
-        restarts=restarts,
-        seed=seed,
-        cap=cap,
     )

@@ -777,15 +777,13 @@ def check_near_majorant(params: dict) -> CheckResult:
     holds = all(cert.hypotheses.values()) and cert.verdict == "true"
     oracle_worst = {"gap": -math.inf, "shifted_gap": -math.inf}
     for e in system.edges:
-        res = majorant_gap_correlation_sup(system, e, nu, psi, ell, mode="exact")
+        res = majorant_gap_correlation_sup(system, e, nu, psi, ell)
         oracle_worst["gap"] = max(oracle_worst["gap"], res["value"])
         for ke in system.edges:
             if ke == e:
                 continue
             for w in range(ell):
-                res2 = shifted_majorant_gap_correlation_sup(
-                    system, e, ke, w, nu, psi, ell, mode="exact"
-                )
+                res2 = shifted_majorant_gap_correlation_sup(system, e, ke, w, nu, psi, ell)
                 oracle_worst["shifted_gap"] = max(
                     oracle_worst["shifted_gap"], res2["value"]
                 )
@@ -808,10 +806,7 @@ def check_near_majorant(params: dict) -> CheckResult:
     worst_mass = -math.inf
     for e in system2.edges:
         worst_corr = max(
-            worst_corr,
-            centered_family_correlation_sup(system2, e, lam, phi, ell2, mode="exact")[
-                "value"
-            ],
+            worst_corr, centered_family_correlation_sup(system2, e, lam, phi, ell2)["value"]
         )
         worst_mass = max(
             worst_mass, bounded_slot_mass_sup(system2, e, lam, phi, ell2)["value"]

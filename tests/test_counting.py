@@ -192,15 +192,19 @@ class TestVonNeumannCertificate:
         rng = np.random.Generator(np.random.Philox(key=0))
         sys_ = triangle_system(rng, uniform=True)
         fam = signed_family(sys_, rng)
-        with pytest.raises(BadSpec):
-            von_neumann_certificate(sys_, fam, 0.5, Exponent(2.0))
+        for bad in (0.5, math.inf, math.nan):
+            with pytest.raises(BadSpec):
+                von_neumann_certificate(sys_, fam, bad, Exponent(2.0))
+            with pytest.raises(BadSpec):
+                counting_lemma_certificate(sys_, fam, fam, bad, Exponent(2.0))
 
     def test_subset_cap(self):
         rng = np.random.Generator(np.random.Philox(key=0))
         sys_ = triangle_system(rng, uniform=True)
         fam = signed_family(sys_, rng)
-        with pytest.raises(SubsetCapExceeded):
-            von_neumann_certificate(sys_, fam, 2.0, Exponent(2.0), subset_cap=4)
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(SubsetCapExceeded):
+            mp.setattr(counting, "SUBSET_CAP", 4)
+            von_neumann_certificate(sys_, fam, 2.0, Exponent(2.0))
 
     @given(seeds)
     @settings(max_examples=15)
@@ -274,10 +278,9 @@ class TestCountingCertificate:
         rng = np.random.Generator(np.random.Philox(key=0))
         sys_ = triangle_system(rng, uniform=True)
         fam = signed_family(sys_, rng)
-        with pytest.raises(PairCapExceeded):
-            counting_lemma_certificate(
-                sys_, fam, fam, 1.0, Exponent(2.0), pair_cap=9
-            )
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(PairCapExceeded):
+            mp.setattr(counting, "PAIR_CAP", 9)
+            counting_lemma_certificate(sys_, fam, fam, 1.0, Exponent(2.0))
 
     def test_requires_two_uniform(self):
         sys_ = make_system([[1.0, 1.0]] * 3, [(0, 1, 2)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab import engine
 from boxlab.boxnorm import box_norm
 from boxlab.cutnorm import CutSet, cut_norm, cut_value, faces_of
 from boxlab.errors import MalformedProblem, ShapeMismatch
@@ -132,7 +133,9 @@ class TestCutNormHeuristic:
 
     def test_auto_degrades_on_tiny_cap(self):
         sys_, f = random_2d(3)
-        res = cut_norm(sys_, (0, 1), f, mode="auto", cap=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "COMBO_CAP", 2)
+            res = cut_norm(sys_, (0, 1), f, mode="auto")
         assert res.mode == "heuristic"
 
     def test_unknown_mode(self):

@@ -450,18 +450,20 @@ def k3_problem(kernel_values, atoms):
 
 
 class TestAutoBudget:
-    def test_zero_base_past_cap_is_exact(self):
+    def test_zero_base_past_cap_is_exact(self, monkeypatch):
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 10)
         problem = k3_problem(np.zeros((3, 3)), 3)
-        res = sup_multilinear(problem, mode="auto", cap=1 << 10)
+        res = sup_multilinear(problem, mode="auto")
         assert res.combos == 1 << 36
         assert res.value == 0.0 and res.certified and res.mode == "exact"
         assert res.masks == (0, 0, 0, 0)
 
-    def test_exact_past_cap_closes_within_budget(self):
+    def test_exact_past_cap_closes_within_budget(self, monkeypatch):
         # Past the cap exact refuses only when the budget runs out; a zero
         # kernel is pruned at the root.
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 10)
         problem = k3_problem(np.zeros((3, 3)), 3)
-        res = sup_multilinear(problem, mode="exact", cap=1 << 10)
+        res = sup_multilinear(problem, mode="exact")
         assert res.combos == 1 << 36
         assert res.value == 0.0 and res.certified and res.mode == "exact"
         assert res.masks == (0, 0, 0, 0)
@@ -477,25 +479,28 @@ class TestAutoBudget:
             return real(base, rows, cap=cap, **kw)
 
         monkeypatch.setattr(engine, "exact_boxed_max", spy)
-        res = sup_multilinear(k3_problem(np.zeros((3, 3)), 3), mode="auto", cap=1 << 10)
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 10)
+        res = sup_multilinear(k3_problem(np.zeros((3, 3)), 3), mode="auto")
         assert calls == [1 << 10] and res.certified
         rng = np.random.Generator(np.random.Philox(key=3))
         problem = k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2)
-        res = sup_multilinear(problem, mode="auto", cap=1 << 6, restarts=4)
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 6)
+        res = sup_multilinear(problem, mode="auto", restarts=4)
         assert calls == [1 << 10, 1 << 6] and res.mode == "heuristic"
 
-    def test_budget_exhausted_falls_back_to_heuristic(self):
+    def test_budget_exhausted_falls_back_to_heuristic(self, monkeypatch):
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 6)
         rng = np.random.Generator(np.random.Philox(key=3))
         problem = k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2)
-        res = sup_multilinear(problem, mode="auto", cap=1 << 6, restarts=4)
+        res = sup_multilinear(problem, mode="auto", restarts=4)
         assert res.combos == 1 << 16
         assert res.mode == "heuristic" and not res.certified
         assert res.restarts_used >= 1
         with pytest.raises(SizeCapExceeded):
-            sup_multilinear(problem, mode="exact", cap=1 << 6)
+            sup_multilinear(problem, mode="exact")
 
     @pytest.mark.parametrize("n_ones", [2, 3])
-    def test_pruned_prefixes_count_against_budget(self, n_ones):
+    def test_pruned_prefixes_count_against_budget(self, n_ones, monkeypatch):
         # A positive kernel on 16 atoms, one slot reading them one by one
         # and n_ones one-atom slots: the value at a vertex is the first
         # slot's popcount over 16.  After the first block of first-slot
@@ -508,10 +513,12 @@ class TestAutoBudget:
         kernel = edge_function(sys_, (0,), np.ones(atoms))
         slots = (Slot((0, 1), 0),) + tuple(Slot((1,), w) for w in range(n_ones))
         problem = SupProblem(sys_, (0,), n_ones, kernel, slots)
-        res = sup_multilinear(problem, mode="auto", cap=1 << 16, restarts=1)
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 16)
+        res = sup_multilinear(problem, mode="auto", restarts=1)
         assert res.combos == 1 << (16 + n_ones)
         assert res.mode == "heuristic" and not res.certified
-        res = sup_multilinear(problem, mode="auto", cap=1 << 17)
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 17)
+        res = sup_multilinear(problem, mode="auto")
         assert res.mode == "exact" and res.value == 1.0
         assert res.masks == (0xFFFF,) + (1,) * n_ones
 
@@ -619,20 +626,22 @@ class TestSearchContext:
         # A seeded choice does no more work than a cold one, so it may now
         # finish where the loop ran out of budget; nothing else may move.
         want = _loop_sup(problem, mode="auto", restarts=2, cap=cap)
-        got = sup_multilinear(problem, mode="auto", restarts=2, cap=cap)
-        assert got.combos == want.combos
-        if got != want:
-            assert want.mode == "heuristic"
-            assert got.value >= want.value * (1.0 - 1e-12)
-        if got.mode == "heuristic":
-            assert want.mode == "heuristic"
-        try:
-            want = _loop_sup(problem, cap=cap)
-        except SizeCapExceeded:
-            got = seeded_or_cap(problem, cap=cap)
-            assert isinstance(got, SizeCapExceeded) or got.mode == "exact"
-        else:
-            assert sup_multilinear(problem, cap=cap) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "COMBO_CAP", cap)
+            got = sup_multilinear(problem, mode="auto", restarts=2)
+            assert got.combos == want.combos
+            if got != want:
+                assert want.mode == "heuristic"
+                assert got.value >= want.value * (1.0 - 1e-12)
+            if got.mode == "heuristic":
+                assert want.mode == "heuristic"
+            try:
+                want = _loop_sup(problem, cap=cap)
+            except SizeCapExceeded:
+                got = seeded_or_cap(problem)
+                assert isinstance(got, SizeCapExceeded) or got.mode == "exact"
+            else:
+                assert sup_multilinear(problem) == want
 
     @given(seeds, st.sampled_from([3, 4]), st.floats(0.0, 1.5))
     def test_floor_keeps_results_above_it(self, seed, n_slots, scale):

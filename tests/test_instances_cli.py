@@ -201,6 +201,24 @@ class TestCliGenAndNorm:
         assert err["error"] == "BadSpec"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("args, error", [
+        (["--atoms", "x", "--kind", "ones"], "MalformedProblem"),
+        (["--atoms", "2,,3", "--kind", "ones"], "MalformedProblem"),
+        (["--atoms", "2", "--kind", "random_signed", "--scale", "inf"], "BadSpec"),
+        (["--atoms", "2", "--kind", "random_signed", "--scale", "nan"], "BadSpec"),
+        (["--atoms", "2", "--kind", "random_signed", "--scale", "1e308"], "BadSpec"),
+        (["--atoms", "2", "--kind", "product_weights", "--weight-high", "inf"], "BadSpec"),
+        (["--atoms", "2", "--kind", "ones", "--epsilon", "nan"], "BadSpec"),
+    ])
+    def test_gen_malformed_numbers_exit_3(self, tmp_path, capsys, args, error):
+        out_path = tmp_path / "gen.json"
+        code, out, err = run_cli(
+            capsys, "gen", "--n", "3", "--r", "2", *args, "--out", str(out_path),
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == error
+        assert not out_path.exists()
+
     def test_norm_edge_index_and_list_agree(self, perturbed_instance, capsys):
         code_a, out_a, _ = run_cli(
             capsys, "norm", "--instance", perturbed_instance,
@@ -429,6 +447,20 @@ class TestCliCertificates:
                     "--psi", ones_instance, "--eta", "0.05"]
         code, _, err = run_cli(capsys, *args, "--C", "nan", "--p", "2")
         assert code == 3
+        assert err["error"] == "BadSpec"
+
+    @pytest.mark.parametrize("argv", [
+        ["vonneumann", "--C", "inf"],
+        ["counting", "--instance2", "ONES", "--C", "inf"],
+        ["pseudorandom", "check", "--psi", "ONES", "--C", "inf", "--eta", "0.05"],
+        ["pseudorandom", "thm42", "--psi", "ONES", "--C", "1", "--eta", "inf"],
+        ["pseudorandom", "thm43", "--psi", "ONES", "--C", "inf", "--eta", "0.05"],
+    ])
+    def test_infinite_C_or_eta_exits_3(self, ones_instance, capsys, argv):
+        # Refused as BadSpec on entry, not by the serializer after the work.
+        argv = [ones_instance if a == "ONES" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--instance", ones_instance, "--p", "2")
+        assert (code, out) == (3, None)
         assert err["error"] == "BadSpec"
 
     def test_pseudorandom_near_majorant(self, ones_instance, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxlab import pseudo
+from boxlab import engine, pseudo
 from boxlab.boxnorm import REL_TOL
 from boxlab.counting import full_assignment
 from boxlab.engine import digits_for, sup_grid
@@ -108,6 +108,11 @@ class TestPseudoParams:
             PseudoParams(1.0, 1.5, Exponent(2.0)).validate()
         with pytest.raises(BadSpec):
             PseudoParams(1.0, 0.1, Exponent(2.0), c2b_replicas=0).validate()
+        for bad in (math.inf, math.nan):
+            with pytest.raises(BadSpec):
+                PseudoParams(bad, 0.1, Exponent(2.0)).validate()
+            with pytest.raises(BadSpec):
+                PseudoParams(1.0, bad, Exponent(2.0)).validate()
 
     def test_to_dict(self):
         d = PseudoParams(2.0, 0.25, INF).to_dict()
@@ -251,9 +256,9 @@ class TestConditionChecks:
 
     def test_c1_subset_cap(self):
         sys_ = k3_system()
-        with pytest.raises(SubsetCapExceeded):
-            check_C1(sys_, ones_family(sys_),
-                     PseudoParams(1.0, 0.1, Exponent(2.0)), subset_cap=4)
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(SubsetCapExceeded):
+            mp.setattr(pseudo, "SUBSET_CAP", 4)
+            check_C1(sys_, ones_family(sys_), PseudoParams(1.0, 0.1, Exponent(2.0)))
 
     def test_c2a_true_when_psi_equals_nu(self):
         sys_ = k3_system()
@@ -312,9 +317,10 @@ class TestConditionChecks:
 
     def test_c2b_auto_falls_back_when_budget_runs_out(self):
         sys_, nu, _ = generate(GenSpec(n=3, r=2, atoms=3, kind="random_nonneg", seed=1))
-        rep = check_C2b(sys_, nu, ones_family(sys_),
-                        PseudoParams(1.5, 0.1, Exponent(2.0)),
-                        mode="auto", restarts=2, cap=2**12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "COMBO_CAP", 2**12)
+            rep = check_C2b(sys_, nu, ones_family(sys_),
+                            PseudoParams(1.5, 0.1, Exponent(2.0)), mode="auto", restarts=2)
         assert rep.mode == "heuristic"
         assert rep.witness["mode"] == "heuristic"
 
@@ -338,7 +344,9 @@ class TestConditionChecks:
         # 0.19).  Their true sup (0.54) exceeds eta, so the auto verdict
         # must not be "true".
         sys_, nu, psi, params = self.split_instance()
-        rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2, cap=2**12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "COMBO_CAP", 2**12)
+            rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2)
         assert rep.worst_value < params.eta
         assert rep.verdict == "unknown" and rep.mode == "heuristic"
         assert rep.witness["mode"] == "heuristic"
@@ -350,7 +358,9 @@ class TestConditionChecks:
         # choices before it, prunes more and finishes within its budget, so
         # auto is the exact result.
         sys_, nu, psi, params = self.split_instance()
-        rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2, cap=2**15)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "COMBO_CAP", 2**15)
+            rep = check_C2b(sys_, nu, psi, params, mode="auto", restarts=2)
         exact = check_C2b(sys_, nu, psi, params, mode="exact")
         assert rep.verdict == "false" and rep.mode == "exact"
         assert rep == exact
@@ -529,7 +539,10 @@ class TestLinearFormsDeviation:
         sys_ = k3_system()
         fam = perturbed_family(sys_, 3, 0.1)
         exact = linear_forms_deviation(sys_, fam, 2)
-        sampled = linear_forms_deviation(sys_, fam, 2, pattern_cap=16, samples=64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pseudo, "PATTERN_CAP", 16)
+            mp.setattr(pseudo, "SAMPLE_DEFAULT", 64)
+            sampled = linear_forms_deviation(sys_, fam, 2)
         assert sampled.degraded and not sampled.exact
         assert sampled.min_value >= exact.min_value - 1e-12
         assert sampled.max_value <= exact.max_value + 1e-12
@@ -541,7 +554,10 @@ class TestLinearFormsDeviation:
         sys_ = make_system([np.ones(2) / 2] * 2, [(0, 1)])
         fam = {(0, 1): edge_function(sys_, (0, 1), [[2.0, 0.5], [0.5, 1.0]])}
         exact = linear_forms_deviation(sys_, fam, 2)
-        sampled = linear_forms_deviation(sys_, fam, 2, mode="sample", samples=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pseudo, "PATTERN_CAP", 1)
+            mp.setattr(pseudo, "SAMPLE_DEFAULT", 0)
+            sampled = linear_forms_deviation(sys_, fam, 2)
         full_mask = (1 << 4) - 1
         vals_at_full = [
             w for w in (sampled.witness_min, sampled.witness_max)
@@ -622,6 +638,12 @@ class TestTheoremCertificates:
             sum_family_certificate(sys_, lam, lam, 1.0, 0.0, INF)
         with pytest.raises(BadSpec):
             near_majorant_certificate(sys_, lam, lam, 1.0, -0.1, INF)
+        for bad in (math.inf, math.nan):
+            for cert in (sum_family_certificate, near_majorant_certificate):
+                with pytest.raises(BadSpec):
+                    cert(sys_, lam, lam, bad, 0.05, INF)
+                with pytest.raises(BadSpec):
+                    cert(sys_, lam, lam, 1.0, bad, INF)
 
     def test_sum_family_eta_above_cap_is_false(self):
         sys_ = k3_system()
@@ -664,7 +686,7 @@ class TestLemmaOracles:
     def test_majorant_gap_zero_when_equal(self):
         sys_ = k3_system()
         fam = perturbed_family(sys_, 6, 0.05)
-        out = majorant_gap_correlation_sup(sys_, (0, 1), fam, fam, 2, mode="exact")
+        out = majorant_gap_correlation_sup(sys_, (0, 1), fam, fam, 2)
         assert out["value"] <= 1e-12
         assert out["certified"]
         assert len(out["selectors"]) == len(out["slots"]) == 4
@@ -672,7 +694,7 @@ class TestLemmaOracles:
     def test_centered_zero_on_ones(self):
         sys_ = k3_system()
         fam = ones_family(sys_)
-        out = centered_family_correlation_sup(sys_, (0, 1), fam, fam, 2, mode="exact")
+        out = centered_family_correlation_sup(sys_, (0, 1), fam, fam, 2)
         assert out["value"] <= 1e-12
 
     def test_bounded_slot_mass_on_ones(self):
@@ -698,9 +720,7 @@ class TestLemmaOracles:
     def test_shifted_zero_when_equal(self):
         sys_ = k3_system()
         fam = perturbed_family(sys_, 7, 0.05)
-        out = shifted_majorant_gap_correlation_sup(
-            sys_, (0, 1), (0, 2), 1, fam, fam, 2, mode="exact"
-        )
+        out = shifted_majorant_gap_correlation_sup(sys_, (0, 1), (0, 2), 1, fam, fam, 2)
         assert out["value"] <= 1e-12
         # the excluded (kernel edge, replica) pair must not appear as a slot
         assert [[0, 2], 1] not in out["slots"]
@@ -827,12 +847,14 @@ class TestSelectorChoicesMatchPerChoiceLoop:
         kernel = edge_function(sys_, (0, 1), random_family(sys_, 36, -1.0, 1.0)[(0, 1)].values)
         zero = {e: constant_function(sys_, e, 0.0) for e in sys_.edges}
         fams = {"nu": random_family(sys_, 37), "zero": zero}
-        kw = dict(mode="auto", restarts=4, seed=3, cap=1 << 6)
-        got = selector_correlation_sup(sys_, (0, 1), kernel, fams, 2, **kw)
-        want, modes = per_choice_correlation(sys_, (0, 1), kernel, fams, 2, **kw)
-        assert emit_json(got) == emit_json(want)
-        assert modes.count("heuristic") == 1 and modes.count("exact") == 15
-        assert not got["certified"] and got["mode"] == "heuristic"
-        assert got["selectors"] == ["nu"] * 4
-        with pytest.raises(SizeCapExceeded):
-            selector_correlation_sup(sys_, (0, 1), kernel, fams, 2, mode="exact", cap=1 << 6)
+        kw = dict(mode="auto", restarts=4, seed=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "COMBO_CAP", 1 << 6)
+            got = selector_correlation_sup(sys_, (0, 1), kernel, fams, 2, **kw)
+            want, modes = per_choice_correlation(sys_, (0, 1), kernel, fams, 2, **kw)
+            assert emit_json(got) == emit_json(want)
+            assert modes.count("heuristic") == 1 and modes.count("exact") == 15
+            assert not got["certified"] and got["mode"] == "heuristic"
+            assert got["selectors"] == ["nu"] * 4
+            with pytest.raises(SizeCapExceeded):
+                selector_correlation_sup(sys_, (0, 1), kernel, fams, 2, mode="exact")
