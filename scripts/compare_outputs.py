@@ -33,8 +33,11 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   replicated grids take `Grid.expect`'s block path and that no workload
   reaches: a 3-edge with atoms 2, 3 and 4 at ell=4 (331,776 cells), a
   3-edge with atoms 1, 5 and 4 at ell=4 (160,000 cells; its one-atom
-  leading axes are read by no factor) and a 4-edge with atoms 5, 4, 4
-  and 4 at ell=2 (102,400 cells);
+  leading axes are read by no factor), a 4-edge with atoms 5, 4, 4 and 4
+  at ell=2 (102,400 cells) and a 2-edge with 4 atoms per vertex at ell=6
+  (4**12 cells: the lifts on two replicas of the first vertex fold into
+  the trailing block, and the four groups on the other four share one
+  cache);
 - `cutnorm --mode heuristic` on a 2-edge with 3 atoms per vertex and on a
   3-edge with 2, at `--restarts` 1, 32 and one past a block of restarts,
   with seeds 0 and 2**64 + 1, and `pseudorandom check --mode heuristic`
@@ -185,7 +188,7 @@ def block_path_cases() -> list:
     rng = np.random.Generator(np.random.Philox(key=SEED))
     commands = []
     for name, sizes, ell in (("edge3_234", (2, 3, 4), "4"), ("edge3_154", (1, 5, 4), "4"),
-                             ("edge4_5444", (5, 4, 4, 4), "2")):
+                             ("edge4_5444", (5, 4, 4, 4), "2"), ("edge2_44_l6", (4, 4), "6")):
         spaces = [rng.uniform(0.5, 1.5, size=z).tolist() for z in sizes]
         values = rng.uniform(-1.0, 1.0, size=sizes).tolist()
         write_instance(f"{name}.json", spaces, [values], [list(range(len(sizes)))])

@@ -8,7 +8,12 @@ Two independent evaluation routes are provided on purpose:
   It is the reference oracle.  `Grid.expect` sums it: a grid of at most one
   block (2**16 cells) is one pairwise sum over the fully multiplied array,
   bit-identical to materialising it; a larger grid is summed block by block
-  over its trailing axes in a fixed order, without a full-grid array.  Its
+  over its trailing axes in a fixed order, without a full-grid array.  Every
+  lift of f views the same memory in the same layout, so the groups of
+  lifts, one per set of leading replicas read, share one folded cache; the
+  leading replicas are walked depth first, a prefix's product is formed
+  once, and each block's sum is multiplied by its leading weight.  Every
+  cell's full product is still formed and every cell summed.  Its
   products are folded one factor at a time, left to right.  From 4096
   cells on, each factor is first copied over the innermost axes of at
   least 256 cells, so numpy multiplies runs that long, and a product of

@@ -52,6 +52,7 @@ from .engine import (
 from .errors import (
     BadSpec,
     MalformedProblem,
+    NumericalInconsistency,
     POutOfRange,
     SubsetCapExceeded,
     WrongHypergraph,
@@ -327,7 +328,10 @@ def check_C3(
     nu,
     params: PseudoParams,
 ) -> ConditionReport:
-    """Moments of conditional sub-collection densities stay below C + eta."""
+    """Moments of conditional sub-collection densities stay below C + eta.
+
+    A moment past the float range raises NumericalInconsistency.
+    """
     fam = full_assignment(system, nu, nonnegative=True)
     params.validate()
     ell = params.resolved_ell()
@@ -343,9 +347,14 @@ def check_C3(
         for r in range(1, len(others) + 1):
             for sub in itertools.combinations(others, r):
                 dens = conditional_onto_edge(system, e, [fam[e2] for e2 in sub])
-                moment = ge.expect(
-                    [ge.lift(e, np.power(dens.values, ell), (0,) * len(e))]
-                )
+                with np.errstate(over="ignore"):
+                    moment = ge.expect(
+                        [ge.lift(e, np.power(dens.values, ell), (0,) * len(e))]
+                    )
+                if not math.isfinite(moment):
+                    raise NumericalInconsistency(
+                        f"C3 moment on edge {list(e)} at ell={ell} overflows a float"
+                    )
                 checked += 1
                 if moment > worst:
                     worst = moment

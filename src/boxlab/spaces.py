@@ -8,12 +8,14 @@ broadcasting aligns them.  `Grid.expect` takes every grid expectation.  A
 grid of at most one block (2**16 cells) is multiplied out in one array and
 summed by numpy's pairwise sum, so its value equals that of the fully
 materialised product bit for bit.  A larger grid is summed block by block
-over its trailing axes, in a fixed order.  Either way the value is
-reproducible bit for bit, independent of thread count.  Its products are
-built by `_fold`, whose array layout never changes which operands a cell
-multiplies, or in what order.  `_grid_lp_norms` takes the L_p norms of a
-batch of tensors on one grid with the same sums, row by row, and every L_p
-norm goes through it.
+over its trailing axes, in a fixed order: a depth-first walk of the leading
+indices forms each prefix's product once for all its children, and groups
+of factors that are the same views of the same memory share one folded
+cache.  Either way the value is reproducible bit for bit, independent of
+thread count.  Its products are built by `_fold`, whose array layout never
+changes which operands a cell multiplies, or in what order.
+`_grid_lp_norms` takes the L_p norms of a batch of tensors on one grid with
+the same sums, row by row, and every L_p norm goes through it.
 """
 
 from __future__ import annotations
@@ -338,15 +340,26 @@ class Grid:
         Up to one block of cells, `full_weights` is folded with every factor
         and summed once by numpy's pairwise sum: bit-identical to `np.sum`
         of the contiguous product.  A larger grid splits its axes into
-        leading ones, looped over in C order, and trailing ones, the longest
-        suffix of at most one block (at least the last axis).  Factors are
-        grouped by the leading axes they read.  Those reading none are
-        folded into the trailing weights; every other group of two or more
-        is folded into one cached array over its leading axes times the
-        trailing ones.  Per leading index one reused buffer takes the
-        trailing product times the leading weight and is multiplied by one
-        slice of each cache, and the block sums are added by one pairwise
-        sum.
+        leading ones and trailing ones, the longest suffix of at most one
+        block (at least the last axis, so there may be no leading axis).
+        Factors are grouped by the leading axes they read.  Those reading
+        none are folded into the trailing weights, the base.  Every other
+        group is folded into one cache over (leading axes read x trailing
+        axes), and groups whose factors are the same arrays (data pointer,
+        dtype, and the shapes and strides of the axes they keep, in order;
+        never the values) share one fold, which gives the same bits.
+
+        The leading indices are walked depth first in C order.  A cache
+        joins the running product at the deepest leading axis it reads, in
+        group order, so the product at depth d is formed once per prefix
+        (i_0..i_d) into a reused buffer and read by all of that prefix's
+        children.  Below the deepest depth that joins a cache the product
+        is the same for every index, so its block is summed once per such
+        prefix, by one pairwise sum.  Each leading index then takes that
+        sum times its leading weight, and those are added by one pairwise
+        sum in C order.  So a cell's product is ((base * c_0) * c_1) * ...,
+        caches in joining order, and the leading weight multiplies the sum
+        of its block, not each cell.
 
         Every product goes through `_fold`: left to right, one factor at a
         time.  A product of fewer than `FOLD_MIN_CELLS` cells is the plain
@@ -369,25 +382,39 @@ class Grid:
         for a in factors:
             reads = tuple(ax for ax in range(split) if a.shape[ax] != 1)
             groups.setdefault(reads, []).append(a)
-        caches = [
-            (reads, _fold(g[0], g[1:], np.broadcast_shapes(*(a.shape for a in g))))
-            for reads, g in groups.items()
-            if reads
-        ]
         trail_w = self.weight_tensor(self.keys[split:])
-        base = _fold(trail_w, groups.get((), []), trail_w.shape)
-        lead_w = self.weight_tensor(self.keys[:split]).reshape(-1)
-        buf = np.empty(base.shape)
-        sums = np.empty(lead_w.shape[0])
-        for i, idx in enumerate(np.ndindex(*self.shape[:split])):
-            np.multiply(base, lead_w[i], out=buf)
-            for reads, cache in caches:
-                at = [0] * split
-                for ax in reads:
-                    at[ax] = idx[ax]
-                buf *= cache[tuple(at)]
-            sums[i] = np.sum(buf)
-        return float(np.sum(sums))
+        base = _fold(trail_w, groups.pop((), []), trail_w.shape)
+        # joins[d]: the (reads, cache) pairs whose deepest leading axis is d.
+        joins: list[list] = [[] for _ in range(split)]
+        folded: dict[tuple, np.ndarray] = {}
+        for reads, g in groups.items():
+            at = tuple(slice(None) if ax in reads else 0 for ax in range(split))
+            views = [a[at] for a in g]
+            key = tuple(
+                (a.__array_interface__["data"][0], a.dtype.str, a.shape, a.strides)
+                for a in views
+            )
+            if key not in folded:
+                shape = np.broadcast_shapes(*(a.shape for a in views))
+                folded[key] = _fold(views[0], views[1:], shape)
+            joins[reads[-1]].append((reads, folded[key]))
+        deep = max((d for d in range(split) if joins[d]), default=-1)
+        nodes = [base.reshape(self.shape[split:])] + [None] * (deep + 1)
+        bufs = [np.empty(nodes[0].shape) if j else None for j in joins]
+        sums = np.empty(math.prod(self.shape[: deep + 1]))
+        prev = None
+        for i, idx in enumerate(np.ndindex(*self.shape[: deep + 1])):
+            # Products from the first leading axis whose index moved on are new.
+            d0 = 0 if i == 0 else next(d for d in range(deep + 1) if idx[d] != prev[d])
+            for d in range(d0, deep + 1):
+                acc = nodes[d]
+                for reads, cache in joins[d]:
+                    acc = np.multiply(acc, cache[tuple(idx[ax] for ax in reads)], out=bufs[d])
+                nodes[d + 1] = acc
+            sums[i] = np.sum(nodes[deep + 1])
+            prev = idx
+        lead_w = self.weight_tensor(self.keys[:split]).reshape(sums.shape[0], -1)
+        return float(np.sum((sums[:, None] * lead_w).reshape(-1)))
 
 
 def _fold(first: np.ndarray, factors, shape: tuple[int, ...]) -> np.ndarray:

@@ -430,6 +430,16 @@ class TestCliCertificates:
         assert (code, out) == (3, None)
         assert err["error"] == "MalformedProblem"
 
+    def test_pseudorandom_check_c3_overflow_exits_3(self, perturbed_instance, capsys):
+        # Refused at the first moment past the float range, not by the serializer.
+        code, out, err = run_cli(
+            capsys, "pseudorandom", "check", "--instance", perturbed_instance,
+            "--ell", "100000", "--C", "2", "--eta", "0.5", "--p", "2",
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "NumericalInconsistency"
+        assert "C3" in err["message"] and "ell=100000" in err["message"]
+
     def test_pseudorandom_sum_family_requires_psi(self, ones_instance, capsys):
         code, _, err = run_cli(
             capsys, "pseudorandom", "thm42", "--instance", ones_instance,

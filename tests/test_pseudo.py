@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from boxlab.errors import (
     BadSpec,
     DigitOutOfRange,
     MalformedProblem,
+    NumericalInconsistency,
     POutOfRange,
     SizeCapExceeded,
     SubsetCapExceeded,
@@ -407,6 +409,19 @@ class TestConditionChecks:
         rep = check_C3(sys_, fam, PseudoParams(1.0, 0.01, Exponent(2.0)))
         assert rep.verdict == "false"
         assert rep.worst_value > rep.bound
+
+    def test_c3_moment_overflow_raises(self):
+        # 1.1**100000 overflows: refused at the first such moment, no warning.
+        sys_ = k3_system()
+        fam = ones_family(sys_)
+        fam[(0, 1)] = edge_function(sys_, (0, 1), np.full((2, 2), 1.1))
+        params = PseudoParams(2.0, 0.5, Exponent(2.0), ell=100000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInconsistency, match=r"C3 .*\[0, 2\].*ell=100000"):
+                check_C3(sys_, fam, params)
+            finite = check_C3(sys_, fam, PseudoParams(2.0, 0.5, Exponent(2.0), ell=2000))
+        assert math.isfinite(finite.worst_value)
 
 
 class TestConditionalDensity:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab import spaces
+from boxlab.boxnorm import box_power_direct
 from boxlab.errors import (
     EmptyHypergraph,
     EmptySpace,
@@ -368,6 +369,89 @@ def _assert_same_bits(got, want):
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+def _split(shape):
+    """Leading axis count: the trailing block is the longest suffix of at
+    most `spaces.BLOCK_CELLS` cells, and holds at least the last axis."""
+    split = len(shape) - 1
+    trail = shape[split]
+    while split > 0 and trail * shape[split - 1] <= spaces.BLOCK_CELLS:
+        split -= 1
+        trail *= shape[split]
+    return split
+
+
+def _outer(ws):
+    """(w_0 x w_1) x w_2 x ..., flattened: the weights of a run of axes."""
+    acc = ws[0] if ws else np.ones(1)
+    for w in ws[1:]:
+        acc = np.multiply.outer(acc, w).reshape(-1)
+    return acc
+
+
+def _plain_expect(grid, factors):
+    """`Grid.expect` past one block as a plain loop over leading indices.
+
+    It calls no `boxlab` code, reading only the grid's shape, keys and
+    weights and the block size.  Per leading index it forms the whole
+    trailing block in the documented order: the trailing weights times the
+    factors that read no leading axis, in turn; then, one group at a time,
+    the product of the factors that read the same leading axes, taken left
+    to right, with the groups ordered by the deepest leading axis they read
+    and then by first appearance.  The block's pairwise sum is multiplied
+    by the leading weight, and the results get one pairwise sum.
+    """
+    shape = grid.shape
+    split = _split(shape)
+    ws = [grid.system.spaces[v].weights for v, _ in grid.keys]
+    groups = {}
+    for a in factors:
+        reads = tuple(ax for ax in range(split) if a.shape[ax] != 1)
+        groups.setdefault(reads, []).append(a)
+    base = _outer(ws[split:]).reshape(shape[split:])
+    for a in groups.pop((), []):
+        base = base * a.reshape(a.shape[split:])
+    order = sorted(groups.items(), key=lambda item: item[0][-1])
+    lead_w = _outer(ws[:split]).tolist()
+    sums = []
+    for i, idx in enumerate(itertools.product(*map(range, shape[:split]))):
+        block = base
+        for reads, group in order:
+            at = tuple(idx[ax] if ax in reads else 0 for ax in range(split))
+            prod = group[0][at]
+            for a in group[1:]:
+                prod = prod * a[at]
+            block = block * prod
+        sums.append(float(np.sum(block)) * lead_w[i])
+    return float(np.sum(np.array(sums)))
+
+
+def _rounding_bound(grid, factors):
+    """Twice gamma_m times the sum of |cell|: a bound on how far two
+    evaluations of one grid sum that associate differently may lie apart.
+
+    Each evaluation is within gamma_m * sum |cell| of the exact sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 3-4), with m
+    the multiplications per cell (the factors and one per weight axis) plus
+    the depth of two nested numpy pairwise sums, each at most 19 + log2(n)
+    for n terms.  The sum of |cell| is itself taken in floats, hence 1%.
+    """
+    m = len(factors) + len(grid.shape) + 2 * (20 + math.ceil(math.log2(grid.cells)))
+    gamma = m * 2.0**-53 / (1.0 - m * 2.0**-53)
+    return 2.02 * gamma * _seed_expect(grid, [np.abs(a) for a in factors])
+
+
+def _check_expect(grid, factors):
+    """Up to one block, the bits of the seed loops; past one block, the bits
+    of `_plain_expect` and the seed loops within `_rounding_bound`."""
+    got = grid.expect(factors)
+    if grid.cells <= spaces.BLOCK_CELLS:
+        _assert_same_bits(got, _seed_expect(grid, factors))
+    else:
+        _assert_same_bits(got, _plain_expect(grid, factors))
+        assert abs(got - _seed_expect(grid, factors)) <= _rounding_bound(grid, factors)
+    return got
+
+
 @st.composite
 def _grid_and_factors(draw, max_cells, sizes=None):
     """A replicated grid of at most max_cells cells and 0-16 lifted factors.
@@ -416,13 +500,17 @@ def _grid_and_factors(draw, max_cells, sizes=None):
 
 
 class TestFoldMatchesSeedLoops:
-    """`Grid.expect` against its old loops, bit for bit, zeros' signs included."""
+    """`Grid.expect` against its reference loops, bit for bit, zeros' signs included.
+
+    Up to one block the reference is the seed loops; past one block it is
+    `_plain_expect`, and the seed loops agree within a rounding bound.
+    """
 
     @settings(max_examples=100)
     @given(_grid_and_factors(max_cells=1 << 18))
     def test_any_grid(self, case):
         grid, factors = case
-        _assert_same_bits(grid.expect(factors), _seed_expect(grid, factors))
+        _check_expect(grid, factors)
 
     @settings(max_examples=100)
     @given(
@@ -432,7 +520,7 @@ class TestFoldMatchesSeedLoops:
     def test_around_one_block(self, sizes, data):
         # 65535, 65536, 65537 and 131072 cells, one replica each.
         grid, factors = data.draw(_grid_and_factors(max_cells=1 << 17, sizes=list(sizes)))
-        _assert_same_bits(grid.expect(factors), _seed_expect(grid, factors))
+        _check_expect(grid, factors)
 
     @settings(max_examples=100)
     @given(
@@ -449,7 +537,7 @@ class TestFoldMatchesSeedLoops:
             mp.setattr(spaces, "BLOCK_CELLS", block)
             mp.setattr(spaces, "FOLD_MIN_CELLS", fold_min)
             mp.setattr(spaces, "INNER_CELLS", inner)
-            _assert_same_bits(grid.expect(factors), _seed_expect(grid, factors))
+            _check_expect(grid, factors)
 
     @settings(max_examples=100)
     @given(
@@ -476,9 +564,10 @@ class TestFoldMatchesSeedLoops:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_peak_memory_at_most_seed_loops(self):
-        # The 3-edge, 4-atom, ell=4 box power: 4**12 cells in four 2 MB
-        # caches.  The old loops peaked at 9,453,232 bytes here; growing
-        # products may not raise that.
+        # The 3-edge, 4-atom, ell=4 box power: 4**12 cells, whose four
+        # groups of 16 factors share one 2 MB cache.  The old loops peaked
+        # at 9,453,232 bytes here, with one cache per group; the shared
+        # cache and one 512 KB buffer per leading axis peak at 4,773,176.
         rng = np.random.Generator(np.random.Philox(key=13))
         sys_ = make_system([rng.uniform(0.5, 1.5, size=4) for _ in range(3)], [(0, 1, 2)])
         e = (0, 1, 2)
@@ -487,15 +576,96 @@ class TestFoldMatchesSeedLoops:
         factors = [grid.lift(e, vals, d) for d in itertools.product(range(4), repeat=3)]
         grid.expect(factors[:1])  # warm the imports
         peaks = {}
+        got = {}
         for name, run in (("seed", _seed_expect), ("fold", Grid.expect)):
             tracemalloc.start()
             try:
-                got = run(grid, factors)
+                got[name] = run(grid, factors)
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            _assert_same_bits(got, _seed_expect(grid, factors))
+        _assert_same_bits(got["fold"], _plain_expect(grid, factors))
+        assert abs(got["fold"] - got["seed"]) <= _rounding_bound(grid, factors)
         assert peaks["fold"] <= peaks["seed"]
+
+
+def _count_folds(mp):
+    """Patch `spaces._fold` to count the folds that multiply something."""
+    calls = []
+    real = spaces._fold
+
+    def spy(first, factors, shape):
+        if factors:
+            calls.append(shape)
+        return real(first, factors, shape)
+
+    mp.setattr(spaces, "_fold", spy)
+    return calls
+
+
+class TestSharedCaches:
+    """Groups share a cache only when they fold the same views of the same memory."""
+
+    def grid(self, atoms, ell, seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=atoms) for _ in range(2)], [(0, 1)])
+        return rng, Grid(sys_, [(v, m) for v in (0, 1) for m in range(ell)])
+
+    def test_transposed_views_share_no_cache(self):
+        # f and f.T on a square 2-edge: one memory, one shape, other strides.
+        rng, grid = self.grid(3, 2, 31)
+        f = rng.uniform(-1.0, 1.0, size=(3, 3))
+        assert f.T.shape == f.shape and f.T.strides != f.strides
+        e = (0, 1)
+        factors = [
+            grid.lift(e, f, (0, 0)), grid.lift(e, f, (0, 1)),  # read (0, 0)
+            grid.lift(e, f.T, (1, 0)), grid.lift(e, f.T, (1, 1)),  # read (0, 1)
+        ]
+        # What a cache wrongly shared with the first group would give.
+        shared = factors[:2] + [grid.lift(e, f, (1, 0)), grid.lift(e, f, (1, 1))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "BLOCK_CELLS", 9)
+            calls = _count_folds(mp)
+            assert _split(grid.shape) == 2
+            got = _check_expect(grid, factors)
+            assert got != _plain_expect(grid, shared)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("other", ["values", "copy"])
+    def test_one_different_factor_shares_no_cache(self, other):
+        # Keyed on memory, not values: an equal copy gets its own fold too.
+        rng, grid = self.grid(3, 2, 32)
+        f = rng.uniform(-1.0, 1.0, size=(3, 3))
+        g = rng.uniform(-1.0, 1.0, size=(3, 3))
+        h = g.copy() if other == "copy" else rng.uniform(-1.0, 1.0, size=(3, 3))
+        e = (0, 1)
+        factors = [
+            grid.lift(e, f, (0, 0)), grid.lift(e, g, (0, 1)),
+            grid.lift(e, f, (1, 0)), grid.lift(e, h, (1, 1)),
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "BLOCK_CELLS", 9)
+            calls = _count_folds(mp)
+            _check_expect(grid, factors)
+        assert len(calls) == 2
+
+    def test_box_power_direct_folds_one_cache(self):
+        # ell groups of ell**2 lifts of f, one per leading replica of vertex 0.
+        rng = np.random.Generator(np.random.Philox(key=33))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=2) for _ in range(3)], [(0, 1, 2)])
+        f = edge_function(sys_, (0, 1, 2), rng.uniform(-1.0, 1.0, size=(2, 2, 2)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "BLOCK_CELLS", 1 << 8)
+            calls = _count_folds(mp)
+            got = box_power_direct(sys_, (0, 1, 2), f, 4)
+            grid = Grid(sys_, [(v, m) for v in range(3) for m in range(4)])
+            assert _split(grid.shape) == 4
+            factors = [
+                grid.lift((0, 1, 2), f.values, d)
+                for d in itertools.product(range(4), repeat=3)
+            ]
+            _assert_same_bits(got, _plain_expect(grid, factors))
+        assert calls == [(2,) * 9]  # one fold over (leading read x trailing)
 
 
 def _reference_lp(row, p, grid):
