@@ -7,6 +7,10 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 `boxlab.cli.main` in-process on:
 - the bundled `suite --stable` battery at `--threads 1`, `2` and `3` (on a
   2-CPU machine, 3 is more processes than CPUs);
+- a second suite file at `--threads 1`: the norm-axioms, gcs, bilinear,
+  von-neumann and counting items, which take their box norms in stacks, at
+  seeds 7 and 2027 (norm-axioms with 137 cases, so its last batch of cases
+  is short);
 - every operation of the `norms` and `certify` workloads of
   `perfbench/workloads.py` (seed 1);
 - `vonneumann` and `counting` on two K3 instances that no workload
@@ -78,6 +82,21 @@ def write_instance(path: str, spaces, values, edges=K3) -> None:
     functions = [{"edge": e, "values": v} for e, v in zip(edges, values)]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"spaces": spaces, "edges": edges, "functions": functions}, fh)
+
+
+def suite_file_cases() -> list:
+    """Write a suite file of the stacked-norm items at seeds of their own; its command."""
+    items = []
+    for seed in (7, 2027):
+        for name, check in (("norm-axioms", "norm_axioms"), ("gcs", "gcs"),
+                            ("bilinear", "bilinear"), ("von-neumann", "vonneumann"),
+                            ("counting", "counting")):
+            params = {"seed": seed, **({"count": 137} if check == "norm_axioms" else {})}
+            items.append({"name": f"{name}-{seed}", "check": check, "params": params})
+    with open("stacked_items.json", "w", encoding="utf-8") as fh:
+        json.dump({"items": items}, fh)
+    argv = ["suite", "--file", "stacked_items.json", "--stable", "--threads", "1"]
+    return [("suite stacked items", argv)]
 
 
 def certificate_cases() -> list:
@@ -263,9 +282,9 @@ def run_tree(tree: str, out_path: str) -> None:
             os.mkdir(name)
             ops = workloads.BUILDERS[name](name, SEED)
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
-        commands += (certificate_cases() + walk_cases() + mixed_auto_cases() + tie_cases()
-                     + peel_cases() + block_path_cases() + heuristic_cases()
-                     + sampled_scan_cases())
+        commands += (suite_file_cases() + certificate_cases() + walk_cases()
+                     + mixed_auto_cases() + tie_cases() + peel_cases() + block_path_cases()
+                     + heuristic_cases() + sampled_scan_cases())
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

@@ -27,32 +27,42 @@ Two independent evaluation routes are provided on purpose:
   the last coordinate of the edge, averaging the sub-power of the pointwise
   product of `ell` slices.  Tuples of slices are grouped into multisets with
   multinomial weights, which cuts m**ell work down to binom(m + ell - 1, ell).
-  The peel is batched: a batch holds B tensors on the same coordinates (the
-  first holds f alone).  Peeling a coordinate with m atoms computes each
-  power `X ** c` (c = 2..ell) once on the whole batch and turns every
-  tensor into M = binom(m + ell - 1, ell) tensors with one axis fewer, one
-  per multiset in `combinations_with_replacement` order: the slices of its
-  distinct atoms, each to the power of its count, multiplied in ascending
-  atom order (a multiset with fewer distinct atoms multiplies by 1.0,
-  which is exact).  On the first coordinate each tensor is one C-contiguous
-  row, summed against the weights by numpy's pairwise sum, and the sum is
-  raised to `ell` as a Python float.  Folding back, a tensor's power starts
-  at 0.0 and adds (coefficient * weight) * child power one multiset at a
-  time in multiset order; a multiset's weight multiplies w_t ** c_t, taken
-  on Python floats, in ascending atom order; the multisets are cached per
-  (m, ell).  The fold is a sequential scan, never a pairwise reduction, so
+  The peel is batched: a batch holds B tensors on the same coordinate sizes,
+  and row r weighs its coordinates by its own vertex spaces, through an
+  index into a table of the distinct tuples of spaces in the batch (children
+  inherit their parent's index by `np.repeat`).  Peeling a coordinate with m
+  atoms computes each power `X ** c` (c = 2..ell) once on the whole batch
+  and turns every tensor into M = binom(m + ell - 1, ell) tensors with one
+  axis fewer, one per multiset in `combinations_with_replacement` order:
+  the slices of its distinct atoms, each to the power of its count,
+  multiplied in ascending atom order (a multiset with fewer distinct atoms
+  multiplies by 1.0, which is exact).  On the first coordinate each tensor
+  is one C-contiguous row, multiplied by its row of weights and summed by
+  numpy's pairwise sum, and the sum is raised to `ell` as a Python float.
+  Folding back, a tensor's power starts at 0.0 and adds (coefficient *
+  weight) * child power one multiset at a time in multiset order; a
+  multiset's weight multiplies w_t ** c_t, taken on Python floats once per
+  table entry, in ascending atom order; the multisets are cached per (m,
+  ell).  The fold is a sequential scan, never a pairwise reduction, so
   every power equals that of a loop over the multisets bit for bit (for
-  C-contiguous tensors, as `EdgeFunction` stores them).  A level whose
-  peeled batch or stack of powers would exceed one block (2**16 cells, as
-  in `Grid.expect`) is split along its batch axis into pieces of at most
-  one block, each of at least one tensor, peeled one after another; the
-  split changes no tensor's arithmetic.  A one-atom coordinate has one
-  multiset, so its peel is just `X ** ell` and the fold
-  0.0 + (1.0 * w ** ell) * child, the same floats without the plan.
-  Before anything is allocated, `_check_peel` refuses (SizeCapExceeded) a
-  replica count whose multinomial coefficients overflow a float, or whose
-  plan or stack of powers for one tensor would pass `GRID_CELL_CAP` cells;
-  a first-coordinate sum whose `ell`-th power overflows makes the power inf.
+  C-contiguous tensors, as `EdgeFunction` stores them), whatever else the
+  batch holds.  A level whose peeled batch or stack of powers would exceed
+  one block (2**16 cells, as in `Grid.expect`) is split along its batch
+  axis into pieces of at most one block, each of at least one tensor,
+  peeled one after another; the split changes no tensor's arithmetic.  A
+  one-atom coordinate has one multiset, so its peel is just `X ** ell` and
+  the fold 0.0 + (1.0 * w ** ell) * child, the same floats without the
+  plan.  Before anything is allocated, `_check_peel` refuses
+  (SizeCapExceeded) a replica count whose multinomial coefficients overflow
+  a float, or whose plan or stack of powers for one tensor would pass
+  `GRID_CELL_CAP` cells; a first-coordinate sum whose `ell`-th power
+  overflows makes the power of its own row inf, and no other row's.
+  `_box_norms` is the one entry: it takes a stack of (system, edge, values)
+  rows at one ell, peels the rows of each shape as one batch and roots each
+  power.  `box_norm`, `lp_box_norm` and the certificates call it, with one
+  row or with all the norms they need; an error is raised once the rows
+  before it are done, so a stack raises what one call per row would raise
+  first.
 
 Both return the same number up to roundoff; tests enforce 1e-9 agreement.
 Powers are carried unrooted through the recursion and the single final root
@@ -71,6 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BoxlabError,
     NumericalInconsistency,
     OddEll,
     ShapeMismatch,
@@ -86,7 +97,7 @@ from .spaces import (
     as_edge,
     check_on_edge,
     checked_power,
-    edge_function,
+    derived_function,
 )
 
 REL_TOL = 1e-9
@@ -115,12 +126,12 @@ class BoxNormResult:
     clamped: bool
 
 
-def _power_scale(values: np.ndarray, big_n: int) -> float:
-    m = float(np.max(np.abs(values))) if values.size else 0.0
-    if m == 0.0:
+def _power_scale(top: float, big_n: int) -> float:
+    """The clamp scale max|f| ** ell**|e|, from `top` = max|f|."""
+    if top == 0.0:
         return 0.0
     try:
-        return m**big_n
+        return top**big_n
     except OverflowError:
         return math.inf
 
@@ -228,29 +239,47 @@ def _multiset_plan(m: int, ell: int) -> tuple[tuple[np.ndarray, ...], np.ndarray
     return tuple(rows), coeffs
 
 
-def _peel(system: HypergraphSystem, e: tuple[int, ...], batch: np.ndarray, ell: int) -> np.ndarray:
-    """The box powers on e of `batch[0]`, `batch[1]`, ..., peeling e[-1] first."""
-    if len(e) == 1:
-        sums = np.add.reduce(batch * system.spaces[e[0]].weights, axis=-1)
-        return np.array([s**ell for s in sums.tolist()])
-    w = system.spaces[e[-1]].weights.tolist()
-    m = len(w)
+def _power_or_inf(s: float, ell: int) -> float:
+    try:
+        return s**ell
+    except OverflowError:
+        return math.inf
+
+
+def _peel(
+    batch: np.ndarray, index: np.ndarray, levels: list, ell: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The box powers of `batch[0]`, `batch[1]`, ..., peeling the last axis first.
+
+    Row r weighs its coordinates by entry `index[r]` of the tables in
+    `levels` (see `_levels`).  Also returns which rows had a first-coordinate
+    sum whose `ell`-th power overflows, or None if none had; those rows'
+    powers are inf.
+    """
+    table = levels[batch.ndim - 2]
+    if batch.ndim == 2:
+        sums = np.add.reduce(batch * table[index], axis=-1)
+        try:
+            return np.array([s**ell for s in sums.tolist()]), None
+        except OverflowError:
+            powers = np.array([_power_or_inf(s, ell) for s in sums.tolist()])
+            return powers, np.isinf(powers) & np.isfinite(sums)
+    m = batch.shape[-1]
     if m == 1:
         # The one multiset: the fold below is 0.0 + (1.0 * w**ell) * child.
-        sub = _peel(system, e[:-1], batch[..., 0] ** ell, ell)
-        return 0.0 + (1.0 * w[0] ** ell) * sub
+        sub, over = _peel(batch[..., 0] ** ell, index, levels, ell)
+        if over is not None:
+            sub[over] = 0.0
+        powers = 0.0 + table[index] * sub
+        if over is not None:
+            powers[over] = math.inf
+        return powers, over
     rows, coeffs = _multiset_plan(m, ell)
-    # Entry c * m + t of `wpow`, like row c * m + t of `pieces` below, is
-    # atom t to the power c; count 0 gives ones.
-    wpow = np.array([x**c for c in range(ell + 1) for x in w])
-    factor = wpow[rows[0]]
-    for r in rows[1:]:
-        factor = factor * wpow[r]
-    factor = coeffs * factor
     size = len(coeffs)
     rest = batch.shape[1:-1]
     step = max(1, BLOCK_CELLS // (max(size, (ell + 1) * m) * math.prod(rest)))
     powers = np.empty(batch.shape[0])
+    overflowed = None
     for lo in range(0, batch.shape[0], step):
         x = batch[lo : lo + step].transpose(0, batch.ndim - 1, *range(1, batch.ndim - 1))
         b = x.shape[0]
@@ -258,12 +287,103 @@ def _peel(system: HypergraphSystem, e: tuple[int, ...], batch: np.ndarray, ell: 
         prod = pieces.take(rows[0], axis=1)
         for r in rows[1:]:
             prod *= pieces.take(r, axis=1)
-        sub = _peel(system, e[:-1], prod.reshape((b * size,) + rest), ell)
+        at = index[lo : lo + b]
+        sub, over = _peel(prod.reshape((b * size,) + rest), np.repeat(at, size), levels, ell)
+        if over is not None:
+            sub[over] = 0.0
         # 0.0 + t_0 + t_1 + ... left to right: a scan, not a pairwise sum.
         terms = np.zeros((b, size + 1))
-        np.multiply(factor, sub.reshape(b, size), out=terms[:, 1:])
+        np.multiply(table[at], sub.reshape(b, size), out=terms[:, 1:])
         powers[lo : lo + b] = np.add.accumulate(terms, axis=1)[:, -1]
-    return powers
+        if over is not None:
+            over = over.reshape(b, size).any(axis=1)
+            powers[lo : lo + b][over] = math.inf
+            if overflowed is None:
+                overflowed = np.zeros(batch.shape[0], dtype=bool)
+            overflowed[lo : lo + b] = over
+    return powers, overflowed
+
+
+def _levels(table: list, sizes: tuple[int, ...], ell: int) -> list[np.ndarray]:
+    """Per coordinate, the peel's weight table: one row per entry of `table`.
+
+    `table[t][j]` is the weight vector of coordinate j in entry t.  Level 0
+    holds the weights themselves; a one-atom level holds 1.0 * w**ell; a
+    level of m >= 2 atoms holds, per multiset, its coefficient times its
+    weight, the product of w_t ** c_t in ascending atom order.  Powers are
+    taken on Python floats, once per entry.
+    """
+    levels = [np.array([entry[0] for entry in table])]
+    for j in range(1, len(sizes)):
+        ws = [entry[j].tolist() for entry in table]
+        if sizes[j] == 1:
+            levels.append(np.array([1.0 * w[0] ** ell for w in ws]))
+            continue
+        rows, coeffs = _multiset_plan(sizes[j], ell)
+        # Entry c * m + t of a row of `wpow`, like row c * m + t of the
+        # peel's `pieces`, is atom t to the power c; count 0 gives ones.
+        wpow = np.array([[x**c for c in range(ell + 1) for x in w] for w in ws])
+        factor = wpow.take(rows[0], axis=1)
+        for r in rows[1:]:
+            factor *= wpow.take(r, axis=1)
+        levels.append(coeffs * factor)
+    return levels
+
+
+def _box_norms(rows, ell: int) -> list[BoxNormResult]:
+    """Recursive box norms of a stack of rows (system, edge, values), one ell.
+
+    Rows are trusted: each edge is canonical and its values a float tensor
+    on it.  Rows of one shape are peeled as one batch, each row weighted by
+    its own spaces through a table of the distinct tuples of spaces, so a
+    row's power equals that of a one-row peel bit for bit.  An error raised
+    while drawing a row from `rows` (an iterator may build them) or while
+    checking it (`checked_power`, `_check_peel`) is raised once the rows
+    before it are peeled and rooted, so a stack raises the error that one
+    call per row would raise first, and a refused row allocates nothing.
+    """
+    taken: list = []
+    groups: dict[tuple[int, ...], list[int]] = {}
+    pending = None
+    try:
+        for row in rows:
+            shape = row[2].shape
+            if shape not in groups:
+                checked_power(ell, len(shape))
+                _check_peel(shape, ell)
+                groups[shape] = []
+            groups[shape].append(len(taken))
+            taken.append(row)
+    except BoxlabError as exc:
+        pending = exc
+    powers = [0.0] * len(taken)
+    tops = [0.0] * len(taken)
+    for shape, members in groups.items():
+        keys: dict[tuple, int] = {}
+        index = np.array(
+            [
+                keys.setdefault(tuple(taken[i][0].spaces[v] for v in taken[i][1]), len(keys))
+                for i in members
+            ],
+            dtype=np.intp,
+        )
+        levels = _levels([[s.weights for s in key] for key in keys], shape, ell)
+        batch = np.array([taken[i][2] for i in members])
+        got = _peel(batch, index, levels, ell)[0].tolist()
+        for i, power in zip(members, got):
+            powers[i] = power
+        if any(power < 0.0 for power in got):  # only these read the clamp scale
+            top = np.maximum.reduce(np.abs(batch).reshape(len(members), -1), axis=1)
+            for i, m in zip(members, top.tolist()):
+                tops[i] = m
+    out = []
+    for (_, e, _), power, top in zip(taken, powers, tops):
+        big_n = ell ** len(e)
+        value, clamped = _root_with_clamp(power, big_n, _power_scale(top, big_n))
+        out.append(BoxNormResult(value, power, ell, e, "recursive", clamped))
+    if pending is not None:
+        raise pending
+    return out
 
 
 def _box_power_recursive(
@@ -272,11 +392,8 @@ def _box_power_recursive(
     values: np.ndarray,
     ell: int,
 ) -> float:
-    _check_peel(values.shape, ell)
-    try:
-        return float(_peel(system, e, values[None], ell)[0])
-    except OverflowError:  # a first-coordinate sum to the power ell (even)
-        return math.inf
+    """The recursive box power of one trusted tensor."""
+    return _box_norms([(system, e, values)], ell)[0].power
 
 
 def box_norm(
@@ -288,20 +405,20 @@ def box_norm(
 ) -> BoxNormResult:
     """Box norm of f on edge e with ell replicas per coordinate.
 
-    method="recursive" peels the largest coordinate (the normative order);
-    method="direct" roots the oracle power instead.
+    method="recursive" peels the edge's last coordinate e[-1] first, then
+    the one before it, down to e[0] (the normative order); method="direct"
+    roots the oracle power instead.
     """
     e = check_on_edge(system, e, f)
     ell = require_even(ell)
     big_n = checked_power(ell, len(e))
-    if method == "direct":
-        power = box_power_direct(system, e, f, ell)
-    elif method == "recursive":
-        power = _box_power_recursive(system, e, f.values, ell)
-    else:
+    if method == "recursive":
+        return _box_norms([(system, e, f.values)], ell)[0]
+    if method != "direct":
         raise ShapeMismatch(f"unknown box norm method {method!r}")
-    scale = _power_scale(f.values, big_n)
-    value, clamped = _root_with_clamp(power, big_n, scale)
+    power = box_power_direct(system, e, f, ell)
+    top = float(np.max(np.abs(f.values)))
+    value, clamped = _root_with_clamp(power, big_n, _power_scale(top, big_n))
     return BoxNormResult(value, power, ell, e, method, clamped)
 
 
@@ -379,15 +496,15 @@ def gcs_certificate(
     e = as_edge(e)
     ell = require_even(ell)
     value = gcs_form(system, e, functions, ell)
+    ordered = sorted(functions.items())
+    distinct = {id(fn): fn for _, fn in ordered}
+    found = _box_norms([(system, e, fn.values) for fn in distinct.values()], ell)
+    by_factor = {key: res.value for key, res in zip(distinct, found)}
     rhs = 1.0
     norms = {}
-    by_factor: dict[int, float] = {}
-    for digits, fn in sorted(functions.items()):
-        digits = tuple(int(d) for d in digits)
-        if id(fn) not in by_factor:
-            by_factor[id(fn)] = box_norm(system, e, fn, ell).value
+    for digits, fn in ordered:
         nv = by_factor[id(fn)]
-        norms[",".join(map(str, digits))] = nv
+        norms[",".join(str(int(d)) for d in digits)] = nv
         rhs *= nv
     tol = REL_TOL * rhs
     lhs = abs(value)
@@ -415,11 +532,32 @@ def lp_box_norm(
     which keeps |f|**p inside float range for p as large as 2**20.
     """
     e = check_on_edge(system, e, f)
-    ell = require_even(ell)
-    m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
-    if p.is_inf or m == 0.0:
-        return m
-    return _lp_box_norm_inner(system, e, f, ell, p)[0]
+    return _lp_box_norms([(system, e, f.values)], require_even(ell), [p])[0][0]
+
+
+def _lp_box_norms(rows, ell: int, ps) -> list[list[float]]:
+    """p-weighted box norms of a stack of trusted rows (system, edge, values).
+
+    Entry [i][r] is the norm of row r at exponent ps[i]: max|f| at p = inf
+    or when f is zero; otherwise max|f| * b**(1/p), taken through log/exp,
+    where b is the box norm of (|f| / max|f|)**p.  Every b comes from one
+    `_box_norms` stack, p by p and row by row, so each norm equals that of
+    a one-row call bit for bit.
+    """
+    rows = list(rows)
+    mags = [np.abs(values) for _, _, values in rows]
+    tops = [float(mag.max()) for mag in mags]
+    live = [
+        (i, r) for i, p in enumerate(ps) if not p.is_inf for r, top in enumerate(tops) if top != 0.0
+    ]
+    inner = _box_norms(
+        ((rows[r][0], rows[r][1], np.power(mags[r] / tops[r], ps[i].value)) for i, r in live), ell
+    )
+    out = [list(tops) for _ in ps]
+    for (i, r), res in zip(live, inner):
+        b = res.value
+        out[i][r] = tops[r] * math.exp(math.log(b) / ps[i].value) if b > 0.0 else 0.0
+    return out
 
 
 def _lp_box_norm_inner(
@@ -436,11 +574,11 @@ def _lp_box_norm_inner(
     f itself when f is zero (value 0).  The p-weighted norm is then
     max|f| * inner.value**(1/p), taken through log/exp.
     """
-    m = float(np.max(np.abs(f.values))) if f.values.size else 0.0
+    m = float(np.max(np.abs(f.values)))
     if m == 0.0:
         inner = box_norm(system, e, f, ell, method=method)
         return 0.0, inner
-    powered = edge_function(system, e, np.power(np.abs(f.values) / m, p.value))
+    powered = derived_function(e, np.power(np.abs(f.values) / m, p.value))
     inner = box_norm(system, e, powered, ell, method=method)
     if inner.value <= 0.0:
         return 0.0, inner

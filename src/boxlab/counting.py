@@ -27,6 +27,13 @@ prefix.  The worst subset or pair is then picked by a scan in the
 enumeration order of `itertools.combinations` by size (von Neumann) or
 `itertools.product` over edge states (counting), and only a strictly
 larger norm replaces it, so a tie keeps the first.
+
+The edges' box norms, p-weighted box norms and difference norms are taken
+in stacks by `boxnorm._box_norms`, each equal bit for bit to one call per
+edge.  A subset or pair norm, an edgewise difference f - g or a counting
+form that is not finite (a product or sum past the float range) raises
+NumericalInconsistency where the scan or the sum meets it, without numpy
+warnings.
 """
 
 from __future__ import annotations
@@ -37,11 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxnorm import REL_TOL, box_norm, lp_box_norm, require_even
+from .boxnorm import REL_TOL, _box_norms, _lp_box_norms, require_even
 from .errors import (
     BadSpec,
     EmptyHypergraph,
     NotTwoUniform,
+    NumericalInconsistency,
     PairCapExceeded,
     POutOfRange,
     ShapeMismatch,
@@ -172,6 +180,10 @@ class _Products:
 
     def lift(self, f: EdgeFunction) -> np.ndarray:
         return self.full.lift(f.edge, f.values, (0,) * len(f.edge))
+
+
+def _not_finite(cert: str, what: str, p: Exponent) -> NumericalInconsistency:
+    return NumericalInconsistency(f"{cert} certificate: {what}, not finite (p={p.as_json()})")
 
 
 def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
@@ -355,19 +367,30 @@ def von_neumann_certificate(
     edges = system.edges
     if len(edges) >= 1 and (1 << len(edges)) > SUBSET_CAP:
         raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {SUBSET_CAP}")
-    box_norms = {e: box_norm(system, e, assign[e], ell).value for e in edges}
-    box_lp = {e: lp_box_norm(system, e, assign[e], ell, p) for e in edges}
+    rows = [(system, e, assign[e].values) for e in edges]
+    box_norms = {e: res.value for e, res in zip(edges, _box_norms(rows, ell))}
+    box_lp = dict(zip(edges, _lp_box_norms(rows, ell, [p])[0]))
     hyp_box = all(v <= 1.0 + REL_TOL for v in box_lp.values())
-    values = _product_norms(system, [[assign[e] for e in edges]], p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _product_norms(system, [[assign[e] for e in edges]], p)
     worst_subset: tuple[tuple[int, ...], ...] = ()
     worst_lp = 1.0  # empty subset product is the constant one
     for r in range(1, len(edges) + 1):
         for sub in itertools.combinations(range(len(edges)), r):
             val = values[sum(1 << (len(edges) - 1 - j) for j in sub)]
-            if val > worst_lp:
-                worst_lp, worst_subset = float(val), tuple(edges[j] for j in sub)
+            if not val <= worst_lp:  # a larger norm, or one that is not finite
+                worst_subset = tuple(edges[j] for j in sub)
+                if not math.isfinite(val):
+                    subset = [list(e) for e in worst_subset]
+                    raise _not_finite(
+                        "von Neumann", f"the L_p norm of the product over {subset} is {val}", p
+                    )
+                worst_lp = float(val)
     hyp_subsets = worst_lp <= C + REL_TOL
-    lhs = abs(lambda_form(system, assign))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = abs(lambda_form(system, assign))
+    if not math.isfinite(lhs):
+        raise _not_finite("von Neumann", f"the counting form is {lhs}", p)
     min_edge = min(edges, key=lambda e: (box_norms[e], e))
     rhs = C * box_norms[min_edge]
     tol = REL_TOL * max(1.0, rhs)
@@ -441,7 +464,7 @@ def counting_lemma_certificate(
     Hypothesis flags cover the p-weighted box norms of both assignments and
     the L_p norms of every mixed product over disjoint edge-subset pairs.
     """
-    from .spaces import edge_function, max_degree
+    from .spaces import max_degree
 
     assign_f = full_assignment(system, functions_f)
     assign_g = full_assignment(system, functions_g)
@@ -455,29 +478,46 @@ def counting_lemma_certificate(
     edges = system.edges
     if 3 ** len(edges) > PAIR_CAP:
         raise PairCapExceeded(f"3**{len(edges)} disjoint pairs exceed cap {PAIR_CAP}")
-    hyp_box = True
-    for e in edges:
-        if lp_box_norm(system, e, assign_f[e], ell, p) > 1.0 + REL_TOL:
-            hyp_box = False
-        if lp_box_norm(system, e, assign_g[e], ell, p) > 1.0 + REL_TOL:
-            hyp_box = False
-    values = _product_norms(
-        system, [[assign_f[e] for e in edges], [assign_g[e] for e in edges]], p
-    )
+    rows = [(system, e, a[e].values) for e in edges for a in (assign_f, assign_g)]
+    hyp_box = not any(v > 1.0 + REL_TOL for v in _lp_box_norms(rows, ell, [p])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _product_norms(
+            system, [[assign_f[e] for e in edges], [assign_g[e] for e in edges]], p
+        )
     worst_pair: tuple = ((), ())
     worst_lp = 1.0  # both-empty pair: the constant one
     for code, states in enumerate(itertools.product(range(3), repeat=len(edges))):
-        if values[code] > worst_lp:
+        if not values[code] <= worst_lp:  # a larger norm, or one that is not finite
             side_f = tuple(e for e, s in zip(edges, states) if s == 1)
             side_g = tuple(e for e, s in zip(edges, states) if s == 2)
-            worst_lp, worst_pair = float(values[code]), (side_f, side_g)
+            worst_pair = (side_f, side_g)
+            if not math.isfinite(values[code]):
+                what = (
+                    f"the L_p norm of the product over f on {[list(e) for e in side_f]}"
+                    f" and g on {[list(e) for e in side_g]} is {values[code]}"
+                )
+                raise _not_finite("counting", what, p)
+            worst_lp = float(values[code])
     hyp_pairs = worst_lp <= C + REL_TOL
-    lhs = abs(lambda_form(system, assign_f) - lambda_form(system, assign_g))
-    diffs = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        form_f = lambda_form(system, assign_f)
+        form_g = lambda_form(system, assign_g)
+        lhs = abs(form_f - form_g)
+    for name, form in (("f", form_f), ("g", form_g), ("f minus that of g", lhs)):
+        if not math.isfinite(form):
+            raise _not_finite("counting", f"the counting form of {name} is {form}", p)
+
+    def differences():
+        for e in edges:
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = assign_f[e].values - assign_g[e].values
+            if not np.isfinite(d).all():
+                raise _not_finite("counting", f"f - g on edge {list(e)} overflows", p)
+            yield system, e, d
+
+    diffs = {res.edge: res.value for res in _box_norms(differences(), ell)}
     rhs = 0.0
     for e in edges:
-        d = edge_function(system, e, assign_f[e].values - assign_g[e].values)
-        diffs[e] = box_norm(system, e, d, ell).value
         rhs += diffs[e]
     rhs *= C
     tol = REL_TOL * max(1.0, rhs)

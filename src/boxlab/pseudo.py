@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxnorm import REL_TOL, box_norm, lp_box_norm, require_even
+from .boxnorm import REL_TOL, _box_norms, _lp_box_norms, require_even
 from .counting import SUBSET_CAP, full_assignment, lambda_form, least_even_at_least
 from .cutnorm import cut_norm
 from .engine import (
@@ -660,14 +660,9 @@ def sum_family_certificate(
         and dev.max_value <= 1.0 + eta + REL_TOL
         and dev.min_value >= 1.0 - eta - REL_TOL
     )
-    phi_norms = {}
-    ok = True
-    for e in system.edges:
-        v = lp_box_norm(system, e, fam_phi[e], ell, p)
-        phi_norms[str(list(e))] = v
-        if v > C + REL_TOL:
-            ok = False
-    hyp["phi_box_lp_at_most_C"] = bool(ok)
+    norms = _lp_box_norms([(system, e, fam_phi[e].values) for e in system.edges], ell, [p])[0]
+    phi_norms = {str(list(e)): v for e, v in zip(system.edges, norms)}
+    hyp["phi_box_lp_at_most_C"] = not any(v > C + REL_TOL for v in norms)
     root = 1.0 / checked_power(ell, n - 1)
     c_pub = math.exp(n * ell * log4c)
     eta_pub = c_pub * math.exp(root * math.log(eta))
@@ -748,32 +743,26 @@ def near_majorant_certificate(
         and dev.min_value >= 1.0 - eta - REL_TOL
         and dev.max_value <= C + eta + REL_TOL
     )
-    nu_norms = {}
-    psi_norms = {}
-    nu_ok = True
-    psi_ok = True
-    for e in system.edges:
-        nb = lp_box_norm(system, e, fam_nu[e], ell, p)
-        pb = lp_box_norm(system, e, fam_psi[e], ell, p)
-        nu_norms[str(list(e))] = nb
-        psi_norms[str(list(e))] = pb
-        if not (nb >= 1.0 - REL_TOL and math.isfinite(nb)):
-            nu_ok = False
-        if pb > C + REL_TOL:
-            psi_ok = False
-    hyp["nu_box_lp_at_least_one"] = bool(nu_ok)
-    hyp["psi_box_lp_at_most_C"] = bool(psi_ok)
+    rows = [(system, e, fam[e].values) for e in system.edges for fam in (fam_nu, fam_psi)]
+    norms = _lp_box_norms(rows, ell, [p])[0]
+    nu_norms = {str(list(e)): v for e, v in zip(system.edges, norms[::2])}
+    psi_norms = {str(list(e)): v for e, v in zip(system.edges, norms[1::2])}
+    hyp["nu_box_lp_at_least_one"] = all(
+        nb >= 1.0 - REL_TOL and math.isfinite(nb) for nb in norms[::2]
+    )
+    hyp["psi_box_lp_at_most_C"] = not any(pb > C + REL_TOL for pb in norms[1::2])
     big_m = max(nu_norms.values())
     diff_bound = eta * math.exp(-(n - 1) * ell * math.log(C * big_m)) if big_m > 0 else 0.0
-    diffs = {}
-    diff_ok = True
-    for e in system.edges:
-        d = edge_function(system, e, fam_nu[e].values - fam_psi[e].values)
-        dv = box_norm(system, e, d, ell).value
-        diffs[str(list(e))] = dv
-        if dv > diff_bound + REL_TOL:
-            diff_ok = False
-    hyp["difference_box_small"] = bool(diff_ok)
+    # edge_function refuses a difference that overflows.
+    found = _box_norms(
+        (
+            (system, e, edge_function(system, e, fam_nu[e].values - fam_psi[e].values).values)
+            for e in system.edges
+        ),
+        ell,
+    )
+    diffs = {str(list(res.edge)): res.value for res in found}
+    hyp["difference_box_small"] = not any(dv > diff_bound + REL_TOL for dv in diffs.values())
     eta_out = n * ell * eta
     hyp["derived_eta_below_one"] = bool(eta_out < 1.0)
     constants = {

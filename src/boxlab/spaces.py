@@ -81,6 +81,19 @@ def make_prob_space(raw_weights) -> ProbSpace:
     return ProbSpace(_freeze(w / total))
 
 
+def make_prob_spaces(raws: list[np.ndarray]) -> list[ProbSpace]:
+    """`make_prob_space` of each float vector of `raws`, checked in one pass.
+
+    When any vector is not one-dimensional, finite and positive, the vectors
+    go through `make_prob_space` one by one, which raises the first error.
+    """
+    if all(w.ndim == 1 and w.size for w in raws):
+        flat = np.concatenate(raws)
+        if np.isfinite(flat).all() and (flat > 0.0).all():
+            return [ProbSpace(_freeze(w / float(np.sum(w)))) for w in raws]
+    return [make_prob_space(w) for w in raws]
+
+
 def as_edge(seq) -> tuple[int, ...]:
     """Canonicalize an edge: strictly increasing tuple of vertex indices."""
     e = tuple(int(v) for v in seq)
@@ -172,6 +185,26 @@ def edge_function(system: HypergraphSystem, edge, values) -> EdgeFunction:
     if not np.all(np.isfinite(vals)):
         raise ShapeMismatch(f"tensor for edge {e} contains non-finite entries")
     return EdgeFunction(e, _freeze(vals))
+
+
+def derived_function(e: tuple[int, ...], values: np.ndarray) -> EdgeFunction:
+    """Freeze a float tensor on canonical edge e that is already known to be
+    finite and of e's shape, without checking it again."""
+    return EdgeFunction(e, _freeze(values))
+
+
+def edge_functions(system: HypergraphSystem, raws: dict) -> dict:
+    """`edge_function` of each float tensor of `raws` on its edge of the
+    system, checked in one pass.
+
+    When any tensor is not finite or not of its edge's shape, the tensors go
+    through `edge_function` one by one, in order, which raises the first
+    error.
+    """
+    if all(v.shape == system.edge_shape(e) for e, v in raws.items()):
+        if not raws or np.isfinite(np.concatenate([v.reshape(-1) for v in raws.values()])).all():
+            return {e: derived_function(e, v) for e, v in raws.items()}
+    return {e: edge_function(system, e, v) for e, v in raws.items()}
 
 
 def constant_function(system: HypergraphSystem, edge, c: float = 1.0) -> EdgeFunction:
@@ -485,7 +518,8 @@ def _grid_lp_norms(rows: np.ndarray, p: Exponent, make_grid) -> list[float]:
     the sum `Grid.expect` takes of a grid of at most one block (2**16
     cells), so each norm is bit-identical to a call with that row alone.  A
     larger grid sums each row through `Grid.expect`'s block path.  A zero
-    row has norm 0.
+    row has norm 0, and a row whose max is not finite (a product that
+    overflowed) has that max as its norm.
     """
     mag = np.abs(rows)
     tops = np.maximum.reduce(mag, axis=1)
@@ -502,7 +536,9 @@ def _grid_lp_norms(rows: np.ndarray, p: Exponent, make_grid) -> list[float]:
     else:
         means = [grid.expect([row.reshape(grid.shape)]) for row in mag]
     return [
-        top * math.exp(math.log(mean) / p.value) if top > 0.0 and mean > 0.0 else 0.0
+        top if not math.isfinite(top)
+        else top * math.exp(math.log(mean) / p.value) if top > 0.0 and mean > 0.0
+        else 0.0
         for top, mean in zip(m, means)
     ]
 

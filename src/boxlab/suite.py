@@ -31,6 +31,8 @@ import numpy as np
 
 from . import __version__
 from .boxnorm import (
+    _box_norms,
+    _lp_box_norms,
     bilinear_bound_report,
     box_norm,
     box_power_direct,
@@ -69,6 +71,7 @@ from .spaces import (
     Exponent,
     INF,
     check_seed,
+    derived_function,
     edge_function,
     expectation,
     lp_norm,
@@ -77,6 +80,9 @@ from .spaces import (
 )
 
 TOL = 1e-9
+# Iterations of `check_norm_axioms` drawn and normed as one batch: enough
+# for its stacks of one shape to be long, few enough to hold little memory.
+_AXIOM_CHUNK = 50
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -266,45 +272,51 @@ def check_norm_axioms(params: dict) -> CheckResult:
             worst, worst_name = violation, name
 
     p_ladder = [Exponent(float(2**j)) for j in range(0, 11)]
-    for idx in range(count):
-        k = int(rng.integers(2, 4))
-        system, e = _random_system(rng, k, 3)
-        ell = int(rng.choice([2, 4]))
-        shape = system.edge_shape(e)
-        f = edge_function(system, e, _signed_values(rng, shape))
-        g = edge_function(system, e, _signed_values(rng, shape))
-        nf = box_norm(system, e, f, ell).value
-        ng = box_norm(system, e, g, ell).value
-        fg = edge_function(system, e, f.values + g.values)
-        scale = max(1.0, nf + ng)
-        track("triangle", (box_norm(system, e, fg, ell).value - (nf + ng)) / scale)
-        c = float(rng.uniform(-2.0, 2.0))
-        cf = edge_function(system, e, c * f.values)
-        track(
-            "homogeneity",
-            abs(box_norm(system, e, cf, ell).value - abs(c) * nf) / max(1.0, nf),
-        )
-        track(
-            "ell-monotone",
-            (box_norm(system, e, f, 2).value - box_norm(system, e, f, 4).value)
-            / max(1.0, nf),
-        )
-        if idx % 5 == 0:
-            prev = -math.inf
-            for p in p_ladder:
-                cur = lp_box_norm(system, e, f, 2, p)
-                track("p-monotone", (prev - cur) / max(1.0, cur))
-                prev = cur
+    # Each chunk draws its cases in the order of one loop over them, takes
+    # every norm in one stack per ell (and per p), then replays the checks
+    # in loop order.
+    for start in range(0, count, _AXIOM_CHUNK):
+        cases = []
+        for idx in range(start, min(count, start + _AXIOM_CHUNK)):
+            k = int(rng.integers(2, 4))
+            system, e = _random_system(rng, k, 3)
+            ell = int(rng.choice([2, 4]))
+            f = _signed_values(rng, system.edge_shape(e))
+            g = _signed_values(rng, f.shape)
+            c = float(rng.uniform(-2.0, 2.0))
+            cases.append((idx, system, e, ell, f, g, c))
+        # At its own ell a case needs f, g, f + g and c f; at the other, f.
+        stacks: dict[int, list] = {2: [], 4: []}
+        for _, system, e, ell, f, g, c in cases:
+            stacks[ell] += [(system, e, v) for v in (f, g, f + g, c * f)]
+            stacks[6 - ell].append((system, e, f))
+        norms = {ell: iter([res.value for res in _box_norms(stacks[ell], ell)]) for ell in stacks}
+        ladder_rows = [(system, e, f) for idx, system, e, _, f, _, _ in cases if idx % 5 == 0]
+        ladder = [iter(at_p) for at_p in _lp_box_norms(ladder_rows, 2, p_ladder)]
+        for idx, _, _, ell, _, _, c in cases:
+            nf, ng, nfg, ncf = (next(norms[ell]) for _ in range(4))
+            by_ell = {ell: nf, 6 - ell: next(norms[6 - ell])}
+            scale = max(1.0, nf + ng)
+            track("triangle", (nfg - (nf + ng)) / scale)
+            track("homogeneity", abs(ncf - abs(c) * nf) / max(1.0, nf))
+            track("ell-monotone", (by_ell[2] - by_ell[4]) / max(1.0, nf))
+            if idx % 5 == 0:
+                prev = -math.inf
+                for at_p in ladder:
+                    cur = next(at_p)
+                    track("p-monotone", (prev - cur) / max(1.0, cur))
+                    prev = cur
     # definiteness and the p -> infinity limit on uniform spaces
+    cases = []
     for idx in range(40):
         k = int(rng.integers(2, 4))
         system, e = _random_system(rng, k, 3, uniform_weights=True)
-        shape = system.edge_shape(e)
-        zero = edge_function(system, e, np.zeros(shape))
-        track("zero-norm", abs(box_norm(system, e, zero, 2).value))
-        f = edge_function(system, e, _signed_values(rng, shape))
-        sup = float(np.max(np.abs(f.values)))
-        big = lp_box_norm(system, e, f, 2, Exponent(float(2**20)))
+        cases.append((system, e, _signed_values(rng, system.edge_shape(e))))
+    zeros = _box_norms([(system, e, np.zeros(f.shape)) for system, e, f in cases], 2)
+    bigs = _lp_box_norms(cases, 2, [Exponent(float(2**20))])[0]
+    for (_, _, f), zero, big in zip(cases, zeros, bigs):
+        track("zero-norm", abs(zero.value))
+        sup = float(np.max(np.abs(f)))
         if sup > 0.0:
             track("p-limit-low", (0.9999 * sup - big) / sup)
             track("p-limit-high", (big - sup - TOL) / sup)
@@ -425,16 +437,17 @@ def check_cutnorm(params: dict) -> CheckResult:
     )
 
 
+def _normalized(rows, ell, p) -> dict:
+    """Each row's tensor, divided by its p-weighted box norm where that exceeds 1."""
+    return {
+        e: derived_function(e, vals / nb if nb > 1.0 else vals)
+        for (_, e, vals), nb in zip(rows, _lp_box_norms(rows, ell, [p])[0])
+    }
+
+
 def _normalized_family(system, rng, ell, p):
-    fns = {}
-    for e in system.edges:
-        vals = _signed_values(rng, system.edge_shape(e))
-        f = edge_function(system, e, vals)
-        nb = lp_box_norm(system, e, f, ell, p)
-        if nb > 1.0:
-            f = edge_function(system, e, vals / nb)
-        fns[e] = f
-    return fns
+    rows = [(system, e, _signed_values(rng, system.edge_shape(e))) for e in system.edges]
+    return _normalized(rows, ell, p)
 
 
 def _triangle_system():
@@ -488,14 +501,11 @@ def check_counting(params: dict) -> CheckResult:
         ell = ell_von_neumann(2, p)
         fns = _normalized_family(system, rng, ell, p)
         eps = float(rng.uniform(0.0, 0.3))
-        gns = {}
-        for e in system.edges:
-            vals = fns[e].values + eps * _signed_values(rng, system.edge_shape(e))
-            g = edge_function(system, e, vals)
-            nb = lp_box_norm(system, e, g, ell, p)
-            if nb > 1.0:
-                g = edge_function(system, e, vals / nb)
-            gns[e] = g
+        rows = [
+            (system, e, fns[e].values + eps * _signed_values(rng, system.edge_shape(e)))
+            for e in system.edges
+        ]
+        gns = _normalized(rows, ell, p)
         probe = counting_lemma_certificate(system, fns, gns, C=1.0, p=p)
         C = max(1.0, probe.worst_pair_lp)
         cert = counting_lemma_certificate(system, fns, gns, C=C, p=p)
@@ -743,12 +753,8 @@ def build_near_majorant_instance(seed: int = 110):
         nu = family_at(delta)
         big_m = max(lp_box_norm(system, e, nu[e], ell, p) for e in system.edges)
         bound = eta * math.exp(-(n - 1) * ell * math.log(C * big_m))
-        worst = max(
-            box_norm(
-                system, e, edge_function(system, e, nu[e].values - psi[e].values), ell
-            ).value
-            for e in system.edges
-        )
+        rows = [(system, e, nu[e].values - psi[e].values) for e in system.edges]
+        worst = max(res.value for res in _box_norms(rows, ell))
         return worst <= 0.9 * bound
 
     lo, hi = 0.0, 0.5

@@ -430,13 +430,18 @@ class TestSharedWork:
         fam = {d: f for d in itertools.product(range(2), repeat=2)}
         fam[(1, 1)] = g
         want = gcs_certificate(sys_, (0, 1), fam, 2)
-        calls = []
-        original = bn.box_norm
-        monkeypatch.setattr(
-            bn, "box_norm", lambda *a, **k: calls.append(a[2]) or original(*a, **k)
-        )
+        stacks = []
+        original = bn._box_norms
+
+        def spy(rows, ell):
+            rows = list(rows)
+            stacks.append([values for _, _, values in rows])
+            return original(rows, ell)
+
+        monkeypatch.setattr(bn, "_box_norms", spy)
         got = gcs_certificate(sys_, (0, 1), fam, 2)
-        assert len(calls) == 2 and {id(fn) for fn in calls} == {id(f), id(g)}
+        # One stack whose rows are the distinct factors, in first-use order.
+        assert len(stacks) == 1 and [id(v) for v in stacks[0]] == [id(f.values), id(g.values)]
         assert got == want
 
 
@@ -582,6 +587,116 @@ class TestBatchedPeel:
         # A few arrays of one block (0.5 MB each) at a time.
         assert peak < 8 * 8 * BLOCK_CELLS
         assert got == _loop_power(sys_, e, f.values, 4)
+
+
+def _loop_power_or_inf(system, e, values, ell):
+    """`_loop_power`, with inf where a first-coordinate sum's power overflows."""
+    try:
+        return _loop_power(system, e, values, ell)
+    except OverflowError:
+        return math.inf
+
+
+@st.composite
+def stack_case(draw):
+    """Rows of one shape and ell: systems with their own weights, some rows
+    sharing one, zero rows and one row whose first-coordinate sums overflow."""
+    ell = draw(st.sampled_from([2, 4, 6]))
+    k = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 4)) for _ in range(k)]
+    while _loop_work(sizes, ell) > 300:
+        sizes[max(range(k), key=sizes.__getitem__)] -= 1
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**31 - 1))))
+    e = tuple(range(k))
+    systems = [
+        make_system([rng.uniform(0.1, 1.0, size=z) for z in sizes], [e])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        system = systems[draw(st.integers(0, len(systems) - 1))]
+        zero = draw(st.booleans()) and draw(st.booleans())
+        rows.append((system, e, np.zeros(sizes) if zero else rng.uniform(-1.0, 1.0, size=sizes)))
+    # Every leaf cell of this row is 1e300, below the float range; its
+    # first-coordinate sums are 1e300 too, and their ell-th power overflows.
+    huge = np.full(sizes, 10.0 ** (300 / ell ** (k - 1)))
+    rows.insert(draw(st.integers(0, len(rows))), (systems[-1], e, huge))
+    return rows, ell
+
+
+class TestStackedPeel:
+    """`_box_norms` on a stack against one reference loop per row, bit for bit."""
+
+    @given(case=stack_case())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_loop(self, case):
+        import boxlab.boxnorm as bn
+
+        rows, ell = case
+        want = [_loop_power_or_inf(*row, ell) for row in rows]
+        assert want.count(math.inf) == 1
+        for block in (BLOCK_CELLS, 1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bn, "BLOCK_CELLS", block)
+                got = bn._box_norms(rows, ell)
+            assert [res.power for res in got] == want
+            assert got == [bn._box_norms([row], ell)[0] for row in rows]
+
+    def test_lp_stack_equals_calls(self):
+        import boxlab.boxnorm as bn
+
+        rng = np.random.Generator(np.random.Philox(key=12))
+        rows = []
+        for sizes in ((2, 3), (3, 3), (2, 3), (1,), (3, 1, 2)):
+            sys_ = make_system([rng.uniform(0.1, 1.0, size=z) for z in sizes], [])
+            e = tuple(range(len(sizes)))
+            rows.append((sys_, e, rng.uniform(-1.0, 1.0, size=sizes)))
+        rows.append((rows[0][0], rows[0][1], np.zeros((2, 3))))
+        ps = [Exponent(1.0), INF, Exponent(3.5), Exponent(2.0**20)]
+        for ell in (2, 4):
+            got = bn._lp_box_norms(rows, ell, ps)
+            for p, norms in zip(ps, got):
+                want = [lp_box_norm(s, e, edge_function(s, e, v), ell, p) for s, e, v in rows]
+                assert norms == want
+
+    def test_first_error_after_earlier_rows(self, monkeypatch):
+        import boxlab.boxnorm as bn
+
+        sys_ = uniform_system([2, 3, 6], [])
+        ok = (sys_, (0, 1), np.ones((2, 3)))
+        refused = (sys_, (0, 2), np.ones((2, 6)))
+        monkeypatch.setattr(bn, "GRID_CELL_CAP", 30)
+        bn._check_peel.cache_clear()
+        seen = []
+        try:
+            bn._check_peel((2, 3), 2)
+            with pytest.raises(SizeCapExceeded):
+                bn._check_peel((2, 6), 2)
+
+            def rows():
+                yield ok
+                yield refused
+                seen.append("drawn past the refused row")
+                yield ok
+
+            # One weight table is built per peeled batch.
+            levels = bn._levels
+            monkeypatch.setattr(bn, "_levels", lambda *a: seen.append("peel") or levels(*a))
+            with pytest.raises(SizeCapExceeded):
+                bn._box_norms(rows(), 2)
+            # The row before the refused one was peeled; none after it was drawn.
+            assert seen == ["peel"]
+
+            def failing():
+                yield ok
+                raise NumericalInconsistency("drawing the second row failed")
+
+            seen.clear()
+            with pytest.raises(NumericalInconsistency, match="drawing the second row"):
+                bn._box_norms(failing(), 2)
+            assert seen == ["peel"]
+        finally:
+            bn._check_peel.cache_clear()
 
 
 class TestPeelGuard:

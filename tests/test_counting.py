@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab import counting
-from boxlab.boxnorm import REL_TOL, lp_box_norm
+from boxlab.boxnorm import REL_TOL, box_norm, lp_box_norm
 from boxlab.counting import (
     _product_norms,
     counting_lemma_certificate,
@@ -23,6 +23,7 @@ from boxlab.errors import (
     BadSpec,
     EmptyHypergraph,
     NotTwoUniform,
+    NumericalInconsistency,
     PairCapExceeded,
     POutOfRange,
     ShapeMismatch,
@@ -287,6 +288,132 @@ class TestCountingCertificate:
         f = edge_function(sys_, (0, 1, 2), np.ones((2, 2, 2)))
         with pytest.raises(NotTwoUniform):
             counting_lemma_certificate(sys_, [f], [f], 1.0, Exponent(2.0))
+
+
+def per_edge_norms(system, fam_f, fam_g, ell, p):
+    """The certificates' edge norms by one public call per edge, in the order
+    the per-edge loops took them: the reference for the stacked norms."""
+    edges = system.edges
+    box = {e: box_norm(system, e, fam_f[e], ell).value for e in edges}
+    box_lp = {e: lp_box_norm(system, e, fam_f[e], ell, p) for e in edges}
+    hyp_box = True
+    for e in edges:
+        if lp_box_norm(system, e, fam_f[e], ell, p) > 1.0 + REL_TOL:
+            hyp_box = False
+        if lp_box_norm(system, e, fam_g[e], ell, p) > 1.0 + REL_TOL:
+            hyp_box = False
+    diffs = {}
+    for e in edges:
+        d = edge_function(system, e, fam_f[e].values - fam_g[e].values)
+        diffs[e] = box_norm(system, e, d, ell).value
+    return box, box_lp, hyp_box, diffs
+
+
+class TestStackedEdgeNorms:
+    """The certificates take their edge norms in stacks, equal to per-edge calls."""
+
+    @pytest.mark.parametrize("atoms", [(2, 2, 2, 2), (1, 2, 1, 3), (3, 1, 2, 2)])
+    @pytest.mark.parametrize("p", [Exponent(1.0), Exponent(2.0), Exponent(3.5), INF], ids=repr)
+    def test_equal_per_edge_calls(self, atoms, p):
+        rng = np.random.Generator(np.random.Philox(key=sum(atoms)))
+        edges = ENUM_SHAPES["K4"]
+        sys_ = make_system([rng.uniform(0.2, 1.0, size=z) for z in atoms], edges)
+        fam_f = signed_family(sys_, rng)
+        fam_g = signed_family(sys_, rng, lo=-0.5, hi=0.5)
+        # A zero tensor: its p-weighted norm is 0 without a box norm.
+        fam_g[edges[1]] = edge_function(sys_, edges[1], np.zeros(sys_.edge_shape(edges[1])))
+        for ell in (2, 4):
+            box, box_lp, hyp_box, diffs = per_edge_norms(sys_, fam_f, fam_g, ell, p)
+            vn = von_neumann_certificate(sys_, fam_f, 2.0, p, ell=ell)
+            assert vn.box_norms == box and vn.box_lp_norms == box_lp
+            cc = counting_lemma_certificate(sys_, fam_f, fam_g, 2.0, p, ell=ell)
+            assert cc.diff_box_norms == diffs and cc.hyp_box_lp_ok == hyp_box
+
+
+class TestNonFiniteCertificates:
+    """Overflowing products, differences or forms raise NumericalInconsistency.
+
+    The tier-1 configuration turns numpy RuntimeWarnings into errors, so these
+    also check that no warning is printed.
+    """
+
+    def k4_big(self):
+        sys_ = make_system([[1.0, 1.0]] * 4, ENUM_SHAPES["K4"])
+        big = np.array([[1e60, 1.0], [1.0, 1.0]])
+        return sys_, {e: edge_function(sys_, e, big) for e in sys_.edges}
+
+    def test_overflowing_subset_product(self):
+        sys_, fam = self.k4_big()
+        with pytest.raises(NumericalInconsistency, match=r"von Neumann certificate: the L_p "
+                           r"norm of the product over .* is inf, not finite \(p=2.0\)"):
+            von_neumann_certificate(sys_, fam, 2.0, Exponent(2.0))
+
+    def test_overflowing_pair_product(self):
+        sys_, fam = self.k4_big()
+        with pytest.raises(NumericalInconsistency, match=r"counting certificate: the L_p norm "
+                           r"of the product over f on .* and g on \[\] is inf, not finite "
+                           r"\(p=2.0\)"):
+            counting_lemma_certificate(sys_, fam, fam, 2.0, Exponent(2.0))
+
+    def test_overflowing_pair_of_opposite_signs(self):
+        # f - g overflows too, but a pair norm comes first.
+        sys_ = make_system([[1.0, 1.0]] * 3, [(0, 1), (0, 2), (1, 2)])
+        fam_f = {e: edge_function(sys_, e, [[1e308, 1.0], [1.0, 1.0]]) for e in sys_.edges}
+        fam_g = {e: edge_function(sys_, e, [[-1e308, 1.0], [1.0, 1.0]]) for e in sys_.edges}
+        with pytest.raises(NumericalInconsistency, match="counting certificate: the L_p norm"):
+            counting_lemma_certificate(sys_, fam_f, fam_g, 2.0, Exponent(2.0))
+
+    def test_overflowing_difference(self):
+        # Only edge (0, 1) is large: every product, norm and form is finite.
+        sys_ = make_system([[1.0, 1.0]] * 3, [(0, 1), (0, 2), (1, 2)])
+        ones = np.ones((2, 2))
+        fam_f = {e: edge_function(sys_, e, ones) for e in sys_.edges}
+        fam_g = dict(fam_f)
+        fam_f[(0, 1)] = edge_function(sys_, (0, 1), [[1e308, 1.0], [1.0, 1.0]])
+        fam_g[(0, 1)] = edge_function(sys_, (0, 1), [[-1e308, 1.0], [1.0, 1.0]])
+        with pytest.raises(
+            NumericalInconsistency,
+            match=r"counting certificate: f - g on edge \[0, 1\] overflows, not finite \(p=inf\)",
+        ):
+            counting_lemma_certificate(sys_, fam_f, fam_g, 2.0, INF)
+
+    def test_overflowing_triple_product(self):
+        # Each product of two edges is finite; the product of all three is
+        # not, so its norm is inf (an L_p norm of an overflowed product read 0).
+        sys_ = make_system([[1.0, 1.0]] * 3, [(0, 1), (0, 2), (1, 2)])
+        fam = {e: edge_function(sys_, e, np.full((2, 2), 1e120)) for e in sys_.edges}
+        for p in (Exponent(2.0), INF):
+            with pytest.raises(NumericalInconsistency, match=r"over \[\[0, 1\], \[0, 2\], "
+                               r"\[1, 2\]\] is inf"):
+                von_neumann_certificate(sys_, fam, 2.0, p)
+
+    def test_overflowing_counting_forms(self):
+        # The forms of f and g are finite and of opposite signs near the
+        # float range; their difference is not.
+        sys_ = make_system([[1.0, 1.0]] * 3, [(0, 1), (0, 2), (1, 2)])
+        ones = np.ones((2, 2))
+        fam_f = {e: edge_function(sys_, e, ones) for e in sys_.edges}
+        fam_g = dict(fam_f)
+        fam_f[(0, 1)] = edge_function(sys_, (0, 1), np.full((2, 2), 1.7e308))
+        fam_g[(0, 1)] = edge_function(sys_, (0, 1), np.full((2, 2), -1.7e308))
+        with pytest.raises(
+            NumericalInconsistency,
+            match=r"counting certificate: the counting form of f minus that of g is inf",
+        ):
+            counting_lemma_certificate(sys_, fam_f, fam_g, 2.0, Exponent(2.0))
+
+    def test_finite_results_unchanged(self):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        sys_ = triangle_system(rng)
+        fam_f, fam_g = signed_family(sys_, rng), signed_family(sys_, rng)
+        for p in (Exponent(2.0), INF):
+            vn = von_neumann_certificate(sys_, fam_f, 2.0, p)
+            assert (vn.worst_subset, vn.worst_subset_lp) == reference_worst_subset(sys_, fam_f, p)
+            cc = counting_lemma_certificate(sys_, fam_f, fam_g, 2.0, p)
+            want = reference_worst_pair(sys_, fam_f, fam_g, p)
+            assert (cc.worst_pair, cc.worst_pair_lp) == want
+            forms = lambda_form(sys_, fam_f) - lambda_form(sys_, fam_g)
+            assert cc.lhs == abs(forms)
 
 
 def reference_worst_subset(system, assign, p):

@@ -9,7 +9,7 @@ import pytest
 
 from boxlab import cli
 from boxlab.cli import main
-from boxlab.errors import BoxlabError, MalformedProblem
+from boxlab.errors import BoxlabError, MalformedProblem, NonPositiveWeight, ShapeMismatch
 from boxlab.generators import GenSpec, generate
 from boxlab.instances import (
     digest_text,
@@ -117,6 +117,55 @@ class TestInstanceRoundTrip:
             "functions": [{"edge": [0, 1], "values": [1.0, 1.0]}],
         }
         with pytest.raises(BoxlabError):
+            instance_from_dict(data)
+
+    def test_nan_and_infinity_from_json(self):
+        # Python's JSON reader takes NaN and Infinity as floats.
+        text = (
+            '{"spaces": [[0.5, %s], [1, 3]], "edges": [[0, 1]],'
+            ' "functions": [{"edge": [0, 1], "values": [[1, 2], [%s, 4]]}]}'
+        )
+        for weight, error, message in (
+            ("NaN", NonPositiveWeight, r"weights must be finite and > 0, got \[0.5, nan\]"),
+            ("Infinity", NonPositiveWeight, r"got \[0.5, inf\]"),
+            ("-Infinity", NonPositiveWeight, r"got \[0.5, -inf\]"),
+        ):
+            with pytest.raises(error, match=message):
+                instance_from_dict(parse_json(text % (weight, "3")))
+        for value in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ShapeMismatch, match=r"edge \(0, 1\) contains non-finite"):
+                instance_from_dict(parse_json(text % ("0.5", value)))
+
+    def test_zero_weight(self):
+        data = {
+            "spaces": [[0.5, 0.5], [1.0, 0.0]],
+            "edges": [[0, 1]],
+            "functions": [{"edge": [0, 1], "values": [[1.0, 2.0], [3.0, 4.0]]}],
+        }
+        with pytest.raises(NonPositiveWeight, match=r"got \[1.0, 0.0\]"):
+            instance_from_dict(data)
+
+    def test_first_error_in_file_order(self):
+        # A bad value raises before a malformed entry that follows it.
+        data = {
+            "spaces": [[0.5, -1.0], "x"],
+            "edges": [[0, 1]],
+            "functions": [{"edge": [0, 1], "values": [[1.0, 2.0], [3.0, 4.0]]}],
+        }
+        with pytest.raises(NonPositiveWeight):
+            instance_from_dict(data)
+        data["spaces"] = [[0.5, 0.5], [1.0, 1.0]]
+        data["functions"] = [
+            {"edge": [0, 1], "values": [[1.0, 2.0], [3.0, math.inf]]},
+            {"edge": [0, 2], "values": [1.0]},
+        ]
+        with pytest.raises(ShapeMismatch):
+            instance_from_dict(data)
+        data["functions"][0]["values"] = [1.0, 2.0]
+        with pytest.raises(ShapeMismatch, match="does not match"):
+            instance_from_dict(data)
+        data["functions"][0]["values"] = [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(MalformedProblem, match="unknown edge"):
             instance_from_dict(data)
 
     def test_json_error_reports_line_and_column(self, tmp_path):
@@ -355,6 +404,37 @@ class TestCliCertificates:
         assert code == 0
         assert out["holds"] is True
         assert len(out["instance_digests"]) == 2
+
+    @pytest.mark.parametrize(
+        "command,big,other",
+        [
+            # The product over all six edges of K4 overflows.
+            ("vonneumann", 1e60, None),
+            ("counting", 1e60, 1e60),
+            # Opposite signs near the float range on K3.
+            ("counting", 1e308, -1e308),
+        ],
+    )
+    def test_overflow_exits_3(self, tmp_path, capsys, command, big, other):
+        n = 4 if big == 1e60 else 3
+        edges = [[a, b] for a in range(n) for b in range(a + 1, n)]
+        paths = []
+        for name, corner in (("f", big), ("g", other)):
+            if corner is None:
+                continue
+            functions = [{"edge": e, "values": [[corner, 1.0], [1.0, 1.0]]} for e in edges]
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(
+                json.dumps({"spaces": [[1.0, 1.0]] * n, "edges": edges, "functions": functions})
+            )
+        argv = [command, "--instance", str(paths[0]), "--C", "2", "--p", "2"]
+        if command == "counting":
+            argv += ["--instance2", str(paths[1])]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out is None
+        assert err["error"] == "NumericalInconsistency"
+        assert f"{command.replace('vonneumann', 'von Neumann')} certificate" in err["message"]
+        assert "not finite (p=2.0)" in err["message"]
 
     def test_counting_edge_set_mismatch(self, ones_instance, tmp_path, capsys):
         other = str(tmp_path / "tri.json")

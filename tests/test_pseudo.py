@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab import engine, pseudo
-from boxlab.boxnorm import REL_TOL
+from boxlab.boxnorm import REL_TOL, box_norm, lp_box_norm
 from boxlab.counting import full_assignment
 from boxlab.engine import digits_for, sup_grid
 from boxlab.generators import GenSpec, generate
@@ -695,6 +695,65 @@ class TestTheoremCertificates:
         cert = near_majorant_certificate(sys_, nu, nu, 1.0, 0.4, INF, mode="exact")
         assert cert.hypotheses["eta_in_range"] is False
         assert cert.verdict == "false"
+
+
+class TestStackedEdgeNorms:
+    """The theorem certificates' edge norms, against one public call per edge."""
+
+    def families(self):
+        rng = np.random.Generator(np.random.Philox(key=31))
+        sys_ = make_system([rng.uniform(0.2, 1.0, size=z) for z in (2, 3, 1)], K3_EDGES)
+        nu, psi = (
+            {e: edge_function(sys_, e, rng.uniform(lo, 2.0, size=sys_.edge_shape(e)))
+             for e in sys_.edges}
+            for lo in (0.5, 0.0)
+        )
+        return sys_, nu, psi
+
+    @pytest.mark.parametrize("p", [Exponent(2.0), Exponent(3.5), INF], ids=repr)
+    def test_sum_family(self, p):
+        sys_, lam, phi = self.families()
+        ell = ell_pseudorandom(1.5, p)
+        # eta's derived constant is far above one, so no inner certificate runs.
+        cert = sum_family_certificate(sys_, lam, phi, 1.5, 0.5, p)
+        assert cert.inner is None
+        norms, ok = {}, True
+        for e in sys_.edges:
+            v = lp_box_norm(sys_, e, phi[e], ell, p)
+            norms[str(list(e))] = v
+            if v > 1.5 + REL_TOL:
+                ok = False
+        assert cert.details["phi_box_lp_norms"] == norms
+        assert cert.hypotheses["phi_box_lp_at_most_C"] is ok
+
+    @pytest.mark.parametrize("p", [Exponent(2.0), Exponent(3.5), INF], ids=repr)
+    def test_near_majorant(self, p):
+        sys_, nu, psi = self.families()
+        ell = ell_pseudorandom(1.5, p)
+        cert = near_majorant_certificate(sys_, nu, psi, 1.5, 0.4, p)
+        assert cert.inner is None
+        nu_norms, psi_norms, nu_ok, psi_ok = {}, {}, True, True
+        for e in sys_.edges:
+            nb = lp_box_norm(sys_, e, nu[e], ell, p)
+            pb = lp_box_norm(sys_, e, psi[e], ell, p)
+            nu_norms[str(list(e))] = nb
+            psi_norms[str(list(e))] = pb
+            if not (nb >= 1.0 - REL_TOL and math.isfinite(nb)):
+                nu_ok = False
+            if pb > 1.5 + REL_TOL:
+                psi_ok = False
+        diffs, diff_ok = {}, True
+        for e in sys_.edges:
+            d = edge_function(sys_, e, nu[e].values - psi[e].values)
+            diffs[str(list(e))] = box_norm(sys_, e, d, ell).value
+            if diffs[str(list(e))] > cert.constants["difference_bound"] + REL_TOL:
+                diff_ok = False
+        assert cert.details["nu_box_lp_norms"] == nu_norms
+        assert cert.details["psi_box_lp_norms"] == psi_norms
+        assert cert.details["difference_box_norms"] == diffs
+        assert cert.hypotheses["nu_box_lp_at_least_one"] is nu_ok
+        assert cert.hypotheses["psi_box_lp_at_most_C"] is psi_ok
+        assert cert.hypotheses["difference_box_small"] is diff_ok
 
 
 class TestLemmaOracles:

@@ -1,11 +1,14 @@
 import concurrent.futures.process
 import json
+import math
 import os
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from boxlab import suite
@@ -111,6 +114,100 @@ class TestRegistryAndItems:
         res = check_ell_rules({})
         assert res.holds is True
         assert res.details["cases"] > 0
+
+
+def norm_axioms_per_call(params):
+    """(worst violation, its property) of the norm-axioms item by one public
+    call per norm, in the order of its checks: the reference for its stacks."""
+    from boxlab.boxnorm import box_norm, lp_box_norm
+    from boxlab.spaces import Exponent, edge_function
+
+    rng = suite._philox(params.get("seed", 103))
+    worst, worst_name = -math.inf, ""
+
+    def track(name, violation):
+        nonlocal worst, worst_name
+        if violation > worst:
+            worst, worst_name = violation, name
+
+    p_ladder = [Exponent(float(2**j)) for j in range(0, 11)]
+    for idx in range(params.get("count", 500)):
+        k = int(rng.integers(2, 4))
+        system, e = suite._random_system(rng, k, 3)
+        ell = int(rng.choice([2, 4]))
+        shape = system.edge_shape(e)
+        f = edge_function(system, e, suite._signed_values(rng, shape))
+        g = edge_function(system, e, suite._signed_values(rng, shape))
+        nf = box_norm(system, e, f, ell).value
+        ng = box_norm(system, e, g, ell).value
+        fg = edge_function(system, e, f.values + g.values)
+        scale = max(1.0, nf + ng)
+        track("triangle", (box_norm(system, e, fg, ell).value - (nf + ng)) / scale)
+        c = float(rng.uniform(-2.0, 2.0))
+        cf = edge_function(system, e, c * f.values)
+        track("homogeneity", abs(box_norm(system, e, cf, ell).value - abs(c) * nf) / max(1.0, nf))
+        track(
+            "ell-monotone",
+            (box_norm(system, e, f, 2).value - box_norm(system, e, f, 4).value) / max(1.0, nf),
+        )
+        if idx % 5 == 0:
+            prev = -math.inf
+            for p in p_ladder:
+                cur = lp_box_norm(system, e, f, 2, p)
+                track("p-monotone", (prev - cur) / max(1.0, cur))
+                prev = cur
+    for idx in range(40):
+        k = int(rng.integers(2, 4))
+        system, e = suite._random_system(rng, k, 3, uniform_weights=True)
+        shape = system.edge_shape(e)
+        zero = edge_function(system, e, np.zeros(shape))
+        track("zero-norm", abs(box_norm(system, e, zero, 2).value))
+        f = edge_function(system, e, suite._signed_values(rng, shape))
+        sup = float(np.max(np.abs(f.values)))
+        big = lp_box_norm(system, e, f, 2, Exponent(float(2**20)))
+        if sup > 0.0:
+            track("p-limit-low", (0.9999 * sup - big) / sup)
+            track("p-limit-high", (big - sup - suite.TOL) / sup)
+    return worst, worst_name
+
+
+class TestStackedItems:
+    """Items that take their norms in stacks, against one call per norm."""
+
+    @pytest.mark.parametrize(
+        "params,chunk",
+        [({"count": 137, "seed": 5}, 50), ({"count": 23, "seed": 103}, 7), ({"count": 0}, 50)],
+    )
+    def test_norm_axioms_equals_per_call_loop(self, params, chunk, monkeypatch):
+        monkeypatch.setattr(suite, "_AXIOM_CHUNK", chunk)
+        got = suite.check_norm_axioms(params)
+        assert (got.lhs, got.details["worst_property"]) == norm_axioms_per_call(params)
+
+    def test_norm_axioms_memory_is_bounded(self):
+        suite.check_norm_axioms({"count": 50})  # build the multiset plans
+        tracemalloc.start()
+        try:
+            suite.check_norm_axioms({})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 0.4 MB in chunks of 50 cases; all 500 at once take about 2 MB.
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("p", ["2", "4", "inf"])
+    def test_normalized_family_equals_per_edge_loop(self, p):
+        from boxlab.boxnorm import lp_box_norm
+        from boxlab.spaces import Exponent, edge_function
+
+        p = Exponent.parse(p)
+        system = suite._four_cycle_system()
+        got = suite._normalized_family(system, suite._philox(9), 4, p)
+        rng = suite._philox(9)
+        for e in system.edges:
+            vals = suite._signed_values(rng, system.edge_shape(e))
+            nb = lp_box_norm(system, e, edge_function(system, e, vals), 4, p)
+            want = vals / nb if nb > 1.0 else vals
+            assert np.array_equal(got[e].values, want) and not got[e].values.flags.writeable
 
 
 class TestThreadResolution:
