@@ -57,12 +57,12 @@ Two independent evaluation routes are provided on purpose:
   a float, or whose plan or stack of powers for one tensor would pass
   `GRID_CELL_CAP` cells; a first-coordinate sum whose `ell`-th power
   overflows makes the power of its own row inf, and no other row's.
-  `_box_norms` is the one entry: it takes a stack of (system, edge, values)
-  rows at one ell, peels the rows of each shape as one batch and roots each
-  power.  `box_norm`, `lp_box_norm` and the certificates call it, with one
-  row or with all the norms they need; an error is raised once the rows
-  before it are done, so a stack raises what one call per row would raise
-  first.
+  `_box_norms` is the one entry: it takes a list of (system, edge, values)
+  rows at one ell, checks every shape before it peels anything, peels the
+  rows of each shape as one batch and roots each power in row order.
+  `box_norm`, `lp_box_norm` and the certificates call it, with one row or
+  with all the norms they need.  A batch whose rows all share one tuple of
+  spaces reads the tables' one entry by broadcasting instead of by index.
 
 Both return the same number up to roundoff; tests enforce 1e-9 agreement.
 Powers are carried unrooted through the recursion and the single final root
@@ -81,7 +81,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BoxlabError,
     NumericalInconsistency,
     OddEll,
     ShapeMismatch,
@@ -246,19 +245,24 @@ def _power_or_inf(s: float, ell: int) -> float:
         return math.inf
 
 
+def _entries(table: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    """Rows `index` of a level's table; its one entry, broadcast, if None."""
+    return table[0] if index is None else table[index]
+
+
 def _peel(
-    batch: np.ndarray, index: np.ndarray, levels: list, ell: int
+    batch: np.ndarray, index: np.ndarray | None, levels: list, ell: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The box powers of `batch[0]`, `batch[1]`, ..., peeling the last axis first.
 
     Row r weighs its coordinates by entry `index[r]` of the tables in
-    `levels` (see `_levels`).  Also returns which rows had a first-coordinate
-    sum whose `ell`-th power overflows, or None if none had; those rows'
-    powers are inf.
+    `levels` (see `_levels`), or by entry 0 when `index` is None.  Also
+    returns which rows had a first-coordinate sum whose `ell`-th power
+    overflows, or None if none had; those rows' powers are inf.
     """
     table = levels[batch.ndim - 2]
     if batch.ndim == 2:
-        sums = np.add.reduce(batch * table[index], axis=-1)
+        sums = np.add.reduce(batch * _entries(table, index), axis=-1)
         try:
             return np.array([s**ell for s in sums.tolist()]), None
         except OverflowError:
@@ -270,7 +274,7 @@ def _peel(
         sub, over = _peel(batch[..., 0] ** ell, index, levels, ell)
         if over is not None:
             sub[over] = 0.0
-        powers = 0.0 + table[index] * sub
+        powers = 0.0 + _entries(table, index) * sub
         if over is not None:
             powers[over] = math.inf
         return powers, over
@@ -287,13 +291,14 @@ def _peel(
         prod = pieces.take(rows[0], axis=1)
         for r in rows[1:]:
             prod *= pieces.take(r, axis=1)
-        at = index[lo : lo + b]
-        sub, over = _peel(prod.reshape((b * size,) + rest), np.repeat(at, size), levels, ell)
+        at = None if index is None else index[lo : lo + b]
+        sub_index = None if at is None else np.repeat(at, size)
+        sub, over = _peel(prod.reshape((b * size,) + rest), sub_index, levels, ell)
         if over is not None:
             sub[over] = 0.0
         # 0.0 + t_0 + t_1 + ... left to right: a scan, not a pairwise sum.
         terms = np.zeros((b, size + 1))
-        np.multiply(table[at], sub.reshape(b, size), out=terms[:, 1:])
+        np.multiply(_entries(table, at), sub.reshape(b, size), out=terms[:, 1:])
         powers[lo : lo + b] = np.add.accumulate(terms, axis=1)[:, -1]
         if over is not None:
             over = over.reshape(b, size).any(axis=1)
@@ -330,45 +335,34 @@ def _levels(table: list, sizes: tuple[int, ...], ell: int) -> list[np.ndarray]:
     return levels
 
 
-def _box_norms(rows, ell: int) -> list[BoxNormResult]:
-    """Recursive box norms of a stack of rows (system, edge, values), one ell.
+def _box_norms(rows: list, ell: int) -> list[BoxNormResult]:
+    """Recursive box norms of a list of rows (system, edge, values), one ell.
 
     Rows are trusted: each edge is canonical and its values a float tensor
-    on it.  Rows of one shape are peeled as one batch, each row weighted by
-    its own spaces through a table of the distinct tuples of spaces, so a
-    row's power equals that of a one-row peel bit for bit.  An error raised
-    while drawing a row from `rows` (an iterator may build them) or while
-    checking it (`checked_power`, `_check_peel`) is raised once the rows
-    before it are peeled and rooted, so a stack raises the error that one
-    call per row would raise first, and a refused row allocates nothing.
+    on it.  Every shape is checked (`checked_power`, `_check_peel`) in the
+    order of its first row before anything is peeled, so a refused row
+    allocates nothing.  Rows of one shape are peeled as one batch, each row
+    weighted by its own spaces through a table of the distinct tuples of
+    spaces, so a row's power equals that of a one-row peel bit for bit.
+    Powers are rooted in row order.
     """
-    taken: list = []
     groups: dict[tuple[int, ...], list[int]] = {}
-    pending = None
-    try:
-        for row in rows:
-            shape = row[2].shape
-            if shape not in groups:
-                checked_power(ell, len(shape))
-                _check_peel(shape, ell)
-                groups[shape] = []
-            groups[shape].append(len(taken))
-            taken.append(row)
-    except BoxlabError as exc:
-        pending = exc
-    powers = [0.0] * len(taken)
-    tops = [0.0] * len(taken)
+    for i, row in enumerate(rows):
+        groups.setdefault(row[2].shape, []).append(i)
+    for shape in groups:
+        checked_power(ell, len(shape))
+        _check_peel(shape, ell)
+    powers = [0.0] * len(rows)
+    tops = [0.0] * len(rows)
     for shape, members in groups.items():
         keys: dict[tuple, int] = {}
-        index = np.array(
-            [
-                keys.setdefault(tuple(taken[i][0].spaces[v] for v in taken[i][1]), len(keys))
-                for i in members
-            ],
-            dtype=np.intp,
-        )
+        at = [
+            keys.setdefault(tuple(rows[i][0].spaces[v] for v in rows[i][1]), len(keys))
+            for i in members
+        ]
+        index = np.array(at, dtype=np.intp) if len(keys) > 1 else None
         levels = _levels([[s.weights for s in key] for key in keys], shape, ell)
-        batch = np.array([taken[i][2] for i in members])
+        batch = np.array([rows[i][2] for i in members])
         got = _peel(batch, index, levels, ell)[0].tolist()
         for i, power in zip(members, got):
             powers[i] = power
@@ -377,12 +371,10 @@ def _box_norms(rows, ell: int) -> list[BoxNormResult]:
             for i, m in zip(members, top.tolist()):
                 tops[i] = m
     out = []
-    for (_, e, _), power, top in zip(taken, powers, tops):
+    for (_, e, _), power, top in zip(rows, powers, tops):
         big_n = ell ** len(e)
         value, clamped = _root_with_clamp(power, big_n, _power_scale(top, big_n))
         out.append(BoxNormResult(value, power, ell, e, "recursive", clamped))
-    if pending is not None:
-        raise pending
     return out
 
 
@@ -535,28 +527,36 @@ def lp_box_norm(
     return _lp_box_norms([(system, e, f.values)], require_even(ell), [p])[0][0]
 
 
-def _lp_box_norms(rows, ell: int, ps) -> list[list[float]]:
-    """p-weighted box norms of a stack of trusted rows (system, edge, values).
+def _lp_powered(mag: np.ndarray, top: float, p: Exponent) -> np.ndarray:
+    """The tensor (|f| / max|f|)**p, from mag = |f| and top = max|f| > 0."""
+    return np.power(mag / top, p.value)
+
+
+def _lp_root(top: float, b: float, p: Exponent) -> float:
+    """The p-weighted norm max|f| * b**(1/p), through log/exp, from the box
+    norm b of the powered tensor; 0 when b is 0."""
+    return top * math.exp(math.log(b) / p.value) if b > 0.0 else 0.0
+
+
+def _lp_box_norms(rows: list, ell: int, ps) -> list[list[float]]:
+    """p-weighted box norms of a list of trusted rows (system, edge, values).
 
     Entry [i][r] is the norm of row r at exponent ps[i]: max|f| at p = inf
-    or when f is zero; otherwise max|f| * b**(1/p), taken through log/exp,
-    where b is the box norm of (|f| / max|f|)**p.  Every b comes from one
-    `_box_norms` stack, p by p and row by row, so each norm equals that of
-    a one-row call bit for bit.
+    or when f is zero; otherwise `_lp_root` of the box norm of
+    `_lp_powered`.  Every box norm comes from one `_box_norms` stack, p by p
+    and row by row, so each norm equals that of a one-row call bit for bit.
     """
-    rows = list(rows)
     mags = [np.abs(values) for _, _, values in rows]
     tops = [float(mag.max()) for mag in mags]
     live = [
         (i, r) for i, p in enumerate(ps) if not p.is_inf for r, top in enumerate(tops) if top != 0.0
     ]
     inner = _box_norms(
-        ((rows[r][0], rows[r][1], np.power(mags[r] / tops[r], ps[i].value)) for i, r in live), ell
+        [(rows[r][0], rows[r][1], _lp_powered(mags[r], tops[r], ps[i])) for i, r in live], ell
     )
     out = [list(tops) for _ in ps]
     for (i, r), res in zip(live, inner):
-        b = res.value
-        out[i][r] = tops[r] * math.exp(math.log(b) / ps[i].value) if b > 0.0 else 0.0
+        out[i][r] = _lp_root(tops[r], res.value, ps[i])
     return out
 
 
@@ -570,19 +570,16 @@ def _lp_box_norm_inner(
 ) -> tuple[float, BoxNormResult]:
     """The p-weighted box norm for finite p, with the inner box norm it roots.
 
-    The inner result is the box norm of (|f| / max|f|)**p by `method`, or of
-    f itself when f is zero (value 0).  The p-weighted norm is then
-    max|f| * inner.value**(1/p), taken through log/exp.
+    The inner result is the box norm of `_lp_powered` by `method`, or of f
+    itself when f is zero (value 0); the p-weighted norm is its `_lp_root`.
     """
-    m = float(np.max(np.abs(f.values)))
+    mag = np.abs(f.values)
+    m = float(mag.max())
     if m == 0.0:
-        inner = box_norm(system, e, f, ell, method=method)
-        return 0.0, inner
-    powered = derived_function(e, np.power(np.abs(f.values) / m, p.value))
+        return 0.0, box_norm(system, e, f, ell, method=method)
+    powered = derived_function(e, _lp_powered(mag, m, p))
     inner = box_norm(system, e, powered, ell, method=method)
-    if inner.value <= 0.0:
-        return 0.0, inner
-    return m * math.exp(math.log(inner.value) / p.value), inner
+    return _lp_root(m, inner.value, p), inner
 
 
 def bilinear_bound_report(

@@ -507,15 +507,14 @@ def counting_lemma_certificate(
         if not math.isfinite(form):
             raise _not_finite("counting", f"the counting form of {name} is {form}", p)
 
-    def differences():
-        for e in edges:
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = assign_f[e].values - assign_g[e].values
-            if not np.isfinite(d).all():
-                raise _not_finite("counting", f"f - g on edge {list(e)} overflows", p)
-            yield system, e, d
-
-    diffs = {res.edge: res.value for res in _box_norms(differences(), ell)}
+    rows = []
+    for e in edges:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = assign_f[e].values - assign_g[e].values
+        if not np.isfinite(d).all():
+            raise _not_finite("counting", f"f - g on edge {list(e)} overflows", p)
+        rows.append((system, e, d))
+    diffs = {res.edge: res.value for res in _box_norms(rows, ell)}
     rhs = 0.0
     for e in edges:
         rhs += diffs[e]

@@ -9,9 +9,7 @@ Instance files are UTF-8 JSON of the shape
 with tensor values nested row-major in edge order.  An optional "meta"
 object is carried through untouched; unknown keys are ignored.  The loader
 revalidates every core invariant (positive weights, sorted in-range edges,
-matching tensor shapes, finite entries): the numbers of all spaces, then of
-all tensors, in one numpy pass each, and an entry by itself only to raise
-the error of the first bad one.
+matching tensor shapes, finite entries).
 
 All emitted numerics use 17 significant digits, which round-trips IEEE
 doubles exactly, so parse(emit(x)) == x and byte-identical emissions mean
@@ -28,9 +26,10 @@ import numpy as np
 
 from .errors import MalformedProblem
 from .spaces import (
+    EdgeFunction,
     HypergraphSystem,
-    edge_functions,
-    make_prob_spaces,
+    edge_function,
+    make_prob_space,
     make_system,
 )
 
@@ -147,23 +146,15 @@ def instance_to_dict(
     return out
 
 
-_NUMBER_TYPES = frozenset((float, int))
-
-
 def _numbers_only(raw) -> bool:
     """True iff raw is a JSON number or nested lists of JSON numbers
-    (booleans are not numbers here).  A list of numbers alone is checked by
-    the set of its item types."""
+    (booleans are not numbers here)."""
     stack = [raw]
     while stack:
         x = stack.pop()
         if type(x) is list:
-            kinds = set(map(type, x))
-            if not kinds <= _NUMBER_TYPES:
-                if list not in kinds:
-                    return False
-                stack.extend(x)
-        elif type(x) not in _NUMBER_TYPES:
+            stack.extend(x)
+        elif type(x) is not float and type(x) is not int:
             return False
     return True
 
@@ -199,17 +190,11 @@ def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
     spaces_raw = data["spaces"]
     if not isinstance(spaces_raw, list) or not spaces_raw:
         raise MalformedProblem("'spaces' must be a nonempty list of weight lists")
-    # Each `finally` below first checks the values read so far, so that a
-    # bad value raises before a malformed entry after it, as in one check
-    # per entry.
-    weights = []
-    try:
-        for k, ws in enumerate(spaces_raw):
-            if not isinstance(ws, list) or not ws:
-                raise MalformedProblem(f"space {k} must be a nonempty weight list")
-            weights.append(_float_array(ws, f"space {k}"))
-    finally:
-        spaces = make_prob_spaces(weights)
+    spaces = []
+    for k, ws in enumerate(spaces_raw):
+        if not isinstance(ws, list) or not ws:
+            raise MalformedProblem(f"space {k} must be a nonempty weight list")
+        spaces.append(make_prob_space(_float_array(ws, f"space {k}")))
     edges_raw = data["edges"]
     if not isinstance(edges_raw, list):
         raise MalformedProblem("'edges' must be a list of vertex-index lists")
@@ -218,19 +203,18 @@ def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
     fns_raw = data["functions"]
     if not isinstance(fns_raw, list):
         raise MalformedProblem("'functions' must be a list of {edge, values} objects")
-    tensors: dict[tuple[int, ...], np.ndarray] = {}
-    try:
-        for k, item in enumerate(fns_raw):
-            if not isinstance(item, dict) or "edge" not in item or "values" not in item:
-                raise MalformedProblem(f"function entry {k} must have 'edge' and 'values'")
-            e = _vertices(item["edge"], f"function entry {k}")
-            if e not in system.edges:
-                raise MalformedProblem(f"function entry {k} names unknown edge {list(e)}")
-            if e in tensors:
-                raise MalformedProblem(f"duplicate function entry for edge {list(e)}")
-            tensors[e] = _float_array(item["values"], f"function entry {k}")
-    finally:
-        functions = edge_functions(system, tensors)
+    functions: dict[tuple[int, ...], EdgeFunction] = {}
+    for k, item in enumerate(fns_raw):
+        if not isinstance(item, dict) or "edge" not in item or "values" not in item:
+            raise MalformedProblem(f"function entry {k} must have 'edge' and 'values'")
+        e = _vertices(item["edge"], f"function entry {k}")
+        if e not in system.edges:
+            raise MalformedProblem(f"function entry {k} names unknown edge {list(e)}")
+        if e in functions:
+            raise MalformedProblem(f"duplicate function entry for edge {list(e)}")
+        functions[e] = edge_function(
+            system, e, _float_array(item["values"], f"function entry {k}")
+        )
     meta = data.get("meta") if isinstance(data.get("meta"), dict) else {}
     return system, functions, meta
 

@@ -754,13 +754,11 @@ def near_majorant_certificate(
     big_m = max(nu_norms.values())
     diff_bound = eta * math.exp(-(n - 1) * ell * math.log(C * big_m)) if big_m > 0 else 0.0
     # edge_function refuses a difference that overflows.
-    found = _box_norms(
-        (
-            (system, e, edge_function(system, e, fam_nu[e].values - fam_psi[e].values).values)
-            for e in system.edges
-        ),
-        ell,
-    )
+    rows = [
+        (system, e, edge_function(system, e, fam_nu[e].values - fam_psi[e].values).values)
+        for e in system.edges
+    ]
+    found = _box_norms(rows, ell)
     diffs = {str(list(res.edge)): res.value for res in found}
     hyp["difference_box_small"] = not any(dv > diff_bound + REL_TOL for dv in diffs.values())
     eta_out = n * ell * eta

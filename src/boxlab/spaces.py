@@ -81,19 +81,6 @@ def make_prob_space(raw_weights) -> ProbSpace:
     return ProbSpace(_freeze(w / total))
 
 
-def make_prob_spaces(raws: list[np.ndarray]) -> list[ProbSpace]:
-    """`make_prob_space` of each float vector of `raws`, checked in one pass.
-
-    When any vector is not one-dimensional, finite and positive, the vectors
-    go through `make_prob_space` one by one, which raises the first error.
-    """
-    if all(w.ndim == 1 and w.size for w in raws):
-        flat = np.concatenate(raws)
-        if np.isfinite(flat).all() and (flat > 0.0).all():
-            return [ProbSpace(_freeze(w / float(np.sum(w)))) for w in raws]
-    return [make_prob_space(w) for w in raws]
-
-
 def as_edge(seq) -> tuple[int, ...]:
     """Canonicalize an edge: strictly increasing tuple of vertex indices."""
     e = tuple(int(v) for v in seq)
@@ -191,20 +178,6 @@ def derived_function(e: tuple[int, ...], values: np.ndarray) -> EdgeFunction:
     """Freeze a float tensor on canonical edge e that is already known to be
     finite and of e's shape, without checking it again."""
     return EdgeFunction(e, _freeze(values))
-
-
-def edge_functions(system: HypergraphSystem, raws: dict) -> dict:
-    """`edge_function` of each float tensor of `raws` on its edge of the
-    system, checked in one pass.
-
-    When any tensor is not finite or not of its edge's shape, the tensors go
-    through `edge_function` one by one, in order, which raises the first
-    error.
-    """
-    if all(v.shape == system.edge_shape(e) for e, v in raws.items()):
-        if not raws or np.isfinite(np.concatenate([v.reshape(-1) for v in raws.values()])).all():
-            return {e: derived_function(e, v) for e, v in raws.items()}
-    return {e: edge_function(system, e, v) for e, v in raws.items()}
 
 
 def constant_function(system: HypergraphSystem, edge, c: float = 1.0) -> EdgeFunction:

@@ -659,42 +659,32 @@ class TestStackedPeel:
                 want = [lp_box_norm(s, e, edge_function(s, e, v), ell, p) for s, e, v in rows]
                 assert norms == want
 
-    def test_first_error_after_earlier_rows(self, monkeypatch):
+    def test_refused_shape_peels_nothing(self, monkeypatch):
         import boxlab.boxnorm as bn
 
-        sys_ = uniform_system([2, 3, 6], [])
+        sys_ = uniform_system([2, 3, 6, 7], [])
         ok = (sys_, (0, 1), np.ones((2, 3)))
         refused = (sys_, (0, 2), np.ones((2, 6)))
+        also_refused = (sys_, (0, 3), np.ones((2, 7)))
         monkeypatch.setattr(bn, "GRID_CELL_CAP", 30)
         bn._check_peel.cache_clear()
-        seen = []
         try:
             bn._check_peel((2, 3), 2)
-            with pytest.raises(SizeCapExceeded):
-                bn._check_peel((2, 6), 2)
-
-            def rows():
-                yield ok
-                yield refused
-                seen.append("drawn past the refused row")
-                yield ok
-
+            for shape in ((2, 6), (2, 7)):
+                with pytest.raises(SizeCapExceeded):
+                    bn._check_peel(shape, 2)
             # One weight table is built per peeled batch.
+            seen = []
             levels = bn._levels
             monkeypatch.setattr(bn, "_levels", lambda *a: seen.append("peel") or levels(*a))
-            with pytest.raises(SizeCapExceeded):
-                bn._box_norms(rows(), 2)
-            # The row before the refused one was peeled; none after it was drawn.
-            assert seen == ["peel"]
-
-            def failing():
-                yield ok
-                raise NumericalInconsistency("drawing the second row failed")
-
-            seen.clear()
-            with pytest.raises(NumericalInconsistency, match="drawing the second row"):
-                bn._box_norms(failing(), 2)
-            assert seen == ["peel"]
+            # The first refused row in row order raises, and nothing is peeled,
+            # not even the row before it.
+            with pytest.raises(SizeCapExceeded, match="peeling 6 atoms"):
+                bn._box_norms([ok, refused, ok, also_refused], 2)
+            with pytest.raises(SizeCapExceeded, match="peeling 7 atoms"):
+                bn._box_norms([ok, also_refused, refused], 2)
+            assert seen == []
+            assert len(bn._box_norms([ok, ok], 2)) == 2 and seen == ["peel"]
         finally:
             bn._check_peel.cache_clear()
 

@@ -593,6 +593,21 @@ class TestCliMalformedInstance:
                 data["spaces"][1][0] = bad
             self.norm_on_broken(tmp_path, capsys, breaker)
 
+    def test_bad_first_space_exits_3(self, tmp_path, capsys):
+        # Space 0 fails before any other space has been read.
+        for bad in ([], "x", ["a"]):
+            def breaker(data, bad=bad):
+                data["spaces"][0] = bad
+            self.norm_on_broken(tmp_path, capsys, breaker)
+        path = tmp_path / "bad_weight.json"
+        for bad in ([0.0, 1.0], [math.nan, 1.0]):
+            system, functions, meta = generate(GenSpec(3, 2, 2, "ones"))
+            data = instance_to_dict(system, functions, meta)
+            data["spaces"][0] = bad
+            path.write_text(json.dumps(data))
+            code, _, err = run_cli(capsys, "norm", "--instance", str(path), "--edge", "0", "--ell", "2")
+            assert code == 3 and err["error"] == "NonPositiveWeight"
+
     def test_non_numeric_value_exits_3(self, tmp_path, capsys):
         for bad in ("0.5", True, 10**400):
             def breaker(data, bad=bad):
