@@ -431,6 +431,19 @@ def _decode_mask(mask: int, factors) -> dict:
     return {"mask": hex(mask), "factors": chosen}
 
 
+def _finite_edge(system: HypergraphSystem, e, values: np.ndarray, what: str) -> EdgeFunction:
+    """`edge_function` of `values`, refusing them where forming `what` overflowed."""
+    if not np.isfinite(values).all():
+        raise NumericalInconsistency(f"{what} on edge {list(e)} overflows a float")
+    return edge_function(system, e, values)
+
+
+def _pattern_overflow(mask: int, value: float, ell: int) -> NumericalInconsistency:
+    return NumericalInconsistency(
+        f"linear-forms pattern {hex(mask)} at ell={ell} is {value}, not finite"
+    )
+
+
 def linear_forms_deviation(
     system: HypergraphSystem,
     functions,
@@ -444,6 +457,8 @@ def linear_forms_deviation(
     product, hence exactly 1.  More than `PATTERN_CAP` patterns never
     raises: the scan then degrades to the empty, full and per-edge
     patterns plus `SAMPLE_DEFAULT` random ones from Philox key 0 (flagged).
+    A pattern whose value is past the float range raises
+    NumericalInconsistency, without numpy warnings.
     """
     fam = full_assignment(system, functions)
     ell = require_even(ell)
@@ -477,26 +492,32 @@ def linear_forms_deviation(
         block = np.empty((1 << (lo_bits - fixed), cells))
         best_min = (math.inf, 0)
         best_max = (-math.inf, 0)
-        for hi in range(1 << (count - lo_bits)):
-            top = wvec.copy()
-            for k in range(count - lo_bits):
-                if (hi >> k) & 1:
-                    top *= flat[lo_bits + k]
-            for mid in range(1 << fixed):
-                block[0] = top
-                for k in range(fixed):
-                    if (mid >> k) & 1:
-                        block[0] *= flat[k]
-                for f in range(fixed, lo_bits):
-                    rows = 1 << (f - fixed)
-                    np.multiply(block[:rows], flat[f], out=block[rows:2 * rows])
-                vals = np.sum(block, axis=1)
-                low = (hi << lo_bits) | mid
-                i = int(np.argmin(vals))
-                best_min = min(best_min, (float(vals[i]), low | (i << fixed)))
-                i = int(np.argmax(vals))
-                best_max = max(best_max, (float(vals[i]), low | (i << fixed)),
-                               key=lambda pair: (pair[0], -pair[1]))
+        # A product past the float range leaves its row's sum non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for hi in range(1 << (count - lo_bits)):
+                top = wvec.copy()
+                for k in range(count - lo_bits):
+                    if (hi >> k) & 1:
+                        top *= flat[lo_bits + k]
+                for mid in range(1 << fixed):
+                    block[0] = top
+                    for k in range(fixed):
+                        if (mid >> k) & 1:
+                            block[0] *= flat[k]
+                    for f in range(fixed, lo_bits):
+                        rows = 1 << (f - fixed)
+                        np.multiply(block[:rows], flat[f], out=block[rows:2 * rows])
+                    vals = np.sum(block, axis=1)
+                    low = (hi << lo_bits) | mid
+                    finite = np.isfinite(vals)
+                    if not finite.all():
+                        i = int(np.argmin(finite))
+                        raise _pattern_overflow(low | (i << fixed), vals[i], ell)
+                    i = int(np.argmin(vals))
+                    best_min = min(best_min, (float(vals[i]), low | (i << fixed)))
+                    i = int(np.argmax(vals))
+                    best_max = max(best_max, (float(vals[i]), low | (i << fixed)),
+                                   key=lambda pair: (pair[0], -pair[1]))
         checked = 1 << count
     else:
         masks = [0, (1 << count) - 1]
@@ -513,11 +534,14 @@ def linear_forms_deviation(
         best_min = (math.inf, 0)
         best_max = (-math.inf, 0)
         for mask in masks:
-            vec = wvec.copy()
-            for k in range(count):
-                if (mask >> k) & 1:
-                    vec *= flat[k]
-            val = float(np.sum(np.ascontiguousarray(vec)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                vec = wvec.copy()
+                for k in range(count):
+                    if (mask >> k) & 1:
+                        vec *= flat[k]
+                val = float(np.sum(np.ascontiguousarray(vec)))
+            if not math.isfinite(val):
+                raise _pattern_overflow(mask, val, ell)
             if val < best_min[0]:
                 best_min = (val, mask)
             if val > best_max[0]:
@@ -678,10 +702,11 @@ def sum_family_certificate(
         "C_internal": c_bar,
         "eta_internal": eta_bar,
     }
-    nu = {
-        e: edge_function(system, e, fam_lam[e].values + fam_phi[e].values)
-        for e in system.edges
-    }
+    with np.errstate(over="ignore"):
+        nu = {
+            e: _finite_edge(system, e, fam_lam[e].values + fam_phi[e].values, "lam + phi")
+            for e in system.edges
+        }
     psi = {
         e: edge_function(system, e, fam_phi[e].values + 1.0) for e in system.edges
     }
@@ -753,11 +778,12 @@ def near_majorant_certificate(
     hyp["psi_box_lp_at_most_C"] = not any(pb > C + REL_TOL for pb in norms[1::2])
     big_m = max(nu_norms.values())
     diff_bound = eta * math.exp(-(n - 1) * ell * math.log(C * big_m)) if big_m > 0 else 0.0
-    # edge_function refuses a difference that overflows.
-    rows = [
-        (system, e, edge_function(system, e, fam_nu[e].values - fam_psi[e].values).values)
-        for e in system.edges
-    ]
+    with np.errstate(over="ignore"):
+        rows = [
+            (system, e, _finite_edge(system, e, fam_nu[e].values - fam_psi[e].values,
+                                     "nu - psi").values)
+            for e in system.edges
+        ]
     found = _box_norms(rows, ell)
     diffs = {str(list(res.edge)): res.value for res in found}
     hyp["difference_box_small"] = not any(dv > diff_bound + REL_TOL for dv in diffs.values())

@@ -5,9 +5,10 @@ built-in property batteries (random-instance batches with fixed seeds) or
 applies a certifier to instance files.  Items are pure functions of their
 parameters, so they can run in parallel.  The items are Python-bound, so
 threads would serialise them on the GIL: at more than one worker, this
-process runs items itself and spawned worker processes run the rest (see
-`_run_lanes`).  A script that calls `run_suite` must therefore guard its
-entry point with `if __name__ == "__main__":`.  The report lists results in
+process runs items itself and worker processes forked from it run the rest
+(see `_run_lanes`), so a worker sees this process's modules and settings
+as they are when `run_suite` is called.  Where the platform has no `fork`,
+the items run serially here.  The report lists results in
 item order regardless of completion order, and every numeric in it (apart
 from the elapsed-time fields, which can be zeroed with stable=True) is
 reproducible from the item parameters alone.
@@ -1041,19 +1042,27 @@ def resolve_threads(threads: int | None = None) -> int:
     """Processes that run suite items, this one included.
 
     `threads` if given, else BOXLAB_THREADS, else the CPUs this process
-    may run on, at most 8.
+    may run on, at most 8.  Workers are forked, so on a platform without
+    `fork` it is 1.
     """
     if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("BOXLAB_THREADS")
-    if env:
+        count = max(1, int(threads))
+    elif os.environ.get("BOXLAB_THREADS"):
+        env = os.environ["BOXLAB_THREADS"]
         try:
-            return max(1, int(env))
+            count = max(1, int(env))
         except ValueError as exc:
             raise BadSpec(f"BOXLAB_THREADS must be an integer, got {env!r}") from exc
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, min(8, len(os.sched_getaffinity(0))))
-    return max(1, min(8, os.cpu_count() or 1))
+    elif hasattr(os, "sched_getaffinity"):
+        count = max(1, min(8, len(os.sched_getaffinity(0))))
+    else:
+        count = max(1, min(8, os.cpu_count() or 1))
+    if count > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return count
 
 
 def run_item(item: dict, base_dir: str = ".") -> CheckResult:
@@ -1088,12 +1097,19 @@ def _run_lanes(items: list[dict], base_dir: str, workers: int) -> list[CheckResu
     """Run the items on `workers` lanes; results in item order.
 
     Lane 0 is the calling thread and runs items here.  Each of the other
-    lanes is a thread that sends one item at a time to a spawned worker
+    lanes is a thread that sends one item at a time to a forked worker
     process and waits for its result.  Every lane takes the next item
     index from one iterator, so items start in order.  After an item
     fails no further item starts, and once the running ones end the
     failure of the lowest-indexed failed item is raised: every item before
     it has started, so it is the failure the serial loop raises.
+
+    A fork-context pool forks all its workers at its first submit, in the
+    submitting thread.  The calling thread makes that submit, with the
+    first item, before any lane thread starts: a child forked while
+    another thread runs can inherit a lock that thread holds, and hang.
+    A forked worker starts with everything this process has imported and
+    set, module constants included.
     """
     import multiprocessing
     import pickle
@@ -1103,13 +1119,17 @@ def _run_lanes(items: list[dict], base_dir: str, workers: int) -> list[CheckResu
     failures: dict[int, BaseException] = {}
     order = iter(range(len(items)))
     lock = threading.Lock()
+    sent: dict = {}
 
-    def lane(run) -> None:
-        while True:
-            with lock:
-                k = None if failures else next(order, None)
-            if k is None:
-                return
+    def take() -> int | None:
+        with lock:
+            return None if failures else next(order, None)
+
+    def lane(run, k: int | None = None) -> None:
+        """Run item k, if given, then the next items in order until none is left."""
+        if k is None:
+            k = take()
+        while k is not None:
             try:
                 results[k] = run(k)
             except BaseException as exc:
@@ -1117,25 +1137,36 @@ def _run_lanes(items: list[dict], base_dir: str, workers: int) -> list[CheckResu
                     failures[k] = exc
                 if not isinstance(exc, Exception):
                     raise  # an interrupt: the other lanes stop, and it propagates
+            k = take()
 
     def here(k: int) -> CheckResult:
         return run_item(items[k], base_dir)
 
-    def remote(k: int) -> CheckResult:
+    def send(k: int):
         job = (_run_item_in_worker, items[k], base_dir)
         try:
             pickle.dumps(job)
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise WorkerFailure(f"suite item {k} cannot be sent to a worker: {exc}") from exc
+        return procs.submit(*job)
+
+    def remote(k: int) -> CheckResult:
         try:
-            return procs.submit(*job).result()
+            return (sent.pop(k) if k in sent else send(k)).result()
         except BrokenProcessPool as exc:
             raise WorkerFailure(f"a worker process died while running suite item {k}") from exc
 
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers - 1, mp_context=spawn) as procs:
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers - 1, mp_context=fork) as procs:
+        first = take()
+        try:
+            sent[first] = send(first)
+        except WorkerFailure as exc:
+            failures[first] = exc
+            first = None
         with ThreadPoolExecutor(max_workers=workers - 1) as lanes:
-            dispatch = [lanes.submit(lane, remote) for _ in range(workers - 1)]
+            dispatch = [lanes.submit(lane, remote, first)]
+            dispatch += [lanes.submit(lane, remote) for _ in range(workers - 2)]
             lane(here)
             for future in dispatch:
                 future.result()

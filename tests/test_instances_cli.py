@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -527,6 +528,26 @@ class TestCliCertificates:
         )
         assert code == 3
         assert err["error"] == "BadSpec"
+
+    @pytest.mark.parametrize("command", ["thm42", "thm43"])
+    def test_theorem_pattern_overflow_exits_3(self, tmp_path, capsys, command):
+        # Replica patterns of 1e308 overflow: refused at the deviation scan,
+        # with no numpy warning on the way.
+        system, functions, meta = generate(GenSpec(3, 2, 2, "ones"))
+        functions[(0, 1)] = edge_function(
+            system, (0, 1), np.full(system.edge_shape((0, 1)), 1e308)
+        )
+        path = str(tmp_path / "huge.json")
+        save_instance(path, system, functions, meta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "pseudorandom", command, "--instance", path, "--psi", path,
+                "--C", "1", "--eta", "1e-300", "--p", "inf",
+            )
+        assert (code, out) == (3, None)
+        assert err["error"] == "NumericalInconsistency"
+        assert "linear-forms pattern" in err["message"]
 
     @pytest.mark.parametrize("command", ["check", "thm43", "vonneumann"])
     def test_nan_C_exits_3(self, ones_instance, capsys, command):

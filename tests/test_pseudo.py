@@ -583,6 +583,16 @@ class TestLinearFormsDeviation:
         assert sampled.min_value >= exact.min_value - 1e-12
         assert vals_at_full or sampled.patterns_checked >= 3
 
+    @pytest.mark.parametrize("cap", [4096, 4], ids=["exact", "sampled"])
+    def test_overflowing_pattern_raises(self, monkeypatch, cap):
+        monkeypatch.setattr(pseudo, "PATTERN_CAP", cap)
+        sys_ = k3_system()
+        fam = {e: constant_function(sys_, e, 1e308 if e == (0, 1) else 1.0) for e in K3_EDGES}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInconsistency, match="not finite"):
+                linear_forms_deviation(sys_, fam, 2)
+
 
 class TestCertifyPseudorandom:
     def test_params_required(self):
@@ -659,6 +669,24 @@ class TestTheoremCertificates:
                     cert(sys_, lam, lam, bad, 0.05, INF)
                 with pytest.raises(BadSpec):
                     cert(sys_, lam, lam, 1.0, bad, INF)
+
+    def test_overflowing_sum_or_difference_raises(self):
+        # Atoms of weight 1e-200 keep every replica pattern finite (the
+        # 1e308 cell's replicated weight underflows), so the overflow first
+        # shows in lam + phi and in nu - psi.
+        sys_ = make_system([np.array([1.0, 1e-200])] * 3, K3_EDGES)
+        huge = np.ones((2, 2))
+        huge[1, 1] = 1e308
+        big = ones_family(sys_)
+        big[(0, 1)] = edge_function(sys_, (0, 1), huge)
+        neg = ones_family(sys_)
+        neg[(0, 1)] = edge_function(sys_, (0, 1), np.where(huge > 1, -1e308, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInconsistency, match=r"lam \+ phi on edge \[0, 1\]"):
+                sum_family_certificate(sys_, big, big, 1.0, 1e-300, INF)
+            with pytest.raises(NumericalInconsistency, match=r"nu - psi on edge \[0, 1\]"):
+                near_majorant_certificate(sys_, big, neg, 1.0, 1e-300, INF)
 
     def test_sum_family_eta_above_cap_is_false(self):
         sys_ = k3_system()

@@ -1,6 +1,7 @@
 import concurrent.futures.process
 import json
 import math
+import multiprocessing
 import os
 import sys
 import threading
@@ -11,7 +12,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from boxlab import suite
+from boxlab import pseudo, suite
 from boxlab.cli import main
 from boxlab.errors import BadSpec, MalformedProblem, WorkerFailure
 from boxlab.generators import GenSpec, generate
@@ -239,6 +240,10 @@ class TestThreadResolution:
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert resolve_threads(None) == 5
 
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert resolve_threads(4) == 1
+
 
 class TestRunSuiteAndExitCodes:
     def items_for(self, instance, **over):
@@ -397,8 +402,8 @@ class TestMalformedItems:
 
 
 # ---------------------------------------------------------------------------
-# Items on worker processes.  The helpers are module-level, so that a spawned
-# worker can import them by name.
+# Items on worker processes.  The helpers are module-level, so that a job
+# naming them pickles.
 
 
 def _marked_run(item, base_dir):
@@ -430,7 +435,7 @@ def inline_pool(monkeypatch):
 
     class InlinePool:
         def __init__(self, max_workers, mp_context):
-            assert mp_context.get_start_method() == "spawn"
+            assert mp_context.get_start_method() == "fork"
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -466,6 +471,42 @@ class TestProcessLanes:
         assert emit_json(run_suite(_items(3), threads=8, stable=True)) == serial
         run_suite(_items(5), threads=2)
         assert inline_pool == [2, 1]
+
+    def test_no_pool_without_fork(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        run_suite(_items(3), threads=4)
+        assert inline_pool == []
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_workers_forked_by_the_calling_thread_alone(self, monkeypatch, threads):
+        # A child forked while a lane thread runs can inherit a held lock and
+        # hang, so every fork comes from the caller before any lane exists.
+        forks = []
+        fork = os.fork
+
+        def recording_fork():
+            forks.append((threading.get_ident(), threading.active_count()))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        before = (threading.get_ident(), threading.active_count())
+        run_suite(_items(6), threads=threads)
+        assert forks == [before] * (threads - 1)
+
+    def test_workers_see_patched_constants(self, monkeypatch):
+        # At a cap of 4 patterns the sum-family scan degrades to samples.
+        monkeypatch.setattr(pseudo, "PATTERN_CAP", 4)
+        items = [
+            {"name": "sum-a", "check": "sum_family"},
+            {"name": "rules", "check": "ell_rules"},
+            {"name": "sum-b", "check": "sum_family"},
+        ]
+        serial = emit_json(run_suite(items, threads=1, stable=True))
+        assert emit_json(run_suite(items, threads=2, stable=True)) == serial
+
+    def test_no_child_left_behind(self):
+        run_suite(_items(4), threads=2)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "first,error",
