@@ -49,7 +49,14 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 - `pseudorandom thm42` and `thm43` at `--C 1.5 --p inf` (ell = 4) on a
   2-atom perturbed_ones K3 from each tree's own `gen`, with itself as
   psi: its 48 replica factors give 2**48 patterns, past the pattern cap,
-  so the linear-forms scan samples 517 patterns and is flagged degraded.
+  so the linear-forms scan samples 517 patterns and is flagged degraded;
+- `pseudorandom thm42` and `thm43` at `--C 1 --eta 0.5 --p inf` (ell = 2)
+  on a 4-atom perturbed_ones K3 from each tree's own `gen`, with itself
+  as psi: eta is too large for the inner certificate to run, so the
+  command's work is the full linear-forms scan of 4,096 patterns of 4,096
+  cells, whose blocks hold 16 patterns each;
+- `pseudorandom check` against psi = ones on a 2-atom K3 with 1e308 on
+  edge (0, 1), whose C2b slot bounds overflow a float (exit 3).
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
@@ -258,6 +265,28 @@ def sampled_scan_cases() -> list:
     return commands
 
 
+def full_scan_cases() -> list:
+    """The `gen` command of a 4-atom perturbed K3; its thm42 and thm43 commands at ell = 2."""
+    commands = [("gen pert4", ["gen", "--n", "3", "--r", "2", "--atoms", "4",
+                               "--kind", "perturbed_ones", "--epsilon", "0.1", "--seed", "7",
+                               "--out", "pert4.json"])]
+    for thm in ("thm42", "thm43"):
+        argv = ["pseudorandom", thm, "--instance", "pert4.json", "--psi", "pert4.json",
+                "--C", "1", "--eta", "0.5", "--p", "inf"]
+        commands.append((f"pseudorandom {thm} full scan", argv))
+    return commands
+
+
+def overflow_cases() -> list:
+    """Write a 2-atom K3 with 1e308 on edge (0, 1) and psi = ones; its check command."""
+    ones = [[1.0, 1.0], [1.0, 1.0]]
+    write_instance("huge_edge.json", [[1.0, 1.0]] * 3, [[[1e308] * 2] * 2, ones, ones])
+    write_instance("ones2_plain.json", [[1.0, 1.0]] * 3, [ones] * 3)
+    argv = ["pseudorandom", "check", "--instance", "huge_edge.json", "--psi", "ones2_plain.json",
+            "--C", "1", "--eta", "0.5", "--p", "2"]
+    return [("pseudorandom check 1e308 edge", argv)]
+
+
 def run_tree(tree: str, out_path: str) -> None:
     """Run every command on `tree`'s boxlab and write the outputs as JSON."""
     sys.path[:0] = [
@@ -284,7 +313,8 @@ def run_tree(tree: str, out_path: str) -> None:
             commands += [(f"{name}: {op.name}", op.argv) for op in ops]
         commands += (suite_file_cases() + certificate_cases() + walk_cases()
                      + mixed_auto_cases() + tie_cases() + peel_cases() + block_path_cases()
-                     + heuristic_cases() + sampled_scan_cases())
+                     + heuristic_cases() + sampled_scan_cases() + full_scan_cases()
+                     + overflow_cases())
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised

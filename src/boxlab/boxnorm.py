@@ -378,16 +378,6 @@ def _box_norms(rows: list, ell: int) -> list[BoxNormResult]:
     return out
 
 
-def _box_power_recursive(
-    system: HypergraphSystem,
-    e: tuple[int, ...],
-    values: np.ndarray,
-    ell: int,
-) -> float:
-    """The recursive box power of one trusted tensor."""
-    return _box_norms([(system, e, values)], ell)[0].power
-
-
 def box_norm(
     system: HypergraphSystem,
     e,

@@ -75,12 +75,19 @@ search through `exact_boxed_max`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BoxlabError, DigitOutOfRange, MalformedProblem, SizeCapExceeded
+from .errors import (
+    BoxlabError,
+    DigitOutOfRange,
+    MalformedProblem,
+    NumericalInconsistency,
+    SizeCapExceeded,
+)
 from .spaces import (
     EdgeFunction,
     Grid,
@@ -361,14 +368,13 @@ class _Search:
 def exact_boxed_max(
     base: np.ndarray,
     slot_rows,
-    cap: int = COMBO_CAP,
     floor: float = 0.0,
     tables: _Tables | None = None,
 ) -> SupResult:
     """First maximizing vertex, by branch-and-bound; a certificate.
 
-    Past the cap the search runs on a budget of cap and raises
-    SizeCapExceeded when it runs out.
+    Past `COMBO_CAP` vertex combinations the search runs on a budget of
+    the cap and raises SizeCapExceeded when it runs out.
 
     A positive floor seeds the incumbent at floor less
     `_Search.floor_margin`, a bound on the gap between a vertex's search
@@ -385,7 +391,7 @@ def exact_boxed_max(
     and pair rows between calls on the same row matrices.
     """
     combos = _total_combos(slot_rows)
-    budget = cap if combos > cap else None
+    budget = COMBO_CAP if combos > COMBO_CAP else None
     masks = ()
     if slot_rows:
         search = _Search(base, slot_rows, budget, _Tables() if tables is None else tables)
@@ -619,6 +625,27 @@ def _candidate_rows(problem: SupProblem, grid: Grid):
     ]
 
 
+def _check_range(edge, base: np.ndarray, candidates, tables: _Tables) -> None:
+    """Refuse a problem whose partial products could pass the float range.
+
+    Every product or sum either search forms is at most sum |base| *
+    prod_s max(1, row sum of slot s), each slot's row sum the largest over
+    its candidates.  The slots' product comes first, as the searches'
+    reach does, so a zero base cell cannot hide its overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = 1.0
+        for choices in candidates:
+            reach = reach * functools.reduce(
+                np.maximum, [tables.row_sum(r) for _, r in choices], 1.0
+            )
+        total = float((np.abs(base) * reach).sum())
+    if not np.isfinite(total):
+        raise NumericalInconsistency(
+            f"sup problem on edge {list(edge)}: its partial products can overflow a float"
+        )
+
+
 def sup_multilinear(
     problem: SupProblem,
     mode: str = "exact",
@@ -628,6 +655,7 @@ def sup_multilinear(
     """Solve one boxed sup problem; exact results certify an upper bound.
 
     Each selector choice's exact search has a budget of `COMBO_CAP`.
+    Partial products that could overflow raise NumericalInconsistency first.
     """
     problem.validate()
     if mode not in ("auto", "exact", "heuristic"):
@@ -641,15 +669,17 @@ def sup_multilinear(
     )
     digits = digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
     base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
+    candidates = _candidate_rows(problem, grid)
     tables = _Tables()
+    _check_range(problem.base_edge, base_vec, candidates, tables)
     best, combos, certified = None, 0, True
-    for choice in itertools.product(*_candidate_rows(problem, grid)):
+    for choice in itertools.product(*candidates):
         rows = [r for _, r in choice]
         res = None
         if mode != "heuristic":
             floor = 0.0 if best is None else best.value
             try:
-                res = exact_boxed_max(base_vec, rows, cap=COMBO_CAP, floor=floor, tables=tables)
+                res = exact_boxed_max(base_vec, rows, floor=floor, tables=tables)
             except SizeCapExceeded:
                 if mode == "exact":
                     raise

@@ -7,8 +7,8 @@ named conditions:
 * C1: every nonempty sub-collection has product expectation >= 1 - eta.
 * C2a: psi_e is L_p-bounded by C and nu_e - psi_e has cut norm <= eta.
 * C2b: the replica-correlation supremum of nu_e - psi_e against products of
-  slot functions bounded by nu or by one is <= eta (two replicas of the
-  complement by default; the count is a parameter).
+  slot functions bounded by nu or by one is <= eta (`C2B_REPLICAS`
+  replicas of the complement).
 * C3: conditional expectations of sub-collection products onto each edge
   have ell-th moment <= C + eta, with ell derived from (C, p) by the even
   replica rule unless overridden.
@@ -71,6 +71,8 @@ from .spaces import (
 
 PATTERN_CAP = 1 << 20
 SAMPLE_DEFAULT = 512
+# Complement replicas of the C2b correlation check.
+C2B_REPLICAS = 2
 
 
 def ell_pseudorandom(C: float, p: Exponent) -> int:
@@ -88,15 +90,13 @@ def ell_pseudorandom(C: float, p: Exponent) -> int:
 class PseudoParams:
     """Constants of one pseudorandomness claim.
 
-    ell defaults to the even replica rule applied to (C, p); c2b_replicas
-    is the number of complement replicas used by the C2b correlation check.
+    ell defaults to the even replica rule applied to (C, p).
     """
 
     C: float
     eta: float
     p: Exponent
     ell: int | None = None
-    c2b_replicas: int = 2
 
     def resolved_ell(self) -> int:
         if self.ell is None:
@@ -108,8 +108,6 @@ class PseudoParams:
             raise BadSpec(f"C must be finite and >= 1, got {self.C}")
         if not (0.0 < self.eta < 1.0):
             raise BadSpec(f"eta must lie in (0, 1), got {self.eta}")
-        if self.c2b_replicas < 1:
-            raise BadSpec(f"need at least one replica, got {self.c2b_replicas}")
         self.resolved_ell()
 
     def to_dict(self) -> dict:
@@ -118,7 +116,7 @@ class PseudoParams:
             "eta": self.eta,
             "p": self.p.as_json(),
             "ell": self.resolved_ell(),
-            "c2b_replicas": self.c2b_replicas,
+            "c2b_replicas": C2B_REPLICAS,
         }
 
 
@@ -270,14 +268,13 @@ def check_C2b(
     fam_nu = full_assignment(system, nu, nonnegative=True)
     fam_psi = full_assignment(system, psi)
     params.validate()
-    replicas = params.c2b_replicas
     worst = -math.inf
     witness: dict = {}
     any_heuristic = False
     for e in system.edges:
         kernel = edge_function(system, e, fam_nu[e].values - fam_psi[e].values)
         best = selector_correlation_sup(
-            system, e, kernel, {"nu": fam_nu, "one": None}, replicas,
+            system, e, kernel, {"nu": fam_nu, "one": None}, C2B_REPLICAS,
             mode=mode, restarts=restarts, seed=seed,
         )
         if not best["certified"]:
@@ -299,7 +296,7 @@ def check_C2b(
         comparison="le",
         witness=witness,
         mode="heuristic" if any_heuristic else "exact",
-        details={"replicas": replicas},
+        details={"replicas": C2B_REPLICAS},
     )
 
 
@@ -386,7 +383,9 @@ class DeviationReport:
     eta is the deviation from one: max(max_value - 1, 1 - min_value, 0).
     When the pattern count exceeds `PATTERN_CAP` the scan degrades to
     sampling (structured patterns plus seeded random ones): exact is False
-    and degraded True.
+    and degraded True.  Each witness is the first pattern that attains its
+    extreme: the smallest mask in a full scan, the first listed mask in a
+    sampled one.
     """
 
     min_value: float
@@ -438,12 +437,6 @@ def _finite_edge(system: HypergraphSystem, e, values: np.ndarray, what: str) -> 
     return edge_function(system, e, values)
 
 
-def _pattern_overflow(mask: int, value: float, ell: int) -> NumericalInconsistency:
-    return NumericalInconsistency(
-        f"linear-forms pattern {hex(mask)} at ell={ell} is {value}, not finite"
-    )
-
-
 def linear_forms_deviation(
     system: HypergraphSystem,
     functions,
@@ -458,7 +451,14 @@ def linear_forms_deviation(
     raises: the scan then degrades to the empty, full and per-edge
     patterns plus `SAMPLE_DEFAULT` random ones from Philox key 0 (flagged).
     A pattern whose value is past the float range raises
-    NumericalInconsistency, without numpy warnings.
+    NumericalInconsistency, without numpy warnings, naming the first such
+    scan position.
+
+    One loop serves both scans.  Each prefix's row is the weights times its
+    factors, ascending; the top d factors then double it within one block
+    of `BLOCK_CELLS` elements (d = 0 in the sampled scan).  Every pattern's
+    sum lands in one array indexed by scan position, so besides the factor
+    rows the scan holds one block plus one float per pattern.
     """
     fam = full_assignment(system, functions)
     ell = require_even(ell)
@@ -466,97 +466,67 @@ def linear_forms_deviation(
     count = len(factors)
     coords = sorted(set(v for e in system.edges for v in e))
     grid = Grid(system, [(v, m) for v in coords for m in range(ell)])
-    weights = grid.weight_tensor()
     flat = []
     for e, digits in factors:
         view = grid.lift(e, fam[e].values, digits)
         flat.append(np.broadcast_to(view, grid.shape).reshape(-1).copy())
-    wvec = np.broadcast_to(weights, grid.shape).reshape(-1).copy()
+    wvec = np.broadcast_to(grid.weight_tensor(), grid.shape).reshape(-1).copy()
     cells = wvec.shape[0]
 
     exact = (1 << count) <= PATTERN_CAP
+    d = 0
     if exact:
-        lo_bits = count
-        budget = 1 << 22
-        while lo_bits > 0 and (1 << lo_bits) * cells > budget:
-            lo_bits -= 1
-        # Row (hi, lo) is wvec times the hi factors, then factors 0..lo_bits-1
-        # ascending.  Each block doubles over the factors above the lowest
-        # `fixed`, which an outer loop multiplies in first, so a block
-        # holds at most BLOCK_CELLS elements; a block's row r is low mask
-        # (r << fixed) | mid.  An exact tie in value keeps the smaller mask,
-        # as an ascending scan would.
-        fixed = lo_bits
-        while fixed > 0 and (1 << (lo_bits - fixed + 1)) * cells <= BLOCK_CELLS:
-            fixed -= 1
-        block = np.empty((1 << (lo_bits - fixed), cells))
-        best_min = (math.inf, 0)
-        best_max = (-math.inf, 0)
-        # A product past the float range leaves its row's sum non-finite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for hi in range(1 << (count - lo_bits)):
-                top = wvec.copy()
-                for k in range(count - lo_bits):
-                    if (hi >> k) & 1:
-                        top *= flat[lo_bits + k]
-                for mid in range(1 << fixed):
-                    block[0] = top
-                    for k in range(fixed):
-                        if (mid >> k) & 1:
-                            block[0] *= flat[k]
-                    for f in range(fixed, lo_bits):
-                        rows = 1 << (f - fixed)
-                        np.multiply(block[:rows], flat[f], out=block[rows:2 * rows])
-                    vals = np.sum(block, axis=1)
-                    low = (hi << lo_bits) | mid
-                    finite = np.isfinite(vals)
-                    if not finite.all():
-                        i = int(np.argmin(finite))
-                        raise _pattern_overflow(low | (i << fixed), vals[i], ell)
-                    i = int(np.argmin(vals))
-                    best_min = min(best_min, (float(vals[i]), low | (i << fixed)))
-                    i = int(np.argmax(vals))
-                    best_max = max(best_max, (float(vals[i]), low | (i << fixed)),
-                                   key=lambda pair: (pair[0], -pair[1]))
-        checked = 1 << count
+        while d < count and (2 << d) * cells <= BLOCK_CELLS:
+            d += 1
+        prefixes = range(1 << (count - d))
     else:
-        masks = [0, (1 << count) - 1]
-        for e in system.edges:
-            m = 0
-            for k, (e2, _) in enumerate(factors):
-                if e2 == e:
-                    m |= 1 << k
-            masks.append(m)
         rng = np.random.Generator(np.random.Philox(key=0))
-        for _ in range(SAMPLE_DEFAULT):
-            bits = rng.integers(0, 2, size=count)
-            masks.append(int(sum(1 << k for k in range(count) if bits[k])))
-        best_min = (math.inf, 0)
-        best_max = (-math.inf, 0)
-        for mask in masks:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vec = wvec.copy()
-                for k in range(count):
-                    if (mask >> k) & 1:
-                        vec *= flat[k]
-                val = float(np.sum(np.ascontiguousarray(vec)))
-            if not math.isfinite(val):
-                raise _pattern_overflow(mask, val, ell)
-            if val < best_min[0]:
-                best_min = (val, mask)
-            if val > best_max[0]:
-                best_max = (val, mask)
-        checked = len(masks)
+        prefixes = [0, (1 << count) - 1]
+        prefixes += [sum(1 << k for k, (e2, _) in enumerate(factors) if e2 == e)
+                     for e in system.edges]
+        prefixes += [sum(1 << k for k, bit in enumerate(rng.integers(0, 2, size=count)) if bit)
+                     for _ in range(SAMPLE_DEFAULT)]
+    low = count - d
+    # Block row r of prefix j is mask prefixes[j] | r << low, and its sum
+    # lands at position r * len(prefixes) + j: the mask itself in the full
+    # scan, the list index in the sampled one.
+    block = np.empty((1 << d, cells))
+    row = block[0]
+    sums = np.empty((1 << d, len(prefixes)))
+    # A product past the float range leaves its pattern's sum non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, m in enumerate(prefixes):
+            np.copyto(row, wvec)
+            for k in range(low):
+                if (m >> k) & 1:
+                    row *= flat[k]
+            for f in range(low, count):
+                rows = 1 << (f - low)
+                np.multiply(block[:rows], flat[f], out=block[rows:2 * rows])
+            sums[:, j] = block.sum(axis=1)
+    sums = sums.reshape(-1)
 
-    eta = max(best_max[0] - 1.0, 1.0 - best_min[0], 0.0)
+    def mask_at(i: int) -> int:
+        return prefixes[i % len(prefixes)] | (i // len(prefixes)) << low
+
+    finite = np.isfinite(sums)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericalInconsistency(
+            f"linear-forms pattern {hex(mask_at(i))} at ell={ell} is {sums[i]}, not finite"
+        )
+    # The first extreme wins: the smaller mask in the full scan, the first
+    # listed one in the sampled scan.
+    i_min, i_max = int(np.argmin(sums)), int(np.argmax(sums))
+    lo, hi = float(sums[i_min]), float(sums[i_max])
     return DeviationReport(
-        min_value=best_min[0],
-        max_value=best_max[0],
-        eta=eta,
-        patterns_checked=checked,
+        min_value=lo,
+        max_value=hi,
+        eta=max(hi - 1.0, 1.0 - lo, 0.0),
+        patterns_checked=sums.shape[0],
         exact=exact,
-        witness_min=_decode_mask(best_min[1], factors),
-        witness_max=_decode_mask(best_max[1], factors),
+        witness_min=_decode_mask(mask_at(i_min), factors),
+        witness_max=_decode_mask(mask_at(i_max), factors),
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxlab.boxnorm import (
-    _box_power_recursive,
+    _box_norms,
     _check_peel,
     _root_with_clamp,
     bilinear_bound_report,
@@ -499,7 +499,7 @@ class TestBatchedPeel:
     @settings(max_examples=8)
     def test_equals_loop(self, k, ell, data):
         sys_, e, f = data.draw(peel_case(k, ell, _loop_work, 2000))
-        got = _box_power_recursive(sys_, e, f.values, ell)
+        got = _box_norms([(sys_, e, f.values)], ell)[0].power
         assert type(got) is float
         assert got == _loop_power(sys_, e, f.values, ell)
 
@@ -510,7 +510,7 @@ class TestBatchedPeel:
     def test_matches_brute_where_cheap(self, k, ell, data):
         sys_, e, f = data.draw(peel_case(k, ell, _brute_work, 20000))
         want = box_power_brute(sys_, e, f.values, ell)
-        got = _box_power_recursive(sys_, e, f.values, ell)
+        got = _box_norms([(sys_, e, f.values)], ell)[0].power
         assert abs(want - got) <= 1e-9 * max(abs(want), 1.0)
 
     @pytest.mark.parametrize(
@@ -520,7 +520,7 @@ class TestBatchedPeel:
     def test_one_atom_coordinates(self, sizes, ell):
         sys_, e, rng = _weighted_case(sizes, seed=7)
         f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=sizes))
-        got = _box_power_recursive(sys_, e, f.values, ell)
+        got = _box_norms([(sys_, e, f.values)], ell)[0].power
         assert got == _loop_power(sys_, e, f.values, ell)
         assert abs(got - box_power_brute(sys_, e, f.values, ell)) <= 1e-12
 
@@ -541,7 +541,7 @@ class TestBatchedPeel:
         if data.draw(st.booleans()):
             values[rng.random(sizes) < 0.5] = 0.0
         f = edge_function(sys_, e, values)
-        got = _box_power_recursive(sys_, e, f.values, ell)
+        got = _box_norms([(sys_, e, f.values)], ell)[0].power
         assert got == _loop_power(sys_, e, f.values, ell)
         assert math.copysign(1.0, got) == math.copysign(1.0, _loop_power(sys_, e, f.values, ell))
 
@@ -549,17 +549,17 @@ class TestBatchedPeel:
     def test_zero_and_all_negative(self, sizes, ell):
         sys_, e, rng = _weighted_case(sizes, seed=8)
         zero = np.zeros(sizes)
-        got = _box_power_recursive(sys_, e, zero, ell)
+        got = _box_norms([(sys_, e, zero)], ell)[0].power
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
         neg = -rng.uniform(0.1, 1.0, size=sizes)
-        got = _box_power_recursive(sys_, e, neg, ell)
+        got = _box_norms([(sys_, e, neg)], ell)[0].power
         assert got == _loop_power(sys_, e, neg, ell) > 0.0
 
     @pytest.mark.parametrize("sizes", [(3, 3), (8, 2, 2), (2, 3, 2)])
     def test_ell6(self, sizes):
         sys_, e, rng = _weighted_case(sizes, seed=9)
         f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=sizes))
-        assert _box_power_recursive(sys_, e, f.values, 6) == _loop_power(sys_, e, f.values, 6)
+        assert _box_norms([(sys_, e, f.values)], 6)[0].power == _loop_power(sys_, e, f.values, 6)
 
     @pytest.mark.parametrize("block", [1, 7, 100])
     def test_split_changes_nothing(self, block, monkeypatch):
@@ -569,7 +569,7 @@ class TestBatchedPeel:
         f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=(3, 4, 3)))
         want = _loop_power(sys_, e, f.values, 4)
         monkeypatch.setattr(bn, "BLOCK_CELLS", block)
-        assert _box_power_recursive(sys_, e, f.values, 4) == want
+        assert _box_norms([(sys_, e, f.values)], 4)[0].power == want
 
     def test_peak_memory_past_one_block(self):
         # Peeling the last two coordinates of a 3-edge with 8 atoms at ell=4
@@ -577,10 +577,10 @@ class TestBatchedPeel:
         sys_, e, rng = _weighted_case((8, 8, 8), seed=11)
         f = edge_function(sys_, e, rng.uniform(-1.0, 1.0, size=(8, 8, 8)))
         assert 330 * 330 * 8 >= 4 * BLOCK_CELLS
-        _box_power_recursive(sys_, (0, 1), f.values[:, :, 0], 4)  # build the plan
+        _box_norms([(sys_, (0, 1), f.values[:, :, 0])], 4)  # build the plan
         tracemalloc.start()
         try:
-            got = _box_power_recursive(sys_, e, f.values, 4)
+            got = _box_norms([(sys_, e, f.values)], 4)[0].power
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -738,11 +738,11 @@ class TestPeelGuard:
         sys_ = uniform_system([2, 1], [(0, 1)])
         f = edge_function(sys_, (0, 1), [[0.5], [0.25]])
         _check_peel((2, 1), 20_000_002)
-        assert _box_power_recursive(sys_, (0, 1), f.values, 20_000_002) == 0.0
+        assert _box_norms([(sys_, (0, 1), f.values)], 20_000_002)[0].power == 0.0
 
     def test_overflowing_power_is_inf(self):
         # 2.0 ** 2002 is past the float range: the power is inf, not an
         # OverflowError.
         sys_ = uniform_system([2], [(0,)])
         f = edge_function(sys_, (0,), [2.0, 2.0])
-        assert _box_power_recursive(sys_, (0,), f.values, 2002) == math.inf
+        assert _box_norms([(sys_, (0,), f.values)], 2002)[0].power == math.inf

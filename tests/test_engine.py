@@ -21,7 +21,7 @@ from boxlab.engine import (
     subset_rows,
     sup_multilinear,
 )
-from boxlab.errors import MalformedProblem, SizeCapExceeded
+from boxlab.errors import MalformedProblem, NumericalInconsistency, SizeCapExceeded
 from boxlab.spaces import Grid, edge_function, make_system
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -87,7 +87,7 @@ def problem_rows(problem):
     return base_vec, engine._candidate_rows(problem, grid)
 
 
-def _loop_sup(problem, mode="exact", restarts=32, seed=0, cap=engine.COMBO_CAP):
+def _loop_sup(problem, mode="exact", restarts=32, seed=0):
     """The per-choice reference: one cold exact_boxed_max per candidate
     choice, no floor and no shared tables, auto falling back per choice."""
     base_vec, candidates = problem_rows(problem)
@@ -97,7 +97,7 @@ def _loop_sup(problem, mode="exact", restarts=32, seed=0, cap=engine.COMBO_CAP):
         res = None
         if mode != "heuristic":
             try:
-                res = exact_boxed_max(base_vec, rows, cap=cap)
+                res = exact_boxed_max(base_vec, rows)
             except SizeCapExceeded:
                 if mode == "exact":
                     raise
@@ -269,11 +269,12 @@ class TestExactBoxedMax:
         assert res.value == 1.5 and res.signed == -1.5
         assert res.masks == ()
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         base = np.ones(2)
         rows = [np.ones((3, 2))]
+        monkeypatch.setattr(engine, "COMBO_CAP", 4)
         with pytest.raises(SizeCapExceeded):
-            exact_boxed_max(base, rows, cap=4)
+            exact_boxed_max(base, rows)
 
     @given(seeds, st.sampled_from([3, 4]))
     def test_branch_and_bound_matches_brute(self, seed, n_slots):
@@ -470,13 +471,13 @@ class TestAutoBudget:
 
     def test_auto_past_cap_runs_exact_boxed_max(self, monkeypatch):
         # The budgeted search goes through the public entry point, so
-        # anything wrapping exact_boxed_max sees it.
+        # anything wrapping exact_boxed_max sees it; it reads the cap then.
         calls = []
         real = engine.exact_boxed_max
 
-        def spy(base, rows, cap, **kw):
-            calls.append(cap)
-            return real(base, rows, cap=cap, **kw)
+        def spy(base, rows, **kw):
+            calls.append(engine.COMBO_CAP)
+            return real(base, rows, **kw)
 
         monkeypatch.setattr(engine, "exact_boxed_max", spy)
         monkeypatch.setattr(engine, "COMBO_CAP", 1 << 10)
@@ -544,8 +545,8 @@ class TestCandidateBounds:
         calls = []
         real = engine.exact_boxed_max
 
-        def spy(base, rows, cap, **kw):
-            out = real(base, rows, cap=cap, **kw)
+        def spy(base, rows, **kw):
+            out = real(base, rows, **kw)
             calls.append(out)
             return out
 
@@ -560,6 +561,39 @@ class TestCandidateBounds:
 # other two edges at replicas 0 and 1.
 SLOT_POOL = (((0, 2), 0), ((1, 2), 0), ((0, 2), 1), ((1, 2), 1))
 BOUND_KINDS = ("one", "ones", "rand", "half", "big")
+
+
+class TestRangeCheck:
+    @staticmethod
+    def problem(kernel, scale):
+        """k3_problem on 2 atoms with a second candidate, `scale` times one, on every slot."""
+        base = k3_problem(np.full((2, 2), kernel), 2)
+        sys_ = base.system
+        slots = tuple(
+            Slot(s.edge, s.replica,
+                 (("one", None), ("big", edge_function(sys_, s.edge, np.full((2, 2), scale)))))
+            for s in base.slots
+        )
+        return SupProblem(sys_, (0, 1), 2, base.kernel, slots)
+
+    @pytest.mark.parametrize("mode", ["exact", "auto", "heuristic"])
+    @pytest.mark.parametrize("kernel", [0.0, 1.0])
+    def test_overflow_refused_before_any_search(self, monkeypatch, mode, kernel):
+        # Four slots bounded by 1e100 reach 1e400 on every cell, so even a
+        # zero kernel would meet 0 * inf in a search.
+        def no_search(*args, **kw):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(engine, "exact_boxed_max", no_search)
+        monkeypatch.setattr(engine, "heuristic_boxed_max", no_search)
+        with pytest.raises(NumericalInconsistency, match=r"edge \[0, 1\]"):
+            sup_multilinear(self.problem(kernel, 1e100), mode=mode)
+
+    def test_large_but_in_range_is_solved(self):
+        # Four slots bounded by 1e70: every product stays below 1e281.
+        res = sup_multilinear(self.problem(1.0, 1e70))
+        assert res.labels == ("big",) * 4 and res.certified
+        assert math.isclose(res.value, 1e280, rel_tol=1e-12)
 
 
 @st.composite
@@ -625,9 +659,9 @@ class TestSearchContext:
     def test_tiny_caps_only_move_heuristic_to_exact(self, problem, cap):
         # A seeded choice does no more work than a cold one, so it may now
         # finish where the loop ran out of budget; nothing else may move.
-        want = _loop_sup(problem, mode="auto", restarts=2, cap=cap)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "COMBO_CAP", cap)
+            want = _loop_sup(problem, mode="auto", restarts=2)
             got = sup_multilinear(problem, mode="auto", restarts=2)
             assert got.combos == want.combos
             if got != want:
@@ -636,7 +670,7 @@ class TestSearchContext:
             if got.mode == "heuristic":
                 assert want.mode == "heuristic"
             try:
-                want = _loop_sup(problem, cap=cap)
+                want = _loop_sup(problem)
             except SizeCapExceeded:
                 got = seeded_or_cap(problem)
                 assert isinstance(got, SizeCapExceeded) or got.mode == "exact"
@@ -656,11 +690,13 @@ class TestSearchContext:
             else:
                 assert seeded.value <= floor
             for cap in (1 << 4, 1 << 6, 1 << 8):
-                try:
-                    exact_boxed_max(base, rows, cap=cap)
-                except SizeCapExceeded:
-                    continue
-                exact_boxed_max(base, rows, cap=cap, floor=floor)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine, "COMBO_CAP", cap)
+                    try:
+                        exact_boxed_max(base, rows)
+                    except SizeCapExceeded:
+                        continue
+                    exact_boxed_max(base, rows, floor=floor)
 
     def test_tying_choice_keeps_the_first(self):
         # "one" and "ones" bound every slot identically, so all four

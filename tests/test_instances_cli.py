@@ -521,6 +521,29 @@ class TestCliCertificates:
         assert err["error"] == "NumericalInconsistency"
         assert "C3" in err["message"] and "ell=100000" in err["message"]
 
+    @pytest.mark.parametrize("mode", ["exact", "auto", "heuristic"])
+    def test_pseudorandom_check_sup_overflow_exits_3(self, tmp_path, capsys, mode):
+        # 1e308 on edge (0, 1): the C2b sup problem on edge (0, 2) has two
+        # slots bounded by it, refused before any search, so its error is
+        # all that reaches stderr.
+        system, functions, meta = generate(GenSpec(3, 2, 2, "ones"))
+        ones = str(tmp_path / "ones.json")
+        save_instance(ones, system, functions, meta)
+        functions[(0, 1)] = edge_function(
+            system, (0, 1), np.full(system.edge_shape((0, 1)), 1e308)
+        )
+        path = str(tmp_path / "huge.json")
+        save_instance(path, system, functions, meta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pseudorandom", "check", "--instance", path, "--psi", ones,
+                         "--C", "1", "--eta", "0.5", "--p", "2", "--mode", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out, caught) == (3, "", [])
+        err = json.loads(captured.err)
+        assert err["error"] == "NumericalInconsistency"
+        assert "sup problem on edge [0, 2]" in err["message"]
+
     def test_pseudorandom_sum_family_requires_psi(self, ones_instance, capsys):
         code, _, err = run_cli(
             capsys, "pseudorandom", "thm42", "--instance", ones_instance,
@@ -547,7 +570,7 @@ class TestCliCertificates:
             )
         assert (code, out) == (3, None)
         assert err["error"] == "NumericalInconsistency"
-        assert "linear-forms pattern" in err["message"]
+        assert "linear-forms pattern 0x3 " in err["message"]
 
     @pytest.mark.parametrize("command", ["check", "thm43", "vonneumann"])
     def test_nan_C_exits_3(self, ones_instance, capsys, command):

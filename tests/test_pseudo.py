@@ -108,8 +108,6 @@ class TestPseudoParams:
             PseudoParams(1.0, 0.0, Exponent(2.0)).validate()
         with pytest.raises(BadSpec):
             PseudoParams(1.0, 1.5, Exponent(2.0)).validate()
-        with pytest.raises(BadSpec):
-            PseudoParams(1.0, 0.1, Exponent(2.0), c2b_replicas=0).validate()
         for bad in (math.inf, math.nan):
             with pytest.raises(BadSpec):
                 PseudoParams(bad, 0.1, Exponent(2.0)).validate()
@@ -367,7 +365,7 @@ class TestConditionChecks:
         assert rep.verdict == "false" and rep.mode == "exact"
         assert rep == exact
 
-    def test_c2b_value_and_witness_match_brute(self):
+    def test_c2b_value_and_witness_match_brute(self, monkeypatch):
         # One replica: every other edge is one slot bounded by nu or by one.
         # nu is one on (1, 2), so both choices there tie exactly and the
         # witness must name the first, "nu".
@@ -377,7 +375,8 @@ class TestConditionChecks:
               for e in sys_.edges}
         nu[(1, 2)] = constant_function(sys_, (1, 2), 1.0)
         psi = ones_family(sys_)
-        params = PseudoParams(2.0, 0.5, Exponent(2.0), c2b_replicas=1)
+        monkeypatch.setattr(pseudo, "C2B_REPLICAS", 1)
+        params = PseudoParams(2.0, 0.5, Exponent(2.0))
         rep = check_C2b(sys_, nu, psi, params, mode="exact")
         choices = []
         for e in sys_.edges:
@@ -471,8 +470,7 @@ class TestLinearFormsDeviation:
     @staticmethod
     def plain_scan(system, fam, ell):
         """Every mask ascending: wvec times its factors ascending, one sum
-        each; the first extreme wins.  The module's order when all masks
-        fit one doubling, as they do below 2**22 elements."""
+        each; the first extreme wins.  The module's products and tie rule."""
         factors = [(e, d) for e in system.edges
                    for d in itertools.product(range(ell), repeat=len(e))]
         coords = sorted({v for e in system.edges for v in e})
@@ -540,6 +538,31 @@ class TestLinearFormsDeviation:
         assert rep.patterns_checked == 1 << 12 and rep.exact
         assert peak < 1_000_000
 
+    def test_four_atoms_match_plain_loop(self):
+        # 4,096 patterns of 4,096 cells: 16 patterns per block, 256 prefixes.
+        system, fam, _ = generate(GenSpec(n=3, r=2, atoms=4, kind="perturbed_ones",
+                                          seed=7, epsilon=0.1))
+        rep = linear_forms_deviation(system, fam, 2)
+        want_min, want_max = self.plain_scan(system, fam, 2)
+        assert rep.exact and rep.patterns_checked == 1 << 12
+        assert (rep.min_value, int(rep.witness_min["mask"], 16)) == want_min
+        assert (rep.max_value, int(rep.witness_max["mask"], 16)) == want_max
+
+    def test_sampled_tie_keeps_first_listed_mask(self, monkeypatch):
+        # A zero edge: every pattern reading it is 0, the others 1.  The
+        # listed masks start with the empty one (1) and the full one (0),
+        # so the witnesses are those two, although smaller masks tie with
+        # the full one.
+        monkeypatch.setattr(pseudo, "PATTERN_CAP", 16)
+        monkeypatch.setattr(pseudo, "SAMPLE_DEFAULT", 16)
+        sys_ = k3_system()
+        fam = ones_family(sys_)
+        fam[(1, 2)] = constant_function(sys_, (1, 2), 0.0)
+        rep = linear_forms_deviation(sys_, fam, 2)
+        assert rep.degraded and rep.patterns_checked == 2 + 3 + 16
+        assert (rep.min_value, rep.witness_min["mask"]) == (0.0, hex((1 << 12) - 1))
+        assert (rep.max_value, rep.witness_max["mask"]) == (1.0, "0x0")
+
     def test_witnesses_decode_masks(self):
         rng = np.random.Generator(np.random.Philox(key=9))
         sys_ = make_system([np.ones(2) / 2] * 2, [(0, 1)])
@@ -583,14 +606,17 @@ class TestLinearFormsDeviation:
         assert sampled.min_value >= exact.min_value - 1e-12
         assert vals_at_full or sampled.patterns_checked >= 3
 
-    @pytest.mark.parametrize("cap", [4096, 4], ids=["exact", "sampled"])
-    def test_overflowing_pattern_raises(self, monkeypatch, cap):
+    @pytest.mark.parametrize("cap,mask", [(4096, "0x3"), (4, "0xfff")], ids=["exact", "sampled"])
+    def test_overflowing_pattern_raises(self, monkeypatch, cap, mask):
+        # The first overflowing scan position: the smallest mask in the full
+        # scan (two factors of 1e308), the full mask, listed second, when
+        # sampled.
         monkeypatch.setattr(pseudo, "PATTERN_CAP", cap)
         sys_ = k3_system()
         fam = {e: constant_function(sys_, e, 1e308 if e == (0, 1) else 1.0) for e in K3_EDGES}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalInconsistency, match="not finite"):
+            with pytest.raises(NumericalInconsistency, match=f"pattern {mask} .*not finite"):
                 linear_forms_deviation(sys_, fam, 2)
 
 
