@@ -56,15 +56,20 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   command's work is the full linear-forms scan of 4,096 patterns of 4,096
   cells, whose blocks hold 16 patterns each;
 - `pseudorandom check` against psi = ones on a 2-atom K3 with 1e308 on
-  edge (0, 1), whose C2b slot bounds overflow a float (exit 3).
+  edge (0, 1), whose C2b slot bounds overflow a float (exit 3);
+- `gcs` on a 3-edge at ell=6 with 2 atoms per vertex (2**18 cells) and
+  with 3 (3**18 cells, above the cell cap, so it exits 3);
+- `norm --method direct` and `gcs` on a 1-atom 2-edge at ell=40, whose
+  replicated grid has 80 axes, past numpy's 64 (exit 3).
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
 at the same relative paths for both trees.  The instances that no `gen`
 writes are written there as plain JSON, without either tree's code.
-The exit code and stdout of every command are compared, with the
-`elapsed_ms` wall times ignored.  The script exits 0 only if nothing
-differs.
+The exit code, stdout and stderr of every command are compared, with the
+`elapsed_ms` wall times ignored, and with each tree's path and its working
+directory replaced by placeholders in stderr.  The script exits 0 only if
+nothing differs.
 """
 
 import json
@@ -287,6 +292,23 @@ def overflow_cases() -> list:
     return [("pseudorandom check 1e308 edge", argv)]
 
 
+def replicated_cases() -> list:
+    """Write one-edge instances with large replicated grids; their `gcs` and `norm` commands."""
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    commands = []
+    for name, atoms in (("edge3_2_l6", 2), ("edge3_3_l6", 3)):
+        spaces = [rng.uniform(0.5, 1.5, size=atoms).tolist() for _ in range(3)]
+        values = rng.uniform(-1.0, 1.0, size=(atoms,) * 3).tolist()
+        write_instance(f"{name}.json", spaces, [values], [[0, 1, 2]])
+        commands.append((f"gcs {name}", ["gcs", "--instance", f"{name}.json", "--edge", "0",
+                                         "--ell", "6"]))
+    write_instance("edge2_1.json", [[1.0], [1.0]], [[[0.5]]], [[0, 1]])
+    base = ["--instance", "edge2_1.json", "--edge", "0", "--ell", "40"]
+    commands += [("norm direct edge2_1 l40", ["norm", *base, "--method", "direct"]),
+                 ("gcs edge2_1 l40", ["gcs", *base])]
+    return commands
+
+
 def run_tree(tree: str, out_path: str) -> None:
     """Run every command on `tree`'s boxlab and write the outputs as JSON."""
     sys.path[:0] = [
@@ -314,11 +336,16 @@ def run_tree(tree: str, out_path: str) -> None:
         commands += (suite_file_cases() + certificate_cases() + walk_cases()
                      + mixed_auto_cases() + tie_cases() + peel_cases() + block_path_cases()
                      + heuristic_cases() + sampled_scan_cases() + full_scan_cases()
-                     + overflow_cases())
+                     + overflow_cases() + replicated_cases())
+        places = [(path, mark) for root, mark in ((tree, "<tree>"), (work, "<work>"))
+                  for path in (os.path.realpath(root), root)]
         for name, argv in commands:
             call = harness.call_cli(argv)
             code = call.code if call.raised is None else call.raised
-            results.append([name, code, ELAPSED.sub(r"\g<1>0", call.out)])
+            err = call.err
+            for path, mark in places:
+                err = err.replace(path, mark)
+            results.append([name, code, ELAPSED.sub(r"\g<1>0", call.out), err])
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
@@ -357,11 +384,13 @@ def main() -> int:
         print("the two trees ran different command lists")
         return 1
     differ = 0
-    for (name, code_a, out_a), (_, code_b, out_b) in zip(parent, change):
+    for (name, code_a, out_a, err_a), (_, code_b, out_b, err_b) in zip(parent, change):
         if code_a != code_b:
             print(f"{name}: exit {code_a} vs {code_b}")
         elif out_a != out_b:
             print(f"{name}: stdout differs at {first_difference(out_a, out_b)}")
+        elif err_a != err_b:
+            print(f"{name}: stderr differs at {first_difference(err_a, err_b)}")
         else:
             continue
         differ += 1

@@ -5,24 +5,15 @@ Two independent evaluation routes are provided on purpose:
 * `box_power_direct` literally enumerates the replicated grid: every
   coordinate of the edge gets `ell` independent copies, and the expectation
   of the product of the tensor over all digit patterns visits every cell.
-  It is the reference oracle.  `Grid.expect` sums it: a grid of at most one
-  block (2**16 cells) is one pairwise sum over the fully multiplied array,
-  bit-identical to materialising it; a larger grid is summed block by block
-  over its trailing axes in a fixed order, without a full-grid array.  Every
-  lift of f views the same memory in the same layout, so the groups of
-  lifts, one per set of leading replicas read, share one folded cache; the
-  leading replicas are walked depth first, a prefix's product is formed
-  once, and each block's sum is multiplied by its leading weight.  Every
-  cell's full product is still formed and every cell summed.  Its
-  products are folded one factor at a time, left to right.  From 4096
-  cells on, each factor is first copied over the innermost axes of at
-  least 256 cells, so numpy multiplies runs that long, and a product of
-  factors is held only over the axes they have read so far; smaller
-  products take the plain in-place loop.  A product rounds each cell
-  alone, so the layout changes no bit: every cell multiplies the same
-  operands in the same order, and the sums are unchanged.
-  `Grid`'s cell cap is its only size bound: a replicated grid above
-  `GRID_CELL_CAP` (2**25) cells raises SizeCapExceeded.
+  It is the reference oracle, and `Grid.expect` sums it (see spaces.py): up
+  to one block (2**16 cells) bit-identically to the materialised array,
+  beyond it block by block over its trailing axes, the leading replicas
+  walked depth first and each group of lifts folded once into a shared
+  cache.  Every cell's full product is still formed, one factor at a time
+  left to right, and every cell summed; the array layout changes no bit.
+  `check_replicated` refuses (SizeCapExceeded), before anything is built,
+  a grid of more than numpy's 64 axes or more than `GRID_CELL_CAP` (2**25)
+  cells or digit patterns.
 * `box_norm(..., method="recursive")` peels one coordinate at a time, always
   the last coordinate of the edge, averaging the sub-power of the pointwise
   product of `ell` slices.  Tuples of slices are grouped into multisets with
@@ -68,6 +59,13 @@ Both return the same number up to roundoff; tests enforce 1e-9 agreement.
 Powers are carried unrooted through the recursion and the single final root
 uses log/exp.  Tiny negative powers (within -1e-9 * scale) are clamped to
 zero and flagged; anything worse raises NumericalInconsistency.
+
+`gcs_form`, the multilinear side of the generalised Cauchy-Schwarz
+inequality, takes one tensor per digit pattern and never builds the grid:
+it eliminates the replicas of one coordinate at a time, in an order fixed
+in closed form (the coordinate with the most atoms last), holding every
+table within one block of cells; see its docstring.  Its value is the
+grid's sum up to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -89,6 +87,7 @@ from .errors import (
 from .spaces import (
     BLOCK_CELLS,
     GRID_CELL_CAP,
+    MAX_GRID_AXES,
     EdgeFunction,
     Exponent,
     Grid,
@@ -158,12 +157,13 @@ def box_power_direct(
 
     Enumerates the grid that gives every coordinate of `e` its own `ell`
     independent copies and multiplies one slice of `f` per digit pattern.
-    A replicated grid above `GRID_CELL_CAP` cells raises SizeCapExceeded.
+    `check_replicated` refuses (SizeCapExceeded) a grid past its caps.
     """
     e = check_on_edge(system, e, f)
     ell = require_even(ell)
     k = len(e)
     checked_power(ell, k)
+    check_replicated(system, e, ell)
     grid = Grid(system, [(v, m) for v in e for m in range(ell)])
     factors = [
         grid.lift(e, f.values, digits)
@@ -404,6 +404,91 @@ def box_norm(
     return BoxNormResult(value, power, ell, e, method, clamped)
 
 
+def check_replicated(system: HypergraphSystem, e, ell: int) -> None:
+    """Refuse, before anything is built, a replicated grid of e that cannot be evaluated.
+
+    The grid gives every coordinate of e its own `ell` copies: |e| * ell
+    axes, prod(m_v ** ell) cells and ell ** |e| digit patterns.  More axes
+    than numpy's `MAX_GRID_AXES`, or cells or patterns above `GRID_CELL_CAP`,
+    raise SizeCapExceeded, in that order.  The axes come first, so a huge
+    ell is refused before any power is taken, and nothing is built.
+    """
+    ell = require_even(ell)
+    k = len(e)
+    if k * ell > MAX_GRID_AXES:
+        raise SizeCapExceeded(
+            f"grid of {k * ell} axes exceeds numpy's {MAX_GRID_AXES}-axis limit"
+        )
+    cells = math.prod(system.spaces[v].size ** ell for v in e)
+    if cells > GRID_CELL_CAP:
+        raise SizeCapExceeded(f"grid of {cells} cells exceeds cap {GRID_CELL_CAP}")
+    if ell**k > GRID_CELL_CAP:
+        raise SizeCapExceeded(
+            f"{ell}**{k} digit patterns exceed cap {GRID_CELL_CAP}"
+        )
+
+
+def _walked_axes(sizes: list[int], m_c: int, ell: int, reps: int) -> int:
+    """How many leading replica axes `gcs_form` walks instead of building.
+
+    `sizes` are the atom counts of the coordinates other than c, in order;
+    their replica axes are listed coordinate by coordinate, and `reps` is
+    the length of a digit axis.  Built after the first `walked` of them,
+    the table that ends coordinate d has reps ** (K - d) * m_c cells times,
+    per coordinate, m for each replica axis built so far and m for each
+    coordinate not yet reached.  The least `walked` that keeps every such
+    table within one block (`BLOCK_CELLS`) is taken.
+    """
+    k = len(sizes)
+    for walked in range(k * ell):
+        built = [ell - min(ell, max(0, walked - d * ell)) for d in range(k)]
+        worst = max(
+            reps ** (k - d) * m_c
+            * math.prod(sizes[j] ** built[j] for j in range(d + 1))
+            * math.prod(sizes[d + 1 :])
+            for d in range(walked // ell, k)
+        )
+        if worst <= BLOCK_CELLS:
+            return walked
+    return k * ell
+
+
+def _outer_weights(vectors) -> np.ndarray:
+    """(w_0 * w_1) * w_2 * ..., flattened in C order; [1.0] for no vector."""
+    acc = np.ones(1)
+    for w in vectors:
+        acc = (acc[:, None] * w).reshape(-1)
+    return acc
+
+
+def _grow(table: np.ndarray, acc, r0: int, ell: int, left: int) -> np.ndarray:
+    """The next coordinate's table: replicas r0.. of this one become new axes.
+
+    `table` has axes (own digit, own atoms, `left - 1` later (digit, atoms)
+    pairs, i, a, built replicas); `acc`, the product of its walked replicas
+    before r0, has axes (later pairs, i, a), or is None when r0 is 0.  The
+    result has axes (later pairs, i, a, replicas r0..ell-1 of this
+    coordinate, built replicas): replica r reads digit r of this
+    coordinate, or digit 0 of a digit axis of length one.  It is ((acc *
+    s_r0) * s_r0+1) * ..., and every operand is contiguous along the built
+    replicas, the innermost axes.
+    """
+    n = ell - r0
+    at = (slice(None),) * (2 * left)
+    # Own atoms move behind (later pairs, i, a); the built replicas stay last.
+    move = [*range(1, 2 * left + 1), 0, *range(2 * left + 1, table.ndim - 1)]
+    ops = [] if acc is None else [acc[(...,) + (None,) * n]]
+    for r in range(r0, ell):
+        slab = table[r % table.shape[0]].transpose(move)
+        ops.append(slab[at + (None,) * (r - r0) + (slice(None),) + (None,) * (ell - 1 - r)])
+    shape = table.shape
+    out = np.empty(shape[2 : 2 * left + 2] + (shape[1],) * n + shape[2 * left + 2 :])
+    np.multiply(ops[0], ops[1], out=out)
+    for a in ops[2:]:
+        out *= a
+    return out
+
+
 def gcs_form(
     system: HypergraphSystem,
     e,
@@ -414,26 +499,95 @@ def gcs_form(
 
     `functions` maps digit tuples (one digit per coordinate of e, each in
     0..ell-1) to edge tensors on e; missing patterns contribute the constant
-    one.  With every pattern mapped to the same f this is exactly the box
-    power of f.
+    one.  With every pattern mapped to the same f this is the box power of
+    f.  `check_replicated` refuses the same inputs as `box_power_direct`,
+    and also more than `GRID_CELL_CAP` patterns.
+
+    The replicated grid is never built.  Its replicas are eliminated one
+    coordinate at a time (bucket elimination, Dechter 1999), in an order
+    fixed in closed form.  c is the coordinate with the most atoms, the
+    last of them on a tie; the others keep their edge order, and X runs
+    over their replica tuples.  For each replica i of c,
+        H_i(X) = sum_a w_c(a) prod_{pattern p: p_c = i} f_p(X_p, a),
+    and the form is sum_X W(X) prod_i H_i(X), with W the product weight of
+    X.  The tensors are stacked over all patterns (ones where missing) with
+    axes (per other coordinate its digit and atoms, i, a).  Each other
+    coordinate in turn multiplies the slabs of its ell digits, replica r's
+    atoms on a new axis: an outer product of replica tuples, one per
+    remaining digit tuple.  The last table is multiplied by w_c, summed
+    over a and multiplied over i, then weighted by W and summed by numpy's
+    pairwise sum.  A family that maps every pattern to one tensor (an empty
+    family included) is stacked once, with digit axes of length one: then
+    every H_i is the same, and it is multiplied ell times.
+
+    Every table with new replica axes stays within one block
+    (`BLOCK_CELLS`) cells: past that, the leading replica axes (see
+    `_walked_axes`) are walked depth first in C order, each prefix's
+    product of slabs formed once for its children; each leaf's sum is
+    multiplied by its leading weight and those are added by one pairwise
+    sum.  The stack, one tensor per pattern, and the walk's products of its
+    slabs are no larger than the family itself.  Only broadcast multiplies
+    and `np.add.reduce` run, so no BLAS call and no thread count enters.
+    The value is the grid's sum up to roundoff, not bit for bit: tests hold
+    it within 1e-12 times the product of the present factors' max |f|.
     """
     e = as_edge(e)
     ell = require_even(ell)
     k = len(e)
     fams: dict[tuple[int, ...], EdgeFunction] = {}
+    checked: set[int] = set()
     for digits, fn in functions.items():
         digits = tuple(int(d) for d in digits)
         if len(digits) != k or any(d < 0 or d >= ell for d in digits):
             raise ShapeMismatch(f"bad digit pattern {digits} for edge {e}, ell={ell}")
-        check_on_edge(system, e, fn)
+        if id(fn) not in checked:
+            check_on_edge(system, e, fn)
+            checked.add(id(fn))
         fams[digits] = fn
-    grid = Grid(system, [(v, m) for v in e for m in range(ell)])
-    factors = []
-    for digits in itertools.product(range(ell), repeat=k):
-        fn = fams.get(digits)
-        if fn is not None:
-            factors.append(grid.lift(e, fn.values, digits))
-    return grid.expect(factors)
+    check_replicated(system, e, ell)
+    sizes = system.edge_shape(e)
+    c = max(range(k), key=lambda j: (sizes[j], j))
+    others = [j for j in range(k) if j != c]
+    ones = np.ones(sizes)
+    tensors = [
+        fams[d].values if d in fams else ones for d in itertools.product(range(ell), repeat=k)
+    ]
+    reps = 1 if all(t is tensors[0] for t in tensors) else ell
+    stack = np.array(tensors[: reps**k]).reshape((reps,) * k + sizes)
+    order = [axis for j in others for axis in (j, k + j)] + [c, k + c]
+    table = stack.transpose(order)
+    sizes_o = [sizes[j] for j in others]
+    walked = _walked_axes(sizes_o, sizes[c], ell, reps)
+    axis_w = [system.spaces[e[j]].weights for j in others for _ in range(ell)]
+    built_w = _outer_weights(
+        axis_w[d * ell + r]
+        for d in reversed(range(len(others)))
+        for r in range(ell)
+        if d * ell + r >= walked
+    )
+    w_c = system.spaces[e[c]].weights
+    sums: list[float] = []
+
+    def visit(table, d, r, acc):
+        # Coordinate d's table, with `acc` the product of its walked replicas < r.
+        if d * ell + r < walked:
+            for x in range(sizes_o[d]):
+                slab = table[r % table.shape[0], x]
+                nxt = slab if acc is None else acc * slab
+                if r + 1 < ell:
+                    visit(table, d, r + 1, nxt)
+                else:
+                    visit(nxt, d + 1, 0, None)
+            return
+        for left in range(len(others) - d, 0, -1):
+            table, acc, r = _grow(table, acc, r, ell, left), None, 0
+        table *= w_c.reshape((1, -1) + (1,) * (table.ndim - 2))
+        h = np.add.reduce(table, axis=1)
+        h = np.multiply.reduce(np.broadcast_to(h, (ell,) + h.shape[1:]), axis=0)
+        sums.append(float(np.add.reduce(np.reshape(h, -1) * built_w)))
+
+    visit(table, 0, 0, None)
+    return float(np.add.reduce(np.array(sums) * _outer_weights(axis_w[:walked])))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .boxnorm import _lp_box_norm_inner, box_norm, gcs_certificate, lp_box_norm
+from .boxnorm import _lp_box_norm_inner, box_norm, check_replicated, gcs_certificate, lp_box_norm
 from .counting import counting_lemma_certificate, von_neumann_certificate
 from .cutnorm import cut_norm
 from .errors import BadSpec, BoxlabError, MalformedProblem
@@ -124,6 +124,7 @@ def cmd_gcs(args) -> int:
     system, functions, _, digest = load_instance(args.instance)
     edge = _resolve_edge(system, args.edge)
     f = _function_on(functions, edge)
+    check_replicated(system, edge, args.ell)
     family = {
         digits: f for digits in itertools.product(range(args.ell), repeat=len(edge))
     }

@@ -4,7 +4,8 @@ Everything downstream evaluates expectations of products of edge tensors over
 product grids in which each vertex may carry one or several independent
 replicas.  The Grid class owns that bookkeeping: axes are (vertex, replica)
 pairs, and tensors are lifted onto the grid by reshape/transpose so numpy
-broadcasting aligns them.  `Grid.expect` takes every grid expectation.  A
+broadcasting aligns them.  `Grid.expect` takes every grid expectation but
+`boxnorm.gcs_form`'s, which eliminates replicas without building a grid.  A
 grid of at most one block (2**16 cells) is multiplied out in one array and
 summed by numpy's pairwise sum, so its value equals that of the fully
 materialised product bit for bit.  A larger grid is summed block by block
@@ -38,6 +39,9 @@ from .errors import (
 
 # Hard ceiling on the number of cells a single evaluation grid may hold.
 GRID_CELL_CAP = 1 << 25
+
+# numpy's (2.x) limit on the axes of one ndarray; a grid has one axis per key.
+MAX_GRID_AXES = 64
 
 # Guard for integer powers ell ** |e| used as exponents and work estimates.
 POWER_GUARD = 1 << 62
@@ -284,16 +288,21 @@ class Grid:
     an edge tensor on the grid given the replica digit used by each of its
     coordinates, and `weight_tensor` materializes the product measure of any
     subset of axes; `full_weights` is that of all axes, built once on first
-    use and read-only.  `expect` is the one way to take a grid expectation: up
-    to one block of cells it is bit-identical to summing `product(...)`,
-    beyond that it sums block by block in a fixed order.  No reduction
-    depends on the thread count.
+    use and read-only.  `expect` takes a grid expectation: up to one block
+    of cells it is bit-identical to summing `product(...)`, beyond that it
+    sums block by block in a fixed order.  No reduction depends on the
+    thread count.  A grid of more than `MAX_GRID_AXES` keys or
+    `GRID_CELL_CAP` cells raises SizeCapExceeded.
     """
 
     def __init__(self, system: HypergraphSystem, keys):
         ks = sorted(keys)
         if len(set(ks)) != len(ks):
             raise ShapeMismatch(f"duplicate grid keys in {ks}")
+        if len(ks) > MAX_GRID_AXES:
+            raise SizeCapExceeded(
+                f"grid of {len(ks)} axes exceeds numpy's {MAX_GRID_AXES}-axis limit"
+            )
         self.system = system
         self.keys: tuple[tuple[int, int], ...] = tuple(ks)
         self.pos = {k: a for a, k in enumerate(self.keys)}

@@ -12,6 +12,7 @@ from boxlab.boxnorm import (
     _box_norms,
     _check_peel,
     _root_with_clamp,
+    _walked_axes,
     bilinear_bound_report,
     box_norm,
     box_power_direct,
@@ -226,6 +227,33 @@ class TestGcs:
         power = box_norm(sys_, (0, 1), f, 2).power
         assert math.isclose(gcs_form(sys_, (0, 1), fam, 2), power, rel_tol=1e-11)
 
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([2, 4, 6]),
+        st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        st.sampled_from(["shared", "distinct", "sparse"]),
+        small_tensor_case,
+    )
+    @settings(max_examples=40)
+    def test_matches_brute_property(self, k, ell, atoms, kind, seed):
+        # Atom counts shrink until the brute force's cells times patterns fit.
+        atoms = atoms[:k]
+        while math.prod(a**ell for a in atoms) * ell**k > 40_000:
+            atoms[atoms.index(max(atoms))] -= 1
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        sys_ = make_system([rng.uniform(0.1, 1.0, size=a) for a in atoms], [])
+        e = tuple(range(k))
+        shared = edge_function(sys_, e, rng.uniform(-2.0, 2.0, size=atoms))
+        family = {}
+        for d in itertools.product(range(ell), repeat=k):
+            if kind == "shared":
+                family[d] = shared
+            elif kind == "distinct" or rng.uniform() < 0.5:
+                family[d] = edge_function(sys_, e, rng.uniform(-2.0, 2.0, size=atoms))
+        scale = math.prod(float(np.max(np.abs(fn.values))) for fn in family.values())
+        got = gcs_form(sys_, e, family, ell)
+        assert abs(got - gcs_form_brute(sys_, e, family, ell)) <= 1e-12 * scale
+
     def test_bad_digit_pattern(self):
         sys_ = uniform_system([2, 2], [(0, 1)])
         f = edge_function(sys_, (0, 1), np.ones((2, 2)))
@@ -399,7 +427,38 @@ class TestStreamedGrid:
         family = {d: f for d in itertools.product(range(ell), repeat=len(e))}
         assert box_power_direct(sys_, e, f, ell) == _materialised_form(sys_, e, family, ell)
         del family[(1,) * len(e)]
-        assert gcs_form(sys_, e, family, ell) == _materialised_form(sys_, e, family, ell)
+        # gcs eliminates replicas instead of summing the grid: equal up to roundoff.
+        got = gcs_form(sys_, e, family, ell)
+        scale = float(np.max(np.abs(f.values))) ** len(family)
+        assert abs(got - _materialised_form(sys_, e, family, ell)) <= 1e-12 * scale
+        assert abs(got - gcs_form_brute(sys_, e, family, ell)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("atoms,ell,walked", [((4, 4, 4), 4, 2), ((2,) * 10, 2, 4)])
+    def test_gcs_walks_past_one_block(self, atoms, ell, walked):
+        # Distinct factors on every pattern but one: tables past one block,
+        # so the leading replica axes are walked (two of the first 4**12 one).
+        sys_, e, rng = _weighted_case(atoms, seed=len(atoms) + ell)
+        others = list(atoms[:-1])
+        assert _walked_axes(others, atoms[-1], ell, ell) == walked
+        family, scale = {}, 1.0
+        for d in itertools.product(range(ell), repeat=len(e)):
+            if d != (0,) * len(e):
+                vals = rng.uniform(-1.0, 1.0, size=atoms)
+                family[d] = edge_function(sys_, e, vals)
+                scale *= float(np.max(np.abs(vals)))
+        grid = Grid(sys_, [(v, m) for v in e for m in range(ell)])
+        want = grid.expect([grid.lift(e, fn.values, d) for d, fn in family.items()])
+        tracemalloc.start()
+        try:
+            got = gcs_form(sys_, e, family, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - want) <= 1e-12 * scale
+        # The stacked patterns, as large as the family itself, products of
+        # their slabs while walking, and a few tables of one block.
+        stack = len(family) * math.prod(atoms)
+        assert peak < 8 * (2 * stack + 4 * BLOCK_CELLS)
 
     @pytest.mark.parametrize("route", ["direct", "gcs"])
     def test_peak_memory_on_largest_rung(self, route):

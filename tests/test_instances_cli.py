@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -751,6 +752,61 @@ def k4_pair(tmp_path):
         paths.append(str(tmp_path / f"k4_{name}.json"))
         save_instance(paths[-1], system, functions)
     return paths
+
+
+class TestCliReplicatedGridCaps:
+    """`norm --method direct` and `gcs` refuse a replicated grid they cannot
+    evaluate (exit 3), and `gcs` does so before it builds any digit pattern.
+
+    `gcs_certificate` and `itertools.product` are spied on, so that a tree
+    that builds the patterns first fails fast instead of running on.
+    """
+
+    @pytest.fixture
+    def no_patterns(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gcs_certificate called past the caps")
+
+        product = itertools.product
+
+        def bounded(*args, **kwargs):
+            for n, item in enumerate(product(*args, **kwargs)):
+                if n == 4096:
+                    raise AssertionError("digit patterns built before the size check")
+                yield item
+
+        monkeypatch.setattr(cli, "gcs_certificate", refuse)
+        monkeypatch.setattr(itertools, "product", bounded)
+
+    def _instance(self, tmp_path, atoms, k):
+        system = make_system([np.ones(atoms)] * k, [tuple(range(k))])
+        e = system.edges[0]
+        path = str(tmp_path / f"edge{k}_{atoms}.json")
+        save_instance(path, system, {e: edge_function(system, e, np.full((atoms,) * k, 0.5))})
+        return path
+
+    @pytest.mark.parametrize("command", [["norm", "--method", "direct"], ["gcs"]])
+    def test_past_numpy_axes(self, tmp_path, capsys, no_patterns, command):
+        # A 1-atom 2-edge at ell=40: one cell, 80 axes.
+        path = self._instance(tmp_path, 1, 2)
+        code, out, err = run_cli(
+            capsys, *command, "--instance", path, "--edge", "0", "--ell", "40"
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "SizeCapExceeded" and "80 axes" in err["message"]
+
+    @pytest.mark.parametrize(
+        "atoms,k,ell,word",
+        [(2, 2, 1_000_000, "axes"), (1, 13, 4, "patterns"), (3, 3, 6, "cells")],
+    )
+    def test_gcs_refuses_before_patterns(self, tmp_path, capsys, no_patterns, atoms, k, ell, word):
+        # 4**13 patterns of a 1-atom 13-edge fit 52 axes and one cell.
+        path = self._instance(tmp_path, atoms, k)
+        code, out, err = run_cli(
+            capsys, "gcs", "--instance", path, "--edge", "0", "--ell", str(ell)
+        )
+        assert (code, out) == (3, None)
+        assert err["error"] == "SizeCapExceeded" and word in err["message"]
 
 
 class TestCliLargeReplicaCounts:

@@ -180,6 +180,14 @@ class TestGrid:
         with pytest.raises(SizeCapExceeded):
             Grid(sys_, [(0, m) for m in range(12)])
 
+    def test_axis_cap(self):
+        # One-atom axes: a single cell, but past numpy's 64 dimensions.
+        sys_ = make_system([[1.0], [1.0]], [(0, 1)])
+        keys = [(v, m) for v in (0, 1) for m in range(32)]
+        assert Grid(sys_, keys).cells == 1
+        with pytest.raises(SizeCapExceeded, match="65 axes"):
+            Grid(sys_, keys + [(0, 32)])
+
     def test_duplicate_keys_rejected(self):
         sys_ = make_system([[1.0, 1.0]], [(0,)])
         with pytest.raises(ShapeMismatch):
