@@ -55,8 +55,9 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
   as psi: eta is too large for the inner certificate to run, so the
   command's work is the full linear-forms scan of 4,096 patterns of 4,096
   cells, whose blocks hold 16 patterns each;
-- `pseudorandom check` against psi = ones on a 2-atom K3 with 1e308 on
-  edge (0, 1), whose C2b slot bounds overflow a float (exit 3);
+- `pseudorandom check` and `thm43` (eta 1e-300) against psi = ones on a
+  2-atom K3 with 1e308 on edge (0, 1), whose C2b slot bounds overflow a
+  float (exit 3); thm43's box-norm hypotheses overflow on the way;
 - `gcs` on a 3-edge at ell=6 with 2 atoms per vertex (2**18 cells) and
   with 3 (3**18 cells, above the cell cap, so it exits 3);
 - `norm --method direct` and `gcs` on a 1-atom 2-edge at ell=40, whose
@@ -69,7 +70,10 @@ writes are written there as plain JSON, without either tree's code.
 The exit code, stdout and stderr of every command are compared, with the
 `elapsed_ms` wall times ignored, and with each tree's path and its working
 directory replaced by placeholders in stderr.  The script exits 0 only if
-nothing differs.
+nothing differs.  Against a tree that still takes thm43's box-norm
+hypotheses with numpy's overflow warnings on, `pseudorandom thm43 1e308
+edge` differs on stderr alone: that tree prints five RuntimeWarnings
+before the same JSON error.
 """
 
 import json
@@ -283,13 +287,17 @@ def full_scan_cases() -> list:
 
 
 def overflow_cases() -> list:
-    """Write a 2-atom K3 with 1e308 on edge (0, 1) and psi = ones; its check command."""
+    """Write a 2-atom K3 with 1e308 on edge (0, 1) and psi = ones; its check and thm43 commands."""
     ones = [[1.0, 1.0], [1.0, 1.0]]
     write_instance("huge_edge.json", [[1.0, 1.0]] * 3, [[[1e308] * 2] * 2, ones, ones])
     write_instance("ones2_plain.json", [[1.0, 1.0]] * 3, [ones] * 3)
-    argv = ["pseudorandom", "check", "--instance", "huge_edge.json", "--psi", "ones2_plain.json",
-            "--C", "1", "--eta", "0.5", "--p", "2"]
-    return [("pseudorandom check 1e308 edge", argv)]
+    files = ["--instance", "huge_edge.json", "--psi", "ones2_plain.json"]
+    return [
+        ("pseudorandom check 1e308 edge",
+         ["pseudorandom", "check", *files, "--C", "1", "--eta", "0.5", "--p", "2"]),
+        ("pseudorandom thm43 1e308 edge",
+         ["pseudorandom", "thm43", *files, "--C", "1", "--eta", "1e-300", "--p", "2"]),
+    ]
 
 
 def replicated_cases() -> list:

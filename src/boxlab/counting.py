@@ -34,13 +34,20 @@ edge.  A subset or pair norm, an edgewise difference f - g or a counting
 form that is not finite (a product or sum past the float range) raises
 NumericalInconsistency where the scan or the sum meets it, without numpy
 warnings.
+
+Only rhs, its tolerance, `holds`, the subset or pair hypothesis and C
+itself depend on C, and one helper, `_decision`, computes them.  So a
+certificate re-decided at another C by its `at_C` method, which checks C
+as the functions do, equals bit for bit a fresh certificate at that C,
+and a caller that picks C from a probe at C = 1 builds the certificate
+once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,6 +193,39 @@ def _not_finite(cert: str, what: str, p: Exponent) -> NumericalInconsistency:
     return NumericalInconsistency(f"{cert} certificate: {what}, not finite (p={p.as_json()})")
 
 
+def _check_C(C: float) -> None:
+    if not 1.0 <= C < math.inf:
+        raise BadSpec(f"the constant C must be finite and >= 1, got {C}")
+
+
+def _decision(lhs: float, scale: float, worst_lp: float, C: float, hyp: str) -> dict:
+    """The certificate fields C decides, by name; `hyp` names the L_p hypothesis flag.
+
+    rhs is C * scale, and the L_p hypothesis holds when the worst product
+    norm is at most C.
+    """
+    rhs = C * scale
+    tol = REL_TOL * max(1.0, rhs)
+    return {
+        "rhs": rhs,
+        "tol": tol,
+        "holds": bool(lhs <= rhs + tol),
+        hyp: bool(worst_lp <= C + REL_TOL),
+        "C": float(C),
+    }
+
+
+def _edge_total(diffs: dict) -> float:
+    """The difference norms added one at a time in edge order, as the rhs sums them.
+
+    Not `sum`, which compensates its rounding from Python 3.12 on.
+    """
+    total = 0.0
+    for value in diffs.values():
+        total += value
+    return total
+
+
 def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
     """L_p norm of the pointwise product of the given tensors (lifted).
 
@@ -319,6 +359,14 @@ class VonNeumannCertificate:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
+    def at_C(self, C: float) -> VonNeumannCertificate:
+        """This certificate re-decided at the constant C, equal to a fresh one at C."""
+        _check_C(C)
+        scale = self.box_norms[self.min_box_edge]
+        return replace(
+            self, **_decision(self.lhs, scale, self.worst_subset_lp, C, "hyp_subset_lp_ok")
+        )
+
     def to_dict(self) -> dict:
         return {
             "ell": self.ell,
@@ -357,8 +405,7 @@ def von_neumann_certificate(
     assign = full_assignment(system, functions)
     if system.uniformity() != 2:
         raise NotTwoUniform(f"edges must all be doubletons, got {system.edges}")
-    if not 1.0 <= C < math.inf:
-        raise BadSpec(f"the constant C must be finite and >= 1, got {C}")
+    _check_C(C)
     from .spaces import max_degree
 
     if ell is None:
@@ -386,29 +433,22 @@ def von_neumann_certificate(
                         "von Neumann", f"the L_p norm of the product over {subset} is {val}", p
                     )
                 worst_lp = float(val)
-    hyp_subsets = worst_lp <= C + REL_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = abs(lambda_form(system, assign))
     if not math.isfinite(lhs):
         raise _not_finite("von Neumann", f"the counting form is {lhs}", p)
     min_edge = min(edges, key=lambda e: (box_norms[e], e))
-    rhs = C * box_norms[min_edge]
-    tol = REL_TOL * max(1.0, rhs)
     return VonNeumannCertificate(
         ell=ell,
         lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        holds=bool(lhs <= rhs + tol),
         min_box_edge=min_edge,
         box_norms=box_norms,
         box_lp_norms=box_lp,
         hyp_box_lp_ok=bool(hyp_box),
         worst_subset=worst_subset,
         worst_subset_lp=worst_lp,
-        hyp_subset_lp_ok=bool(hyp_subsets),
-        C=float(C),
         p=p.as_json(),
+        **_decision(lhs, box_norms[min_edge], worst_lp, C, "hyp_subset_lp_ok"),
     )
 
 
@@ -430,6 +470,14 @@ class CountingCertificate:
     @property
     def slack(self) -> float:
         return self.rhs - self.lhs
+
+    def at_C(self, C: float) -> CountingCertificate:
+        """This certificate re-decided at the constant C, equal to a fresh one at C."""
+        _check_C(C)
+        scale = _edge_total(self.diff_box_norms)
+        return replace(
+            self, **_decision(self.lhs, scale, self.worst_pair_lp, C, "hyp_pair_lp_ok")
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -470,8 +518,7 @@ def counting_lemma_certificate(
     assign_g = full_assignment(system, functions_g)
     if system.uniformity() != 2:
         raise NotTwoUniform(f"edges must all be doubletons, got {system.edges}")
-    if not 1.0 <= C < math.inf:
-        raise BadSpec(f"the constant C must be finite and >= 1, got {C}")
+    _check_C(C)
     if ell is None:
         ell = ell_von_neumann(max_degree(system), p)
     ell = require_even(ell)
@@ -498,7 +545,6 @@ def counting_lemma_certificate(
                 )
                 raise _not_finite("counting", what, p)
             worst_lp = float(values[code])
-    hyp_pairs = worst_lp <= C + REL_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         form_f = lambda_form(system, assign_f)
         form_g = lambda_form(system, assign_g)
@@ -515,22 +561,13 @@ def counting_lemma_certificate(
             raise _not_finite("counting", f"f - g on edge {list(e)} overflows", p)
         rows.append((system, e, d))
     diffs = {res.edge: res.value for res in _box_norms(rows, ell)}
-    rhs = 0.0
-    for e in edges:
-        rhs += diffs[e]
-    rhs *= C
-    tol = REL_TOL * max(1.0, rhs)
     return CountingCertificate(
         ell=ell,
         lhs=lhs,
-        rhs=rhs,
-        tol=tol,
-        holds=bool(lhs <= rhs + tol),
         diff_box_norms=diffs,
         hyp_box_lp_ok=bool(hyp_box),
         worst_pair=worst_pair,
         worst_pair_lp=worst_lp,
-        hyp_pair_lp_ok=bool(hyp_pairs),
-        C=float(C),
         p=p.as_json(),
+        **_decision(lhs, _edge_total(diffs), worst_lp, C, "hyp_pair_lp_ok"),
     )

@@ -56,10 +56,22 @@ the result is certified only if every choice was solved exactly.  The
 choices share one search context: each candidate's row sums, subset tables
 and pair rows are built once, when a choice first reads them, and each
 choice's incumbent is seeded from the best value of the choices before it
-(see `exact_boxed_max`).  A choice whose root bound cannot beat that seed
-costs one unit of budget and builds nothing.  Seeding returns the same
-winner as a cold search and never adds work, so a seeded choice may finish
-where a cold one would have run out of budget.
+(see `exact_boxed_max`).  Seeding returns the same winner as a cold
+search and never adds work, so a seeded choice may finish where a cold one
+would have run out of budget.
+
+Most choices cannot beat that seed at all, so a problem with more than one
+choice screens them first: one batched pass (`_choice_roots`) computes
+every choice's root bound and floor margin, its reach rows built in
+`itertools.product` order by the same operations as the search's, so each
+equals the search's own bit for bit.  The first choice always runs
+`exact_boxed_max`.  A later one runs it only if its root bound beats the
+seed, the best value so far less that choice's margin (`_seed`), the same
+test its search would make at its root; otherwise the search would have
+returned the empty masks at once, whose value 0 never replaces the best,
+so the choice only adds its vertices to `combos` and stays exact.  The
+heuristic mode and one-choice problems, such as every cut norm, skip the
+pass.
 
 `COMBO_CAP` bounds the search work of each choice; past it exact refuses
 only when the budget runs out.  Up to the cap the search runs unbudgeted.
@@ -170,6 +182,30 @@ def _bound(block: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return np.maximum(pos, -neg) + _SLACK * (pos - neg)
 
 
+def _roots(base: np.ndarray, reach: np.ndarray, roundings: int):
+    """Root bound and floor margin of a search under each row of reach.
+
+    The bound is `_bound` of the base.  The margin bounds |search value -
+    recomputed value| at any one vertex: both round the same exact terms
+    base_p * prod_s g_s(p), whose absolute sum is at most S = sum |base *
+    reach|, and each term meets at most `roundings` roundings of relative
+    size eps / 2 across both routes (see `_Search`), so roundings * eps * S
+    covers them twice over: once more for the rounding of S itself and of
+    the floor subtracted from.
+    """
+    x = base * reach
+    margin = roundings * float(np.finfo(np.float64).eps) * np.abs(x).sum(axis=1)
+    return _bound(base[None, :], reach), margin
+
+
+def _seed(floor: float, margin: float) -> float:
+    """The incumbent a search seeded at floor starts from: floor less margin, at least 0.
+
+    A search gets past its root iff its root bound is above this seed.
+    """
+    return max(floor - margin, 0.0) if floor > 0.0 else 0.0
+
+
 def _fitting_bits(atoms: int, width: int) -> int:
     """Most low atoms whose subset sums, `width` elements each, fit a chunk."""
     bits = 0
@@ -258,23 +294,19 @@ class _Search:
         self.best = (0.0, (0,) * k)  # the first vertex: every mask empty
         self.used = 0
 
-    def floor_margin(self) -> float:
-        """A bound on |search value - recomputed value| at any one vertex.
+    @staticmethod
+    def roundings(slot_rows, cells: int) -> int:
+        """Most roundings one term meets in the search and the recomputation together.
 
-        Both round the same exact terms base_p * prod_s g_s(p), whose
-        absolute sum is at most S = sum |base * reach[0]|.  Each term meets
-        k products in either route.  The search then sums cells into
-        coefficients, the slot before the last's atoms into its mask's
-        coefficients and the last slot's atoms into the value; the
-        recomputation sums cells once.  That is at most n roundings of
-        relative size eps / 2 per term in all, and n * eps * S covers
-        them twice over: once more for the rounding of S itself and of
-        the floor subtracted from.
+        Each term meets k products in either route.  The search then sums
+        cells into coefficients, the slot before the last's atoms into its
+        mask's coefficients and the last slot's atoms into the value; the
+        recomputation sums cells once.  Candidates of one slot share its
+        atoms, so every choice of a sup problem has the same count.
         """
-        n = (2 * len(self.slot_rows) + 2 * _sum_roundings(self.cells)
-             + self.pre_atoms + _sum_roundings(self.last.shape[0]) + 2)
-        total = float(np.sum(np.abs(self.base * self.reach[0])))
-        return n * float(np.finfo(np.float64).eps) * total
+        pre_atoms = 0 if len(slot_rows) == 1 else slot_rows[-2].shape[0]
+        return (2 * len(slot_rows) + 2 * _sum_roundings(cells)
+                + pre_atoms + _sum_roundings(slot_rows[-1].shape[0]) + 2)
 
     def _charge(self, combos: int) -> None:
         if self.budget is not None:
@@ -288,14 +320,16 @@ class _Search:
     def run(self, floor: float = 0.0) -> tuple[int, ...]:
         """First maximizing masks, or the empty masks if none can beat floor.
 
-        The incumbent starts at floor less `floor_margin`, so a vertex
-        whose recomputed value passes floor still beats it (see
-        `exact_boxed_max`).
+        The incumbent starts at `_seed`, floor less the floor margin of
+        `_roots`, so a vertex whose recomputed value passes floor still
+        beats it (see `exact_boxed_max`).
         """
-        if floor > 0.0:
-            self.best = (max(floor - self.floor_margin(), 0.0), self.best[1])
+        bound, margin = _roots(
+            self.base, self.reach[0][None, :], self.roundings(self.slot_rows, self.cells)
+        )
+        self.best = (_seed(floor, float(margin[0])), self.best[1])
         self._charge(1)
-        if _bound(self.base[None, :], self.reach[0])[0] > self.best[0]:
+        if bound[0] > self.best[0]:
             self._node(self.base, 0, ())
         return self.best[1]
 
@@ -376,9 +410,9 @@ def exact_boxed_max(
     Past `COMBO_CAP` vertex combinations the search runs on a budget of
     the cap and raises SizeCapExceeded when it runs out.
 
-    A positive floor seeds the incumbent at floor less
-    `_Search.floor_margin`, a bound on the gap between a vertex's search
-    value and its recomputed value.  The result is then the unseeded one
+    A positive floor seeds the incumbent at floor less the floor margin of
+    `_roots`, a bound on the gap between a vertex's search value and its
+    recomputed value.  The result is then the unseeded one
     whenever that one's value exceeds floor, and otherwise either it or
     the empty masks, so its value is at most floor.  The unseeded winner w
     has the largest search value M, and M is above the seed whenever w's
@@ -646,6 +680,33 @@ def _check_range(edge, base: np.ndarray, candidates, tables: _Tables) -> None:
         )
 
 
+def _choice_roots(base: np.ndarray, candidates, tables: _Tables):
+    """Root bound and floor margin of every selector choice's search, in one pass.
+
+    Choices run in `itertools.product` order.  Each one's reach row is
+    built as `_Search` builds its reach: the product of the last two
+    slots' row sums, then each earlier slot's in turn, so both are equal
+    bit for bit.  Rows are taken in blocks of about `CHUNK_ELEMS` elements.
+    """
+    sums = [np.array([tables.row_sum(r) for _, r in choices]) for choices in candidates]
+    shape = tuple(len(choices) for choices in candidates)
+    cells = base.shape[0]
+    j = max(len(sums) - 2, 0)
+    roundings = _Search.roundings([choices[0][1] for choices in candidates], cells)
+    count = int(np.prod(shape))
+    bounds, margins = np.empty(count), np.empty(count)
+    step = max(1, CHUNK_ELEMS // max(cells, 1))
+    for lo in range(0, count, step):
+        at = np.unravel_index(np.arange(lo, min(lo + step, count)), shape)
+        reach = sums[j][at[j]]
+        for d in range(j + 1, len(sums)):
+            reach = reach * sums[d][at[d]]
+        for d in reversed(range(j)):
+            reach = reach * sums[d][at[d]]
+        bounds[lo:lo + step], margins[lo:lo + step] = _roots(base, reach, roundings)
+    return bounds, margins
+
+
 def sup_multilinear(
     problem: SupProblem,
     mode: str = "exact",
@@ -672,12 +733,18 @@ def sup_multilinear(
     candidates = _candidate_rows(problem, grid)
     tables = _Tables()
     _check_range(problem.base_edge, base_vec, candidates, tables)
+    screen = mode != "heuristic" and any(len(c) > 1 for c in candidates)
+    if screen:
+        bounds, margins = _choice_roots(base_vec, candidates, tables)
     best, combos, certified = None, 0, True
-    for choice in itertools.product(*candidates):
+    for index, choice in enumerate(itertools.product(*candidates)):
         rows = [r for _, r in choice]
         res = None
         if mode != "heuristic":
             floor = 0.0 if best is None else best.value
+            if index and screen and not bounds[index] > _seed(floor, float(margins[index])):
+                combos += _total_combos(rows)  # its search would stop at the root
+                continue
             try:
                 res = exact_boxed_max(base_vec, rows, floor=floor, tables=tables)
             except SizeCapExceeded:

@@ -474,8 +474,7 @@ def check_vonneumann(params: dict) -> CheckResult:
         ell = ell_von_neumann(2, p)
         fns = _normalized_family(system, rng, ell, p)
         probe = von_neumann_certificate(system, fns, C=1.0, p=p)
-        C = max(1.0, probe.worst_subset_lp)
-        cert = von_neumann_certificate(system, fns, C=C, p=p)
+        cert = probe.at_C(max(1.0, probe.worst_subset_lp))
         if not (cert.hyp_box_lp_ok and cert.hyp_subset_lp_ok and cert.holds):
             failures += 1
         worst_slack = min(worst_slack, cert.slack)
@@ -508,8 +507,7 @@ def check_counting(params: dict) -> CheckResult:
         ]
         gns = _normalized(rows, ell, p)
         probe = counting_lemma_certificate(system, fns, gns, C=1.0, p=p)
-        C = max(1.0, probe.worst_pair_lp)
-        cert = counting_lemma_certificate(system, fns, gns, C=C, p=p)
+        cert = probe.at_C(max(1.0, probe.worst_pair_lp))
         if not (cert.hyp_box_lp_ok and cert.hyp_pair_lp_ok and cert.holds):
             failures += 1
         worst_slack = min(worst_slack, cert.slack)

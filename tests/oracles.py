@@ -43,20 +43,23 @@ def gcs_form_brute(system, e, family, ell: int) -> float:
     e = tuple(e)
     sizes = [system.spaces[v].size for v in e]
     per_coord = [list(itertools.product(range(z), repeat=ell)) for z in sizes]
+    weights = [_weights(system, v) for v in e]
+    # Row-major strides; each tensor is read once as a flat list of floats.
+    strides = [math.prod(sizes[ci + 1:]) for ci in range(len(e))]
+    factors = [
+        (omega, family[omega].values.reshape(-1).tolist())
+        for omega in itertools.product(range(ell), repeat=len(e))
+        if family.get(omega) is not None
+    ]
     terms = []
     for assign in itertools.product(*per_coord):
         w = 1.0
-        for ci, v in enumerate(e):
-            wv = _weights(system, v)
+        for ci in range(len(e)):
             for m in range(ell):
-                w *= wv[assign[ci][m]]
+                w *= weights[ci][assign[ci][m]]
         prod = 1.0
-        for omega in itertools.product(range(ell), repeat=len(e)):
-            fn = family.get(omega)
-            if fn is None:
-                continue
-            idx = tuple(assign[ci][omega[ci]] for ci in range(len(e)))
-            prod *= float(fn.values[idx])
+        for omega, flat in factors:
+            prod *= flat[sum(assign[ci][omega[ci]] * strides[ci] for ci in range(len(e)))]
         terms.append(w * prod)
     return math.fsum(terms)
 

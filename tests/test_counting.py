@@ -633,3 +633,56 @@ class TestLevelWalk:
             states = np.unravel_index(code, (3,) * 10)
             funcs = [sides[s][j] for s in (0, 1) for j in range(10) if states[j] == s + 1]
             assert values[code] == product_lp_norm(system, funcs, p)
+
+
+@st.composite
+def item_families(draw):
+    """A K3 or C4 case as the von-neumann and counting items draw them: p in
+    {2, 4, inf} and a normalized f and g; C in [1, 8] or the probe's own worst norm."""
+    from boxlab import suite
+
+    rng = suite._philox(draw(seeds))
+    system = draw(st.sampled_from([suite._triangle_system, suite._four_cycle_system]))()
+    p = Exponent.parse(draw(st.sampled_from(["2", "4", "inf"])))
+    ell = ell_von_neumann(2, p)
+    fns = suite._normalized_family(system, rng, ell, p)
+    eps = float(rng.uniform(0.0, 0.3))
+    rows = [
+        (system, e, fns[e].values + eps * suite._signed_values(rng, system.edge_shape(e)))
+        for e in system.edges
+    ]
+    gns = suite._normalized(rows, ell, p)
+    C = draw(st.one_of(st.floats(1.0, 8.0), st.sampled_from(["worst"])))
+    return system, fns, gns, p, C
+
+
+def same_fields(got, want):
+    """Every field equal bit for bit: repr rounds no float and shows a zero's sign."""
+    return got == want and repr(got) == repr(want)
+
+
+class TestRedecideAtC:
+    @settings(max_examples=40)
+    @given(item_families())
+    def test_equals_a_fresh_certificate(self, case):
+        system, fns, gns, p, C = case
+        vn = von_neumann_certificate(system, fns, 1.0, p)
+        ct = counting_lemma_certificate(system, fns, gns, 1.0, p)
+        for probe, worst, fresh in (
+            (vn, vn.worst_subset_lp, lambda c: von_neumann_certificate(system, fns, c, p)),
+            (ct, ct.worst_pair_lp,
+             lambda c: counting_lemma_certificate(system, fns, gns, c, p)),
+        ):
+            c = max(1.0, worst) if C == "worst" else C
+            assert same_fields(probe.at_C(c), fresh(c))
+            assert same_fields(probe.at_C(c).at_C(1.0), probe)
+
+    @pytest.mark.parametrize("bad", [0.5, math.nextafter(1.0, 0.0), math.inf, math.nan])
+    def test_bad_C_raises_as_the_functions_do(self, bad):
+        rng = np.random.Generator(np.random.Philox(key=0))
+        sys_ = triangle_system(rng, uniform=True)
+        fam = signed_family(sys_, rng)
+        for cert in (von_neumann_certificate(sys_, fam, 2.0, Exponent(2.0)),
+                     counting_lemma_certificate(sys_, fam, fam, 2.0, Exponent(2.0))):
+            with pytest.raises(BadSpec, match="C must be finite"):
+                cert.at_C(bad)

@@ -87,17 +87,22 @@ def problem_rows(problem):
     return base_vec, engine._candidate_rows(problem, grid)
 
 
-def _loop_sup(problem, mode="exact", restarts=32, seed=0):
-    """The per-choice reference: one cold exact_boxed_max per candidate
-    choice, no floor and no shared tables, auto falling back per choice."""
+def _loop_sup(problem, mode="exact", restarts=32, seed=0, seeded=False):
+    """The per-choice reference: one exact_boxed_max per candidate choice,
+    auto falling back per choice.  Cold by default: no floor and no shared
+    tables.  With seeded, every choice is seeded with the best value so far
+    and shares one table cache, as before the root screen: a choice pruned
+    at its root adds its 0 and its vertices."""
     base_vec, candidates = problem_rows(problem)
+    tables = engine._Tables() if seeded else None
     best, combos, certified = None, 0, True
     for choice in itertools.product(*candidates):
         rows = [r for _, r in choice]
         res = None
         if mode != "heuristic":
+            floor = 0.0 if best is None or not seeded else best.value
             try:
-                res = exact_boxed_max(base_vec, rows)
+                res = exact_boxed_max(base_vec, rows, floor=floor, tables=tables)
             except SizeCapExceeded:
                 if mode == "exact":
                     raise
@@ -713,3 +718,190 @@ class TestSearchContext:
         res = sup_multilinear(problem)
         assert res.labels == ("one", "one")
         assert res == _loop_sup(problem)
+
+
+@st.composite
+def selector_problems(draw):
+    """C2b and proof-oracle sup problems on K3 with 1 or 2 atoms per vertex.
+
+    "c2b": kernel nu - psi, bounds nu or one, C2B_REPLICAS replicas.
+    "gap": bounds nu, one or psi at ell = 2; "shifted" moves its kernel to
+    another edge's replica and leaves that slot out.  An edge's nu may be
+    all ones, so its nu and one bounds tie exactly; a kernel may be +0.0
+    (nu = psi) or -0.0 everywhere, so every choice is 0 and the first one's
+    signed zero must survive; a first nu bound may be zero.
+    """
+    from boxlab.pseudo import C2B_REPLICAS, _selector_slots
+
+    rng = np.random.Generator(np.random.Philox(key=draw(seeds)))
+    atoms = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    sys_ = make_system([rng.uniform(0.5, 1.5, size=a) for a in atoms],
+                       [(0, 1), (0, 2), (1, 2)])
+    nu, psi = {}, {}
+    for e in sys_.edges:
+        shape = sys_.edge_shape(e)
+        nu_kind = draw(st.sampled_from(["rand", "ones", "zero"]))
+        nu[e] = edge_function(sys_, e, {
+            "rand": lambda: rng.uniform(0.0, 2.0, size=shape),
+            "ones": lambda: np.ones(shape),
+            "zero": lambda: np.zeros(shape),
+        }[nu_kind]())
+        psi[e] = edge_function(sys_, e, rng.uniform(0.0, 2.0, size=shape))
+    kind = draw(st.sampled_from(["c2b", "gap", "shifted"]))
+    base, kernel_edge, replica, exclude = (0, 1), (0, 1), 0, None
+    ell = C2B_REPLICAS if kind == "c2b" else 2
+    families = {"nu": nu, "one": None} if kind == "c2b" else {"nu": nu, "one": None, "psi": psi}
+    if kind == "shifted":
+        kernel_edge = draw(st.sampled_from([(0, 2), (1, 2)]))
+        replica = draw(st.integers(0, ell - 1))
+        exclude = (kernel_edge, replica)
+    shape = sys_.edge_shape(kernel_edge)
+    kernel = {
+        "diff": lambda: nu[kernel_edge].values - psi[kernel_edge].values,
+        "zero": lambda: np.zeros(shape),
+        "negative_zero": lambda: np.full(shape, -0.0),
+    }[draw(st.sampled_from(["diff", "diff", "zero", "negative_zero"]))]()
+    slots = _selector_slots(sys_, base, families, ell, exclude)
+    return SupProblem(sys_, base, ell, edge_function(sys_, kernel_edge, kernel), slots, replica)
+
+
+class TestChoiceScreen:
+    @settings(max_examples=40)
+    @given(selector_problems(), st.sampled_from([None, 1 << 4, 1 << 8]))
+    def test_matches_per_choice_loop(self, problem, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(engine, "COMBO_CAP", cap)
+            for kw in ({"mode": "exact"}, {"mode": "auto", "restarts": 2}):
+                try:
+                    want = _loop_sup(problem, seeded=True, **kw)
+                except SizeCapExceeded:
+                    with pytest.raises(SizeCapExceeded):
+                        sup_multilinear(problem, **kw)
+                    continue
+                assert same_result(sup_multilinear(problem, **kw), want)
+
+    @settings(max_examples=40)
+    @given(sup_problems())
+    def test_matches_per_choice_loop_on_drawn_bounds(self, problem):
+        assert same_result(sup_multilinear(problem), _loop_sup(problem, seeded=True))
+        assert same_result(sup_multilinear(problem, mode="auto", restarts=2),
+                           _loop_sup(problem, mode="auto", restarts=2, seeded=True))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_kernel_keeps_the_first_choice(self, monkeypatch, zero):
+        # Every root bound of a zero kernel is 0, so only the first choice
+        # runs a search, and its result, signed zero included, is the answer.
+        calls = []
+        real = engine.exact_boxed_max
+
+        def spy(base, rows, **kw):
+            calls.append(kw["floor"])
+            return real(base, rows, **kw)
+
+        problem = TestRangeCheck.problem(zero, 2.0)
+        want = _loop_sup(problem, seeded=True)
+        monkeypatch.setattr(engine, "exact_boxed_max", spy)
+        res = sup_multilinear(problem)
+        assert calls == [0.0]
+        assert res.value == 0.0 and res.labels == ("one",) * 4 and res.combos == 16 << 16
+        assert same_result(res, want)
+
+    @settings(max_examples=40)
+    @given(selector_problems())
+    def test_roots_equal_each_searchs_own(self, problem):
+        base_vec, candidates = problem_rows(problem)
+        tables = engine._Tables()
+        bounds, margins = engine._choice_roots(base_vec, candidates, tables)
+        for index, choice in enumerate(itertools.product(*candidates)):
+            rows = [r for _, r in choice]
+            search = engine._Search(base_vec, rows, None, tables)
+            bound, margin = engine._roots(
+                base_vec, search.reach[0][None, :], search.roundings(rows, search.cells))
+            assert (bounds[index], margins[index]) == (bound[0], margin[0])
+
+    def test_searches_inside_the_floor_margin_still_run(self, monkeypatch):
+        # A "near" bound 100 ulps below one on a single slot puts a choice's
+        # root bound just below the first choice's value but inside its
+        # floor margin, so its search runs, as every search did before the
+        # screen; two "near" slots put it below the margin, and it is skipped.
+        near = 1.0 - 100 * np.finfo(np.float64).eps
+        base = k3_problem(np.ones((2, 2)), 2)
+        sys_ = base.system
+        slots = tuple(
+            Slot(s.edge, s.replica,
+                 (("one", None), ("near", edge_function(sys_, s.edge, np.full((2, 2), near)))))
+            for s in base.slots
+        )
+        problem = SupProblem(sys_, (0, 1), 2, base.kernel, slots)
+        bounds, margins = engine._choice_roots(*problem_rows(problem), engine._Tables())
+        floor = sup_multilinear(k3_problem(np.ones((2, 2)), 2)).value
+        inside = [i for i in range(16) if floor - margins[i] < bounds[i] <= floor]
+        assert inside == [1, 2, 4, 8]  # exactly one slot at "near"
+        calls = []
+        real = engine.exact_boxed_max
+
+        def spy(base, rows, **kw):
+            calls.append(kw["floor"])
+            return real(base, rows, **kw)
+
+        want = _loop_sup(problem, seeded=True)
+        monkeypatch.setattr(engine, "exact_boxed_max", spy)
+        assert same_result(sup_multilinear(problem), want)
+        assert calls == [0.0] + [floor] * 4
+
+    def test_split_between_exact_and_heuristic(self, monkeypatch):
+        # At a cap of 2**6 the first choice runs out of budget; the screen
+        # then skips every choice that cannot beat the heuristic's value.
+        rng = np.random.Generator(np.random.Philox(key=3))
+        base = k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2)
+        sys_ = base.system
+        zero = edge_function(sys_, (0, 2), np.zeros((2, 2)))
+        slots = (Slot((0, 2), 0, (("one", None), ("zero", zero))),) + base.slots[1:]
+        problem = SupProblem(sys_, (0, 1), 2, base.kernel, slots)
+        monkeypatch.setattr(engine, "COMBO_CAP", 1 << 6)
+        res = sup_multilinear(problem, mode="auto", restarts=4)
+        assert res.mode == "heuristic" and res.labels[0] == "one"
+        assert same_result(res, _loop_sup(problem, mode="auto", restarts=4, seeded=True))
+
+    def test_one_choice_skips_the_screen(self, monkeypatch):
+        def no_screen(*args):
+            raise AssertionError("screened a one-choice problem")
+
+        monkeypatch.setattr(engine, "_choice_roots", no_screen)
+        rng = np.random.Generator(np.random.Philox(key=10))
+        sup_multilinear(k3_problem(rng.uniform(-1, 1, size=(2, 2)), 2))
+
+    def test_screen_blocks_change_nothing(self, monkeypatch):
+        # Blocks of one choice each give the same bounds and margins.
+        rng = np.random.Generator(np.random.Philox(key=5))
+        problem = TestRangeCheck.problem(0.0, 2.0)
+        problem = dataclasses.replace(
+            problem, kernel=edge_function(problem.system, (0, 1), rng.uniform(-1, 1, (2, 2))))
+        base_vec, candidates = problem_rows(problem)
+        whole = engine._choice_roots(base_vec, candidates, engine._Tables())
+        monkeypatch.setattr(engine, "CHUNK_ELEMS", 1)
+        split = engine._choice_roots(base_vec, candidates, engine._Tables())
+        assert [a.tolist() for a in whole] == [a.tolist() for a in split]
+        assert same_result(sup_multilinear(problem), _loop_sup(problem, seeded=True))
+
+    @pytest.mark.parametrize("name, calls", [
+        ("near-majorant-end-to-end", 42),
+        ("certifier-examples", 24),
+        ("sum-family-end-to-end", 6),
+    ])
+    def test_exact_calls_per_item(self, monkeypatch, name, calls):
+        # The per-choice loop made 861, 204 and 51 calls: one per choice.
+        from boxlab import suite
+
+        seen = []
+        real = engine.exact_boxed_max
+
+        def spy(*args, **kw):
+            seen.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(engine, "exact_boxed_max", spy)
+        item = next(it for it in suite.default_suite() if it["name"] == name)
+        assert suite.run_item(item).holds
+        assert len(seen) == calls

@@ -545,6 +545,31 @@ class TestCliCertificates:
         assert err["error"] == "NumericalInconsistency"
         assert "sup problem on edge [0, 2]" in err["message"]
 
+    @pytest.mark.parametrize("p", ["4", "inf"])
+    def test_thm43_norm_overflow_exits_3_without_warnings(self, tmp_path, capsys, p):
+        # 1e308 on edge (0, 1) of nu: the box norm of nu - psi there
+        # overflows, reads inf and fails its hypothesis with no numpy
+        # warning, and C2b then refuses its sup problem on edge (0, 2).
+        # (At p = 2, ell = 6, and the pattern scan before the norms takes
+        # seconds.)
+        system, functions, meta = generate(GenSpec(3, 2, 2, "ones"))
+        ones = str(tmp_path / "ones.json")
+        save_instance(ones, system, functions, meta)
+        functions[(0, 1)] = edge_function(
+            system, (0, 1), np.full(system.edge_shape((0, 1)), 1e308)
+        )
+        path = str(tmp_path / "huge.json")
+        save_instance(path, system, functions, meta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pseudorandom", "thm43", "--instance", path, "--psi", ones,
+                         "--C", "1", "--eta", "1e-300", "--p", p])
+        captured = capsys.readouterr()
+        assert (code, captured.out, caught) == (3, "", [])
+        err = json.loads(captured.err)
+        assert err["error"] == "NumericalInconsistency"
+        assert "sup problem on edge [0, 2]" in err["message"]
+
     def test_pseudorandom_sum_family_requires_psi(self, ones_instance, capsys):
         code, _, err = run_cli(
             capsys, "pseudorandom", "thm42", "--instance", ones_instance,
