@@ -58,6 +58,9 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 - `pseudorandom check` and `thm43` (eta 1e-300) against psi = ones on a
   2-atom K3 with 1e308 on edge (0, 1), whose C2b slot bounds overflow a
   float (exit 3); thm43's box-norm hypotheses overflow on the way;
+- `pseudorandom thm43` (C 1, eta 0.5, p 4) against psi = ones on a 2-atom
+  K3 with 1e200 on one cell of edge (0, 1): the box norm of nu - psi
+  there meets inf * 0 and reads nan (exit 3);
 - `gcs` on a 3-edge at ell=6 with 2 atoms per vertex (2**18 cells) and
   with 3 (3**18 cells, above the cell cap, so it exits 3);
 - `norm --method direct` and `gcs` on a 1-atom 2-edge at ell=40, whose
@@ -69,11 +72,17 @@ at the same relative paths for both trees.  The instances that no `gen`
 writes are written there as plain JSON, without either tree's code.
 The exit code, stdout and stderr of every command are compared, with the
 `elapsed_ms` wall times ignored, and with each tree's path and its working
-directory replaced by placeholders in stderr.  The script exits 0 only if
+directory replaced by placeholders in stderr.  So is the line number
+after a `<tree>` source path, as in a numpy warning that starts
+`<tree>/src/boxlab/boxnorm.py:290:`, so a line added or removed above
+that line moves nothing; the warning's category, its message and the
+source line it quotes are still compared.  The script exits 0 only if
 nothing differs.  Against a tree that still takes thm43's box-norm
 hypotheses with numpy's overflow warnings on, `pseudorandom thm43 1e308
 edge` differs on stderr alone: that tree prints five RuntimeWarnings
-before the same JSON error.
+before the same JSON error.  Against a tree that lets a nan difference
+norm pass its hypothesis, `pseudorandom thm43 nan norm` differs: that
+tree prints a RuntimeWarning and exits 3 on serializing the nan.
 """
 
 import json
@@ -88,6 +97,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 ELAPSED = re.compile(r'("elapsed_ms": )[-+0-9.eE]+')
+SOURCE_LINE = re.compile(r"(<tree>[^\s:]*\.py:)\d+")
 
 
 K3 = [[0, 1], [0, 2], [1, 2]]
@@ -287,9 +297,14 @@ def full_scan_cases() -> list:
 
 
 def overflow_cases() -> list:
-    """Write a 2-atom K3 with 1e308 on edge (0, 1) and psi = ones; its check and thm43 commands."""
+    """Write 2-atom K3s with 1e308 on edge (0, 1), 1e200 on one of its cells, and psi = ones.
+
+    Returns the check and thm43 commands of the first and the thm43 command
+    of the second.
+    """
     ones = [[1.0, 1.0], [1.0, 1.0]]
     write_instance("huge_edge.json", [[1.0, 1.0]] * 3, [[[1e308] * 2] * 2, ones, ones])
+    write_instance("spike_cell.json", [[1.0, 1.0]] * 3, [[[1e200, 1.0], [1.0, 1.0]], ones, ones])
     write_instance("ones2_plain.json", [[1.0, 1.0]] * 3, [ones] * 3)
     files = ["--instance", "huge_edge.json", "--psi", "ones2_plain.json"]
     return [
@@ -297,6 +312,9 @@ def overflow_cases() -> list:
          ["pseudorandom", "check", *files, "--C", "1", "--eta", "0.5", "--p", "2"]),
         ("pseudorandom thm43 1e308 edge",
          ["pseudorandom", "thm43", *files, "--C", "1", "--eta", "1e-300", "--p", "2"]),
+        ("pseudorandom thm43 nan norm",
+         ["pseudorandom", "thm43", "--instance", "spike_cell.json", "--psi", "ones2_plain.json",
+          "--C", "1", "--eta", "0.5", "--p", "4"]),
     ]
 
 
@@ -353,6 +371,7 @@ def run_tree(tree: str, out_path: str) -> None:
             err = call.err
             for path, mark in places:
                 err = err.replace(path, mark)
+            err = SOURCE_LINE.sub(r"\g<1><line>", err)
             results.append([name, code, ELAPSED.sub(r"\g<1>0", call.out), err])
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)

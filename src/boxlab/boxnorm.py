@@ -96,6 +96,7 @@ from .spaces import (
     check_on_edge,
     checked_power,
     derived_function,
+    outer_weights,
 )
 
 REL_TOL = 1e-9
@@ -453,14 +454,6 @@ def _walked_axes(sizes: list[int], m_c: int, ell: int, reps: int) -> int:
     return k * ell
 
 
-def _outer_weights(vectors) -> np.ndarray:
-    """(w_0 * w_1) * w_2 * ..., flattened in C order; [1.0] for no vector."""
-    acc = np.ones(1)
-    for w in vectors:
-        acc = (acc[:, None] * w).reshape(-1)
-    return acc
-
-
 def _grow(table: np.ndarray, acc, r0: int, ell: int, left: int) -> np.ndarray:
     """The next coordinate's table: replicas r0.. of this one become new axes.
 
@@ -559,7 +552,7 @@ def gcs_form(
     sizes_o = [sizes[j] for j in others]
     walked = _walked_axes(sizes_o, sizes[c], ell, reps)
     axis_w = [system.spaces[e[j]].weights for j in others for _ in range(ell)]
-    built_w = _outer_weights(
+    built_w = outer_weights(
         axis_w[d * ell + r]
         for d in reversed(range(len(others)))
         for r in range(ell)
@@ -587,7 +580,7 @@ def gcs_form(
         sums.append(float(np.add.reduce(np.reshape(h, -1) * built_w)))
 
     visit(table, 0, 0, None)
-    return float(np.add.reduce(np.array(sums) * _outer_weights(axis_w[:walked])))
+    return float(np.add.reduce(np.array(sums) * outer_weights(axis_w[:walked])))
 
 
 @dataclass(frozen=True)

@@ -52,26 +52,25 @@ carry several labeled candidate bounds: the sup is then the max over every
 choice of one candidate per slot, each choice solved on the same grid, base
 vector and rows in `itertools.product` order (first slot slowest).  The
 first strictly largest value wins, so ties keep the earliest choice, and
-the result is certified only if every choice was solved exactly.  The
-choices share one search context: each candidate's row sums, subset tables
-and pair rows are built once, when a choice first reads them, and each
-choice's incumbent is seeded from the best value of the choices before it
-(see `exact_boxed_max`).  Seeding returns the same winner as a cold
-search and never adds work, so a seeded choice may finish where a cold one
-would have run out of budget.
+the result is certified only if every choice was solved exactly.  Each
+candidate's row sums are taken once, for the range check and the choice
+screen below; each search builds its own tables.  Each choice's incumbent
+is seeded from the best value of the choices before it (see
+`exact_boxed_max`).  Seeding returns the same winner as a cold search and
+never adds work, so a seeded choice may finish where a cold one would
+have run out of budget.
 
 Most choices cannot beat that seed at all, so a problem with more than one
 choice screens them first: one batched pass (`_choice_roots`) computes
-every choice's root bound and floor margin, its reach rows built in
-`itertools.product` order by the same operations as the search's, so each
-equals the search's own bit for bit.  The first choice always runs
-`exact_boxed_max`.  A later one runs it only if its root bound beats the
-seed, the best value so far less that choice's margin (`_seed`), the same
-test its search would make at its root; otherwise the search would have
-returned the empty masks at once, whose value 0 never replaces the best,
-so the choice only adds its vertices to `combos` and stays exact.  The
-heuristic mode and one-choice problems, such as every cut norm, skip the
-pass.
+every choice's root bound and floor margin, its reach rows built by
+`_reach` as the search's are, so each equals the search's own bit for
+bit.  The first choice always runs `exact_boxed_max`.  A later one runs
+it only if its root bound beats the seed, the best value so far less that
+choice's margin (`_seed`), the same test its search would make at its
+root; otherwise the search would have returned the empty masks at once,
+whose value 0 never replaces the best, so the choice only adds its
+vertices to `combos` and stays exact.  The heuristic mode and one-choice
+problems, such as every cut norm, skip the pass.
 
 `COMBO_CAP` bounds the search work of each choice; past it exact refuses
 only when the budget runs out.  Up to the cap the search runs unbudgeted.
@@ -136,9 +135,9 @@ class SupResult:
 
 def subset_rows(rows: np.ndarray) -> np.ndarray:
     """All 2**T subset sums of the T rows (axis 0); output row index equals the mask."""
-    out = np.zeros((1,) + rows.shape[1:])
+    out = np.zeros((1 << rows.shape[0],) + rows.shape[1:])
     for t in range(rows.shape[0]):
-        out = np.concatenate([out, out + rows[t][None]])
+        np.add(out[:1 << t], rows[t], out=out[1 << t:2 << t])
     return out
 
 
@@ -214,40 +213,19 @@ def _fitting_bits(atoms: int, width: int) -> int:
     return bits
 
 
-class _Tables:
-    """Row sums, low subset tables and pair rows, each built once per row matrix.
+def _reach(sums) -> list:
+    """reach[d]: per cell, the largest product slots d..k-1 can put there.
 
-    One instance serves every choice of a sup problem, so a candidate's
-    tables are built by the first choice that reads them and shared by the
-    rest.  Entries are keyed by the identities of their row matrices and
-    keep those matrices alive.
+    sums[s] is slot s's row sum, or a stack of them, one per selector choice.
+    From 1.0, the last two slots' sums are multiplied first, then each
+    earlier slot's in turn, so a search and the choice screen (see
+    `_choice_roots`) get the same reach bit for bit.
     """
-
-    def __init__(self):
-        self._memo: dict = {}
-
-    def _get(self, kind: str, rows, build):
-        key = (kind,) + tuple(map(id, rows))
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = (rows, build(*rows))
-        return entry[1]
-
-    def row_sum(self, rows: np.ndarray) -> np.ndarray:
-        return self._get("sum", (rows,), lambda r: np.sum(r, axis=0))
-
-    def low(self, rows: np.ndarray) -> np.ndarray:
-        """Subset sums of the low atoms whose subset sums fit a chunk."""
-        return self._get(
-            "low", (rows,), lambda r: subset_rows(r[:_fitting_bits(r.shape[0], r.shape[1])])
-        )
-
-    def pair(self, pre: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """pair[(u, t)] = pre[u] * last[t]."""
-        return self._get(
-            "pair", (pre, last),
-            lambda a, b: (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1]),
-        )
+    j = max(len(sums) - 2, 0)
+    reach = [functools.reduce(np.multiply, sums[j:], 1.0)]
+    for row_sum in reversed(sums[:j]):
+        reach.insert(0, reach[0] * row_sum)
+    return reach
 
 
 def _sum_roundings(n: int) -> int:
@@ -266,22 +244,20 @@ class _Search:
     in closed form, for every mask of slot j at once by linearity.  `run`
     raises SizeCapExceeded once the work charged passes `budget`: one per
     prefix whose bound is evaluated, and 2**(atoms of slots j..k-1) per
-    prefix whose remaining slots are closed.  Subset tables and pair rows
-    come from `tables` when the search first reads them.
+    prefix whose remaining slots are closed.  The low subset table of an
+    enumerated slot and the pair rows of the last two slots are built the
+    first time the search reads them, and go with the search.
     """
 
-    def __init__(self, base: np.ndarray, slot_rows, budget, tables: _Tables):
+    def __init__(self, base: np.ndarray, slot_rows, budget):
         self.base, self.slot_rows, self.budget = base, slot_rows, budget
-        self.tables = tables
         k = len(slot_rows)
         self.cells = cells = base.shape[0]
         self.j = j = max(k - 2, 0)
         self.last = last = slot_rows[-1]
-        # reach[d]: per cell, the largest product slots d..k-1 can put there.
-        sums = [tables.row_sum(rows) for rows in slot_rows]
-        self.reach = [np.prod(sums[j:], axis=0)]
-        for row_sum in reversed(sums[:j]):
-            self.reach.insert(0, self.reach[0] * row_sum)
+        self.reach = _reach([np.sum(rows, axis=0) for rows in slot_rows])
+        self.low: dict[int, np.ndarray] = {}
+        self.pair = None
         # The last slot's coefficients under mask m of the slot before it
         # are the sums over u in m of sum_p v_p * pair[(u, t), p].
         self.pre_atoms = 0 if k == 1 else slot_rows[-2].shape[0]
@@ -324,22 +300,34 @@ class _Search:
         `_roots`, so a vertex whose recomputed value passes floor still
         beats it (see `exact_boxed_max`).
         """
-        bound, margin = _roots(
-            self.base, self.reach[0][None, :], self.roundings(self.slot_rows, self.cells)
-        )
+        roundings = self.roundings(self.slot_rows, self.cells)
+        bound, margin = _roots(self.base, self.reach[0][None, :], roundings)
         self.best = (_seed(floor, float(margin[0])), self.best[1])
         self._charge(1)
         if bound[0] > self.best[0]:
             self._node(self.base, 0, ())
         return self.best[1]
 
+    def _low_table(self, d: int) -> np.ndarray:
+        """Subset sums of slot d's low atoms whose subset sums fit a chunk."""
+        if d not in self.low:
+            rows = self.slot_rows[d]
+            self.low[d] = subset_rows(rows[:_fitting_bits(rows.shape[0], self.cells)])
+        return self.low[d]
+
+    def _pair(self) -> np.ndarray:
+        """pair[(u, t)] = pre[u] * last[t], pre the rows of the slot before the last."""
+        if self.pair is None:
+            pre = self.slot_rows[-2]
+            self.pair = (pre[:, None, :] * self.last[None, :, :]).reshape(-1, self.cells)
+        return self.pair
+
     def _closed_forms(self, sub):
         """(first pre mask, coefficients[row, pre mask offset, t]) blocks."""
         if len(self.slot_rows) == 1:
             yield 0, (sub[:, None, :] * self.last[None, :, :]).sum(axis=2)[:, None, :]
             return
-        pair = self.tables.pair(self.slot_rows[-2], self.last)
-        m = (sub[:, None, :] * pair[None, :, :]).sum(axis=2)
+        m = (sub[:, None, :] * self._pair()[None, :, :]).sum(axis=2)
         bits = self.pre_bits
         m = np.moveaxis(m.reshape(-1, self.pre_atoms, self.last.shape[0]), 1, 0)
         low_sums = np.moveaxis(subset_rows(m[:bits]), 0, 1)
@@ -380,12 +368,12 @@ class _Search:
         inner = self.slot_rows[d:self.j]
         if d == self.j or _total_combos(inner) * self.cells <= CHUNK_ELEMS:
             block = vec[None, :]
-            for table in map(self.tables.low, inner):
+            for table in map(self._low_table, range(d, self.j)):
                 block = (block[:, None, :] * table[None, :, :]).reshape(-1, self.cells)
             self._leaves(block, prefix, [1 << rows.shape[0] for rows in inner], 0)
             return
         rows = self.slot_rows[d]
-        table = self.tables.low(rows)
+        table = self._low_table(d)
         bits = table.shape[0].bit_length() - 1
         for hi in range(1 << (rows.shape[0] - bits)):
             block = vec * (table + _mask_row(rows[bits:], hi))
@@ -399,37 +387,28 @@ class _Search:
                     self._node(block[lo], d + 1, prefix + ((hi << bits) | lo,))
 
 
-def exact_boxed_max(
-    base: np.ndarray,
-    slot_rows,
-    floor: float = 0.0,
-    tables: _Tables | None = None,
-) -> SupResult:
+def exact_boxed_max(base: np.ndarray, slot_rows, floor: float = 0.0) -> SupResult:
     """First maximizing vertex, by branch-and-bound; a certificate.
 
     Past `COMBO_CAP` vertex combinations the search runs on a budget of
-    the cap and raises SizeCapExceeded when it runs out.
+    the cap and raises SizeCapExceeded when it runs out.  The search's
+    tables are its own and are freed when it returns.
 
     A positive floor seeds the incumbent at floor less the floor margin of
     `_roots`, a bound on the gap between a vertex's search value and its
-    recomputed value.  The result is then the unseeded one
-    whenever that one's value exceeds floor, and otherwise either it or
-    the empty masks, so its value is at most floor.  The unseeded winner w
-    has the largest search value M, and M is above the seed whenever w's
-    recomputed value is above floor.  Every prefix holding w has a
-    bound plus slack of at least M, so it is kept, and every vertex before
-    w has a smaller search value, or w would not be first.  The seeded
-    incumbent is never below the unseeded one at the same point of the
-    search, so the seeded run evaluates a subset of the prefixes and
-    charges no more of the budget.  tables shares row sums, subset tables
-    and pair rows between calls on the same row matrices.
+    recomputed value.  The result is then the unseeded one whenever that
+    one's value exceeds floor, and otherwise either it or the empty masks,
+    so its value is at most floor.  The unseeded winner w has the largest
+    search value M, and M is above the seed whenever w's recomputed value
+    is above floor.  Every prefix holding w has a bound plus slack of at
+    least M, so it is kept, and every vertex before w has a smaller search
+    value, or w would not be first.  The seeded incumbent is never below
+    the unseeded one at the same point of the search, so the seeded run
+    evaluates a subset of the prefixes and charges no more of the budget.
     """
     combos = _total_combos(slot_rows)
     budget = COMBO_CAP if combos > COMBO_CAP else None
-    masks = ()
-    if slot_rows:
-        search = _Search(base, slot_rows, budget, _Tables() if tables is None else tables)
-        masks = search.run(floor)
+    masks = _Search(base, slot_rows, budget).run(floor) if slot_rows else ()
     signed = _vertex_value(base, [_mask_row(r, m) for r, m in zip(slot_rows, masks)])
     return SupResult(abs(signed), signed, masks, "exact", combos, 0)
 
@@ -659,20 +638,22 @@ def _candidate_rows(problem: SupProblem, grid: Grid):
     ]
 
 
-def _check_range(edge, base: np.ndarray, candidates, tables: _Tables) -> None:
+def _row_sums(candidates) -> list:
+    """Per slot, the row sum of each of its candidates; overflow reads inf."""
+    with np.errstate(over="ignore"):
+        return [[np.sum(r, axis=0) for _, r in choices] for choices in candidates]
+
+
+def _check_range(edge, base: np.ndarray, sums) -> None:
     """Refuse a problem whose partial products could pass the float range.
 
     Every product or sum either search forms is at most sum |base| *
     prod_s max(1, row sum of slot s), each slot's row sum the largest over
-    its candidates.  The slots' product comes first, as the searches'
-    reach does, so a zero base cell cannot hide its overflow.
+    its candidates (`_row_sums`).  The slots' product is taken first, by
+    `_reach`, so a zero base cell cannot hide its overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = 1.0
-        for choices in candidates:
-            reach = reach * functools.reduce(
-                np.maximum, [tables.row_sum(r) for _, r in choices], 1.0
-            )
+        reach = _reach([functools.reduce(np.maximum, row_sums, 1.0) for row_sums in sums])[0]
         total = float((np.abs(base) * reach).sum())
     if not np.isfinite(total):
         raise NumericalInconsistency(
@@ -680,29 +661,22 @@ def _check_range(edge, base: np.ndarray, candidates, tables: _Tables) -> None:
         )
 
 
-def _choice_roots(base: np.ndarray, candidates, tables: _Tables):
+def _choice_roots(base: np.ndarray, candidates, sums):
     """Root bound and floor margin of every selector choice's search, in one pass.
 
-    Choices run in `itertools.product` order.  Each one's reach row is
-    built as `_Search` builds its reach: the product of the last two
-    slots' row sums, then each earlier slot's in turn, so both are equal
-    bit for bit.  Rows are taken in blocks of about `CHUNK_ELEMS` elements.
+    Choices run in `itertools.product` order; sums are `_row_sums`.  Each
+    reach row comes from `_reach`, as a search's does, so both are equal bit
+    for bit.  Rows are taken in blocks of about `CHUNK_ELEMS` elements.
     """
-    sums = [np.array([tables.row_sum(r) for _, r in choices]) for choices in candidates]
+    stacks = [np.array(row_sums) for row_sums in sums]
     shape = tuple(len(choices) for choices in candidates)
-    cells = base.shape[0]
-    j = max(len(sums) - 2, 0)
-    roundings = _Search.roundings([choices[0][1] for choices in candidates], cells)
+    roundings = _Search.roundings([choices[0][1] for choices in candidates], base.size)
     count = int(np.prod(shape))
     bounds, margins = np.empty(count), np.empty(count)
-    step = max(1, CHUNK_ELEMS // max(cells, 1))
+    step = max(1, CHUNK_ELEMS // max(base.size, 1))
     for lo in range(0, count, step):
         at = np.unravel_index(np.arange(lo, min(lo + step, count)), shape)
-        reach = sums[j][at[j]]
-        for d in range(j + 1, len(sums)):
-            reach = reach * sums[d][at[d]]
-        for d in reversed(range(j)):
-            reach = reach * sums[d][at[d]]
+        reach = _reach([stack[i] for stack, i in zip(stacks, at)])[0]
         bounds[lo:lo + step], margins[lo:lo + step] = _roots(base, reach, roundings)
     return bounds, margins
 
@@ -731,11 +705,11 @@ def sup_multilinear(
     digits = digits_for(kernel.edge, set(problem.base_edge), problem.kernel_replica)
     base_vec = grid.product([grid.lift(kernel.edge, kernel.values, digits)]).reshape(-1)
     candidates = _candidate_rows(problem, grid)
-    tables = _Tables()
-    _check_range(problem.base_edge, base_vec, candidates, tables)
+    sums = _row_sums(candidates)
+    _check_range(problem.base_edge, base_vec, sums)
     screen = mode != "heuristic" and any(len(c) > 1 for c in candidates)
     if screen:
-        bounds, margins = _choice_roots(base_vec, candidates, tables)
+        bounds, margins = _choice_roots(base_vec, candidates, sums)
     best, combos, certified = None, 0, True
     for index, choice in enumerate(itertools.product(*candidates)):
         rows = [r for _, r in choice]
@@ -746,7 +720,7 @@ def sup_multilinear(
                 combos += _total_combos(rows)  # its search would stop at the root
                 continue
             try:
-                res = exact_boxed_max(base_vec, rows, floor=floor, tables=tables)
+                res = exact_boxed_max(base_vec, rows, floor=floor)
             except SizeCapExceeded:
                 if mode == "exact":
                     raise

@@ -748,13 +748,17 @@ def near_majorant_certificate(
     hyp["psi_box_lp_at_most_C"] = not any(pb > C + REL_TOL for pb in norms[1::2])
     big_m = max(nu_norms.values())
     diff_bound = eta * math.exp(-(n - 1) * ell * math.log(C * big_m)) if big_m > 0 else 0.0
-    with np.errstate(over="ignore"):  # an overflowed norm reads inf and fails its hypothesis
+    # An overflowed norm reads inf and fails its hypothesis; a nan one is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
         rows = [
             (system, e, _finite_edge(system, e, fam_nu[e].values - fam_psi[e].values,
                                      "nu - psi").values)
             for e in system.edges
         ]
         found = _box_norms(rows, ell)
+    for res in found:
+        if math.isnan(res.value):
+            raise NumericalInconsistency(f"box norm of nu - psi on edge {list(res.edge)} is nan")
     diffs = {str(list(res.edge)): res.value for res in found}
     hyp["difference_box_small"] = not any(dv > diff_bound + REL_TOL for dv in diffs.values())
     eta_out = n * ell * eta

@@ -281,6 +281,14 @@ def check_seed(seed: int, error: type[Exception] = MalformedProblem) -> int:
     return int(seed)
 
 
+def outer_weights(vectors) -> np.ndarray:
+    """(w_0 * w_1) * w_2 * ..., flattened in C order; [1.0] for no vector."""
+    acc = None
+    for w in vectors:
+        acc = w if acc is None else (acc[:, None] * w).reshape(-1)
+    return np.ones(1) if acc is None else acc
+
+
 class Grid:
     """Product evaluation grid with one axis per (vertex, replica) key.
 
@@ -327,11 +335,7 @@ class Grid:
     def weight_tensor(self, keys=None) -> np.ndarray:
         """Product of the weight vectors of `keys` (default: all axes)."""
         keys = self.keys if keys is None else sorted(keys)
-        # (w_0 * w_1) * w_2 * ..., one outer product per key in axis order.
-        ws = [self.system.spaces[v].weights for v, _ in keys]
-        acc = ws[0] if ws else np.ones(1)
-        for w in ws[1:]:
-            acc = (acc[:, None] * w).reshape(-1)
+        acc = outer_weights(self.system.spaces[v].weights for v, _ in keys)
         shape = [1] * len(self.shape)
         for k in keys:
             shape[self.pos[k]] = self.shape[self.pos[k]]

@@ -89,12 +89,10 @@ def problem_rows(problem):
 
 def _loop_sup(problem, mode="exact", restarts=32, seed=0, seeded=False):
     """The per-choice reference: one exact_boxed_max per candidate choice,
-    auto falling back per choice.  Cold by default: no floor and no shared
-    tables.  With seeded, every choice is seeded with the best value so far
-    and shares one table cache, as before the root screen: a choice pruned
-    at its root adds its 0 and its vertices."""
+    auto falling back per choice.  Cold by default: no floor.  With seeded,
+    every choice is seeded with the best value so far, as before the root
+    screen: a choice pruned at its root adds its 0 and its vertices."""
     base_vec, candidates = problem_rows(problem)
-    tables = engine._Tables() if seeded else None
     best, combos, certified = None, 0, True
     for choice in itertools.product(*candidates):
         rows = [r for _, r in choice]
@@ -102,7 +100,7 @@ def _loop_sup(problem, mode="exact", restarts=32, seed=0, seeded=False):
         if mode != "heuristic":
             floor = 0.0 if best is None or not seeded else best.value
             try:
-                res = exact_boxed_max(base_vec, rows, floor=floor, tables=tables)
+                res = exact_boxed_max(base_vec, rows, floor=floor)
             except SizeCapExceeded:
                 if mode == "exact":
                     raise
@@ -600,6 +598,12 @@ class TestRangeCheck:
         assert res.labels == ("big",) * 4 and res.certified
         assert math.isclose(res.value, 1e280, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["exact", "auto", "heuristic"])
+    def test_no_slots_is_the_kernels_mean(self, mode):
+        # Nothing to optimize, and no row sum for the range check to take.
+        res = sup_multilinear(dataclasses.replace(self.problem(-0.5, 2.0), slots=()), mode=mode)
+        assert (res.value, res.signed, res.masks, res.combos) == (0.5, -0.5, (), 1)
+
 
 @st.composite
 def sup_problems(draw):
@@ -702,6 +706,39 @@ class TestSearchContext:
                     except SizeCapExceeded:
                         continue
                     exact_boxed_max(base, rows, floor=floor)
+
+    def test_each_table_built_once_per_search(self, monkeypatch):
+        # A 16-element chunk splits each enumerated slot's masks into two
+        # blocks and closes one row at a time, so the search reads every
+        # low table and the pair rows many times but builds each once.
+        rng = np.random.Generator(np.random.Philox(key=11))
+        base = rng.uniform(-1.0, 1.0, size=4)
+        slot_rows = [rng.uniform(0.0, 1.0, size=(3, 4)) for _ in range(5)]
+        built, low_reads, pair_reads = [], [], []
+        real_subset, real_low, real_pair = (
+            engine.subset_rows, engine._Search._low_table, engine._Search._pair)
+
+        def spy_subset(rows):
+            built.extend(d for d, r in enumerate(slot_rows) if np.shares_memory(rows, r))
+            return real_subset(rows)
+
+        def spy_low(search, d):
+            low_reads.append(d)
+            return real_low(search, d)
+
+        def spy_pair(search):
+            pair_reads.append(real_pair(search))
+            return pair_reads[-1]
+
+        want = exact_boxed_max(base, slot_rows)
+        monkeypatch.setattr(engine, "CHUNK_ELEMS", 16)
+        monkeypatch.setattr(engine, "subset_rows", spy_subset)
+        monkeypatch.setattr(engine._Search, "_low_table", spy_low)
+        monkeypatch.setattr(engine._Search, "_pair", spy_pair)
+        assert exact_boxed_max(base, slot_rows) == want
+        assert sorted(built) == sorted(set(low_reads)) == [0, 1, 2]
+        assert len(low_reads) > 3
+        assert len(pair_reads) > 1 and all(p is pair_reads[0] for p in pair_reads)
 
     def test_tying_choice_keeps_the_first(self):
         # "one" and "ones" bound every slot identically, so all four
@@ -811,11 +848,11 @@ class TestChoiceScreen:
     @given(selector_problems())
     def test_roots_equal_each_searchs_own(self, problem):
         base_vec, candidates = problem_rows(problem)
-        tables = engine._Tables()
-        bounds, margins = engine._choice_roots(base_vec, candidates, tables)
+        bounds, margins = engine._choice_roots(
+            base_vec, candidates, engine._row_sums(candidates))
         for index, choice in enumerate(itertools.product(*candidates)):
             rows = [r for _, r in choice]
-            search = engine._Search(base_vec, rows, None, tables)
+            search = engine._Search(base_vec, rows, None)
             bound, margin = engine._roots(
                 base_vec, search.reach[0][None, :], search.roundings(rows, search.cells))
             assert (bounds[index], margins[index]) == (bound[0], margin[0])
@@ -834,7 +871,9 @@ class TestChoiceScreen:
             for s in base.slots
         )
         problem = SupProblem(sys_, (0, 1), 2, base.kernel, slots)
-        bounds, margins = engine._choice_roots(*problem_rows(problem), engine._Tables())
+        base_vec, candidates = problem_rows(problem)
+        bounds, margins = engine._choice_roots(
+            base_vec, candidates, engine._row_sums(candidates))
         floor = sup_multilinear(k3_problem(np.ones((2, 2)), 2)).value
         inside = [i for i in range(16) if floor - margins[i] < bounds[i] <= floor]
         assert inside == [1, 2, 4, 8]  # exactly one slot at "near"
@@ -879,9 +918,10 @@ class TestChoiceScreen:
         problem = dataclasses.replace(
             problem, kernel=edge_function(problem.system, (0, 1), rng.uniform(-1, 1, (2, 2))))
         base_vec, candidates = problem_rows(problem)
-        whole = engine._choice_roots(base_vec, candidates, engine._Tables())
+        sums = engine._row_sums(candidates)
+        whole = engine._choice_roots(base_vec, candidates, sums)
         monkeypatch.setattr(engine, "CHUNK_ELEMS", 1)
-        split = engine._choice_roots(base_vec, candidates, engine._Tables())
+        split = engine._choice_roots(base_vec, candidates, sums)
         assert [a.tolist() for a in whole] == [a.tolist() for a in split]
         assert same_result(sup_multilinear(problem), _loop_sup(problem, seeded=True))
 

@@ -570,6 +570,26 @@ class TestCliCertificates:
         assert err["error"] == "NumericalInconsistency"
         assert "sup problem on edge [0, 2]" in err["message"]
 
+    def test_thm43_nan_difference_norm_exits_3_without_warnings(self, tmp_path, capsys):
+        # 1e200 on one cell of nu's edge (0, 1): the peel of nu - psi there
+        # meets inf * 0, and the nan norm is refused before anything else.
+        system, functions, meta = generate(GenSpec(3, 2, 2, "ones"))
+        ones = str(tmp_path / "ones.json")
+        save_instance(ones, system, functions, meta)
+        functions[(0, 1)] = edge_function(system, (0, 1), np.array([[1e200, 1.0], [1.0, 1.0]]))
+        path = str(tmp_path / "spike.json")
+        save_instance(path, system, functions, meta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pseudorandom", "thm43", "--instance", path, "--psi", ones,
+                         "--C", "1", "--eta", "0.5", "--p", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, caught) == (3, "", [])
+        assert json.loads(captured.err) == {
+            "error": "NumericalInconsistency",
+            "message": "box norm of nu - psi on edge [0, 1] is nan",
+        }
+
     def test_pseudorandom_sum_family_requires_psi(self, ones_instance, capsys):
         code, _, err = run_cli(
             capsys, "pseudorandom", "thm42", "--instance", ones_instance,
