@@ -64,7 +64,11 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 - `gcs` on a 3-edge at ell=6 with 2 atoms per vertex (2**18 cells) and
   with 3 (3**18 cells, above the cell cap, so it exits 3);
 - `norm --method direct` and `gcs` on a 1-atom 2-edge at ell=40, whose
-  replicated grid has 80 axes, past numpy's 64 (exit 3).
+  replicated grid has 80 axes, past numpy's 64 (exit 3);
+- `norm` and `vonneumann` on two 2-edges whose first vertex has finite
+  positive raw weights that do not normalize to positive weights: [1e308,
+  1e308], whose sum overflows, and [1e-320, 1e10], whose first atom
+  normalizes to 0 (exit 3, `NonPositiveWeight`).
 
 The workload builders come from the checkout that holds this script.  They
 are only imported: they write their instances under a temporary directory,
@@ -82,7 +86,10 @@ hypotheses with numpy's overflow warnings on, `pseudorandom thm43 1e308
 edge` differs on stderr alone: that tree prints five RuntimeWarnings
 before the same JSON error.  Against a tree that lets a nan difference
 norm pass its hypothesis, `pseudorandom thm43 nan norm` differs: that
-tree prints a RuntimeWarning and exits 3 on serializing the nan.
+tree prints a RuntimeWarning and exits 3 on serializing the nan.  Against
+a tree that loads those two weight vectors, the four `weights` commands
+differ, and no other: that tree normalizes them to [0, 0] (with an
+overflow warning) and to [0, 1], and exits 0.
 """
 
 import json
@@ -335,6 +342,19 @@ def replicated_cases() -> list:
     return commands
 
 
+def weight_cases() -> list:
+    """Write two 2-edges whose first vertex's weights do not normalize to
+    positive weights; their `norm` and `vonneumann` commands."""
+    commands = []
+    for name, weights in (("weights_overflow", [1e308, 1e308]),
+                          ("weights_underflow", [1e-320, 1e10])):
+        write_instance(f"{name}.json", [weights, [0.5, 0.5]], [[[1, 2], [3, 4]]], [[0, 1]])
+        base = ["--instance", f"{name}.json"]
+        commands += [(f"norm {name}", ["norm", *base, "--edge", "0", "--ell", "2"]),
+                     (f"vonneumann {name}", ["vonneumann", *base, "--C", "1", "--p", "2"])]
+    return commands
+
+
 def run_tree(tree: str, out_path: str) -> None:
     """Run every command on `tree`'s boxlab and write the outputs as JSON."""
     sys.path[:0] = [
@@ -362,7 +382,7 @@ def run_tree(tree: str, out_path: str) -> None:
         commands += (suite_file_cases() + certificate_cases() + walk_cases()
                      + mixed_auto_cases() + tie_cases() + peel_cases() + block_path_cases()
                      + heuristic_cases() + sampled_scan_cases() + full_scan_cases()
-                     + overflow_cases() + replicated_cases())
+                     + overflow_cases() + replicated_cases() + weight_cases())
         places = [(path, mark) for root, mark in ((tree, "<tree>"), (work, "<work>"))
                   for path in (os.path.realpath(root), root)]
         for name, argv in commands:

@@ -248,7 +248,7 @@ def _power_or_inf(s: float, ell: int) -> float:
 
 def _entries(table: np.ndarray, index: np.ndarray | None) -> np.ndarray:
     """Rows `index` of a level's table; its one entry, broadcast, if None."""
-    return table[0] if index is None else table[index]
+    return table if index is None else table[index]
 
 
 def _peel(
@@ -310,28 +310,34 @@ def _peel(
     return powers, overflowed
 
 
-def _levels(table: list, sizes: tuple[int, ...], ell: int) -> list[np.ndarray]:
+def _levels(table: list, sizes: tuple[int, ...], ell: int) -> list:
     """Per coordinate, the peel's weight table: one row per entry of `table`.
 
     `table[t][j]` is the weight vector of coordinate j in entry t.  Level 0
     holds the weights themselves; a one-atom level holds 1.0 * w**ell; a
     level of m >= 2 atoms holds, per multiset, its coefficient times its
     weight, the product of w_t ** c_t in ascending atom order.  Powers are
-    taken on Python floats, once per entry.
+    taken on Python floats, once per entry.  A one-entry table is that
+    entry's row itself, which `_peel` reads by broadcasting.
     """
-    levels = [np.array([entry[0] for entry in table])]
+    one = len(table) == 1
+
+    def stacked(per_entry: list):
+        return per_entry[0] if one else np.array(per_entry)
+
+    levels = [stacked([entry[0] for entry in table])]
     for j in range(1, len(sizes)):
         ws = [entry[j].tolist() for entry in table]
         if sizes[j] == 1:
-            levels.append(np.array([1.0 * w[0] ** ell for w in ws]))
+            levels.append(stacked([1.0 * w[0] ** ell for w in ws]))
             continue
         rows, coeffs = _multiset_plan(sizes[j], ell)
         # Entry c * m + t of a row of `wpow`, like row c * m + t of the
         # peel's `pieces`, is atom t to the power c; count 0 gives ones.
-        wpow = np.array([[x**c for c in range(ell + 1) for x in w] for w in ws])
-        factor = wpow.take(rows[0], axis=1)
+        wpow = np.asarray(stacked([[x**c for c in range(ell + 1) for x in w] for w in ws]))
+        factor = wpow.take(rows[0], axis=-1)
         for r in rows[1:]:
-            factor *= wpow.take(r, axis=1)
+            factor *= wpow.take(r, axis=-1)
         levels.append(coeffs * factor)
     return levels
 
@@ -356,14 +362,19 @@ def _box_norms(rows: list, ell: int) -> list[BoxNormResult]:
     powers = [0.0] * len(rows)
     tops = [0.0] * len(rows)
     for shape, members in groups.items():
-        keys: dict[tuple, int] = {}
-        at = [
-            keys.setdefault(tuple(rows[i][0].spaces[v] for v in rows[i][1]), len(keys))
-            for i in members
-        ]
-        index = np.array(at, dtype=np.intp) if len(keys) > 1 else None
-        levels = _levels([[s.weights for s in key] for key in keys], shape, ell)
-        batch = np.array([rows[i][2] for i in members])
+        if len(members) == 1:
+            system, e, values = rows[members[0]]
+            index, table, batch = None, [[system.spaces[v].weights for v in e]], values[None]
+        else:
+            keys: dict[tuple, int] = {}
+            at = [
+                keys.setdefault(tuple(rows[i][0].spaces[v] for v in rows[i][1]), len(keys))
+                for i in members
+            ]
+            index = np.array(at, dtype=np.intp) if len(keys) > 1 else None
+            table = [[s.weights for s in key] for key in keys]
+            batch = np.array([rows[i][2] for i in members])
+        levels = _levels(table, shape, ell)
         got = _peel(batch, index, levels, ell)[0].tolist()
         for i, power in zip(members, got):
             powers[i] = power

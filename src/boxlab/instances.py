@@ -9,7 +9,21 @@ Instance files are UTF-8 JSON of the shape
 with tensor values nested row-major in edge order.  An optional "meta"
 object is carried through untouched; unknown keys are ignored.  The loader
 revalidates every core invariant (positive weights, sorted in-range edges,
-matching tensor shapes, finite entries).
+matching tensor shapes, finite entries) in one pass over the file, in
+file order: each space; the vertex types of every edge, then each edge's
+order, range and uniqueness; each function entry.  Each raw list is
+type-checked (JSON numbers only: booleans and strings are refused) and
+converted by one `np.array` call, and that array goes straight to
+`make_prob_space` or `edge_function`, which check its numeric invariants
+with one reduction each.  So the error raised is the first bad entry's,
+and within an entry a ragged or non-number list (MalformedProblem) is
+reported before a numeric fault (NonPositiveWeight, ShapeMismatch).  Raw
+weights are normalized to w / sum(w); a vector that does not normalize to
+positive weights is refused.
+
+The emitter quotes keys and strings with `json.encoder.encode_basestring`,
+the function `json.dumps(s, ensure_ascii=False)` calls, and tests for an
+exact float first, the most common value.
 
 All emitted numerics use 17 significant digits, which round-trips IEEE
 doubles exactly, so parse(emit(x)) == x and byte-identical emissions mean
@@ -46,67 +60,76 @@ __all__ = [
 
 
 _INDENT = 2
+_STEP = " " * _INDENT
+
+# `json.dumps(s, ensure_ascii=False)` quotes a string with this function,
+# after building a new JSONEncoder.
+_quote = json.encoder.encode_basestring
 
 
 def _emit(obj, parts, level) -> None:
-    pad = " " * (_INDENT * level)
-    pad_in = " " * (_INDENT * (level + 1))
-    if obj is None:
+    if type(obj) is float:
+        if not math.isfinite(obj):
+            raise MalformedProblem(f"cannot serialize non-finite number {obj}")
+        parts.append(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
     elif obj is False:
         parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, int):
         parts.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise MalformedProblem(f"cannot serialize non-finite number {obj}")
-        parts.append(format(obj, ".17g"))
     elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise MalformedProblem(f"JSON object keys must be strings, got {key!r}")
-            parts.append(pad_in)
-            parts.append(json.dumps(key, ensure_ascii=False))
-            parts.append(": ")
-            _emit(val, parts, level + 1)
-            parts.append(",\n" if k + 1 < len(obj) else "\n")
-        parts.append(pad + "}")
+        _emit_dict(obj, parts, level)
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            parts.append("[]")
-            return
-        flat = all(not isinstance(x, (dict, list, tuple)) for x in seq)
-        if flat:
-            parts.append("[")
-            for k, val in enumerate(seq):
-                _emit(val, parts, level + 1)
-                if k + 1 < len(seq):
-                    parts.append(", ")
-            parts.append("]")
-        else:
-            parts.append("[\n")
-            for k, val in enumerate(seq):
-                parts.append(pad_in)
-                _emit(val, parts, level + 1)
-                parts.append(",\n" if k + 1 < len(seq) else "\n")
-            parts.append(pad + "]")
-    elif isinstance(obj, (np.floating,)):
+        _emit_list(obj, parts, level)
+    elif isinstance(obj, (float, np.floating)):
         _emit(float(obj), parts, level)
-    elif isinstance(obj, (np.integer,)):
+    elif isinstance(obj, np.integer):
         _emit(int(obj), parts, level)
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), parts, level)
     else:
         raise MalformedProblem(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_dict(obj, parts, level) -> None:
+    if not obj:
+        parts.append("{}")
+        return
+    pad = " " * (_INDENT * level)
+    sep = "{\n" + pad + _STEP
+    for key, val in obj.items():
+        if not isinstance(key, str):
+            raise MalformedProblem(f"JSON object keys must be strings, got {key!r}")
+        parts += (sep, _quote(key), ": ")
+        _emit(val, parts, level + 1)
+        sep = ",\n" + pad + _STEP
+    parts.append("\n" + pad + "}")
+
+
+def _emit_list(obj, parts, level) -> None:
+    if not obj:
+        parts.append("[]")
+        return
+    if not any(isinstance(x, (dict, list, tuple)) for x in obj):
+        sep = "["
+        for val in obj:
+            parts.append(sep)
+            _emit(val, parts, level + 1)
+            sep = ", "
+        parts.append("]")
+        return
+    pad = " " * (_INDENT * level)
+    sep = "[\n" + pad + _STEP
+    for val in obj:
+        parts.append(sep)
+        _emit(val, parts, level + 1)
+        sep = ",\n" + pad + _STEP
+    parts.append("\n" + pad + "]")
 
 
 def emit_json(obj) -> str:
@@ -146,42 +169,49 @@ def instance_to_dict(
     return out
 
 
-def _numbers_only(raw) -> bool:
-    """True iff raw is a JSON number or nested lists of JSON numbers
-    (booleans are not numbers here)."""
-    stack = [raw]
-    while stack:
-        x = stack.pop()
-        if type(x) is list:
-            stack.extend(x)
-        elif type(x) is not float and type(x) is not int:
+def _numbers_only(raw: list) -> bool:
+    """True iff the nested lists `raw` hold only JSON numbers (booleans are
+    not numbers here)."""
+    for x in raw:
+        t = type(x)
+        if t is list:
+            if not _numbers_only(x):
+                return False
+        elif t is not float and t is not int:
             return False
     return True
 
 
-def _float_array(raw, what: str) -> np.ndarray:
-    """raw as a float array; ragged or non-numeric input (strings and
-    booleans included) is MalformedProblem."""
-    if _numbers_only(raw):
-        try:
-            return np.asarray(raw, dtype=np.float64)
-        except (ValueError, OverflowError):
-            pass
-    raise MalformedProblem(f"{what}: values must be numbers in a regular array")
+def _float_array(raw) -> np.ndarray | None:
+    """raw, a JSON number or nested lists of them, as one float array; None
+    if it is anything else or ragged."""
+    try:
+        if not (_numbers_only(raw) if type(raw) is list else type(raw) in (float, int)):
+            return None
+        return np.array(raw, dtype=np.float64)
+    except (ValueError, OverflowError, RecursionError):  # ragged, past the float range, too deep
+        return None
 
 
-def _vertices(raw, what: str) -> tuple[int, ...]:
-    """raw as a tuple of vertex indices; anything but a list of JSON integers
-    is MalformedProblem."""
-    if not isinstance(raw, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in raw
-    ):
-        raise MalformedProblem(f"{what}: an edge must be a list of integer vertex indices")
-    return tuple(raw)
+def _vertices(raw) -> tuple[int, ...] | None:
+    """raw, a list of JSON integers, as a tuple of vertex indices; None if
+    it is anything else."""
+    if type(raw) is list and all(type(v) is int for v in raw):
+        return tuple(raw)
+    return None
+
+
+def _bad_values(what: str) -> MalformedProblem:
+    return MalformedProblem(f"{what}: values must be numbers in a regular array")
+
+
+def _bad_edge(what: str) -> MalformedProblem:
+    return MalformedProblem(f"{what}: an edge must be a list of integer vertex indices")
 
 
 def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
-    """Validate and build (system, functions, meta) from parsed JSON."""
+    """Validate and build (system, functions, meta) from parsed JSON, in one
+    pass in file order (see the module docstring)."""
     if not isinstance(data, dict):
         raise MalformedProblem("instance file must hold a JSON object")
     for key in ("spaces", "edges", "functions"):
@@ -194,11 +224,16 @@ def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
     for k, ws in enumerate(spaces_raw):
         if not isinstance(ws, list) or not ws:
             raise MalformedProblem(f"space {k} must be a nonempty weight list")
-        spaces.append(make_prob_space(_float_array(ws, f"space {k}")))
+        w = _float_array(ws)
+        if w is None:
+            raise _bad_values(f"space {k}")
+        spaces.append(make_prob_space(w))
     edges_raw = data["edges"]
     if not isinstance(edges_raw, list):
         raise MalformedProblem("'edges' must be a list of vertex-index lists")
-    edges = [_vertices(e, f"edge {k}") for k, e in enumerate(edges_raw)]
+    edges = [_vertices(e) for e in edges_raw]
+    if None in edges:
+        raise _bad_edge(f"edge {edges.index(None)}")
     system = make_system(spaces, edges)
     fns_raw = data["functions"]
     if not isinstance(fns_raw, list):
@@ -207,14 +242,17 @@ def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
     for k, item in enumerate(fns_raw):
         if not isinstance(item, dict) or "edge" not in item or "values" not in item:
             raise MalformedProblem(f"function entry {k} must have 'edge' and 'values'")
-        e = _vertices(item["edge"], f"function entry {k}")
-        if e not in system.edges:
+        e = _vertices(item["edge"])
+        if e is None:
+            raise _bad_edge(f"function entry {k}")
+        if e not in system.shapes:
             raise MalformedProblem(f"function entry {k} names unknown edge {list(e)}")
         if e in functions:
             raise MalformedProblem(f"duplicate function entry for edge {list(e)}")
-        functions[e] = edge_function(
-            system, e, _float_array(item["values"], f"function entry {k}")
-        )
+        values = _float_array(item["values"])
+        if values is None:
+            raise _bad_values(f"function entry {k}")
+        functions[e] = edge_function(system, e, values)
     meta = data.get("meta") if isinstance(data.get("meta"), dict) else {}
     return system, functions, meta
 
@@ -237,6 +275,8 @@ def load_instance(path: str) -> tuple[HypergraphSystem, dict, dict, str]:
         raise MalformedProblem(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise MalformedProblem(f"{path}: JSON nested too deeply to read") from exc
     system, functions, meta = instance_from_dict(data)
     return system, functions, meta, digest_text(text)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,12 @@ INNER_CELLS = 1 << 8
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    out.flags.writeable = False
-    return out
+    """`arr` as a C-contiguous, non-writable float64 array; one that already
+    is contiguous float64 is frozen in place, not copied."""
+    if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,22 +79,39 @@ class ProbSpace:
 
 
 def make_prob_space(raw_weights) -> ProbSpace:
-    """Build a space from positive raw weights, normalizing them to sum 1."""
+    """Build a space from positive raw weights, normalizing them to sum 1.
+
+    The weights are w / sum(w), summed by numpy's pairwise sum.  One check
+    after normalizing refuses every vector that does not give positive
+    weights: a zero, negative, nan or infinite weight, a sum past the float
+    range, and a weight that normalizes to zero.
+    """
     w = np.asarray(raw_weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise EmptySpace(f"need a nonempty weight vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise NonPositiveWeight(f"weights must be finite and > 0, got {w.tolist()}")
-    total = float(np.sum(w))
-    return ProbSpace(_freeze(w / total))
+    with np.errstate(all="ignore"):
+        total = float(np.add.reduce(w))
+        out = w / total
+    if not (total > 0.0 and np.minimum.reduce(out) > 0.0):
+        raise NonPositiveWeight(_weight_fault(w, total))
+    out.flags.writeable = False
+    return ProbSpace(out)
+
+
+def _weight_fault(w: np.ndarray, total: float) -> str:
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        return f"weights must be finite and > 0, got {w.tolist()}"
+    if not math.isfinite(total):
+        return f"weights {w.tolist()} sum past the float range"
+    return f"weights {w.tolist()} normalize to an atom of weight 0"
 
 
 def as_edge(seq) -> tuple[int, ...]:
     """Canonicalize an edge: strictly increasing tuple of vertex indices."""
-    e = tuple(int(v) for v in seq)
+    e = tuple(map(int, seq))
     if len(e) == 0:
         raise EmptyHypergraph("an edge needs at least one vertex")
-    if any(b <= a for a, b in zip(e, e[1:])):
+    if not all(map(operator.lt, e, e[1:])):
         raise ShapeMismatch(f"edge must be strictly increasing, got {e}")
     return e
 
@@ -111,6 +132,12 @@ class HypergraphSystem:
 
     def edge_shape(self, e: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(self.spaces[v].size for v in e)
+
+    @functools.cached_property
+    def shapes(self) -> dict:
+        """Each edge, mapped to itself and its tensor shape, so that a
+        constructor given one of the system's edges need not canonicalize it."""
+        return {e: (e, self.edge_shape(e)) for e in self.edges}
 
     def uniformity(self) -> int | None:
         """Common edge size, or None if edges have mixed sizes / are absent."""
@@ -166,14 +193,18 @@ class EdgeFunction:
 
 def edge_function(system: HypergraphSystem, edge, values) -> EdgeFunction:
     """Validate and freeze a tensor for an edge of the given system."""
-    e = as_edge(edge)
-    if e[-1] >= system.n:
-        raise ShapeMismatch(f"edge {e} references a space outside 0..{system.n - 1}")
+    known = system.shapes.get(edge) if type(edge) is tuple else None
+    if known is None:
+        e = as_edge(edge)
+        if e[-1] >= system.n:
+            raise ShapeMismatch(f"edge {e} references a space outside 0..{system.n - 1}")
+        want = system.edge_shape(e)
+    else:
+        e, want = known
     vals = np.asarray(values, dtype=np.float64)
-    want = system.edge_shape(e)
     if vals.shape != want:
         raise ShapeMismatch(f"tensor shape {vals.shape} does not match {want} for edge {e}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ShapeMismatch(f"tensor for edge {e} contains non-finite entries")
     return EdgeFunction(e, _freeze(vals))
 

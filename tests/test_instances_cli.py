@@ -698,6 +698,50 @@ class TestCliMalformedInstance:
             code, _, err = run_cli(capsys, "norm", "--instance", str(path), "--edge", "0", "--ell", "2")
             assert code == 3 and err["error"] == "NonPositiveWeight"
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1e308, 1e308], "sum past the float range"),  # normalized to [0, 0]
+            ([1e-320, 1e10], "normalize to an atom of weight 0"),  # to [0, 1]
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["norm", "--instance", "INST", "--edge", "0", "--ell", "2"],
+            ["vonneumann", "--instance", "INST", "--C", "1", "--p", "2"],
+            ["pseudorandom", "check", "--instance", "INST", "--C", "1.5", "--eta", "0.1",
+             "--p", "2"],
+        ],
+    )
+    def test_unnormalizable_weights_exit_3(self, tmp_path, capsys, weights, message, command):
+        # Finite positive raw weights whose normalized weights are not all
+        # positive: exit 3 with one JSON error and no numpy warning.
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({
+            "spaces": [weights, [0.5, 0.5]],
+            "edges": [[0, 1]],
+            "functions": [{"edge": [0, 1], "values": [[1, 2], [3, 4]]}],
+        }))
+        argv = [str(path) if a == "INST" else a for a in command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, None)
+        assert err["error"] == "NonPositiveWeight"
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("depth", [70, 900, 100_000])
+    def test_deeply_nested_values_exit_3(self, tmp_path, capsys, depth):
+        # Past numpy's 64 axes, past the loader's stack, past the JSON reader's.
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"spaces": [[1.0]], "edges": [[0]], "functions": [{"edge": [0], "values": '
+            + "[" * depth + "1.0" + "]" * depth + "}]}"
+        )
+        code, _, err = run_cli(capsys, "norm", "--instance", str(path), "--edge", "0", "--ell", "2")
+        assert code == 3 and err["error"] == "MalformedProblem"
+
     def test_non_numeric_value_exits_3(self, tmp_path, capsys):
         for bad in ("0.5", True, 10**400):
             def breaker(data, bad=bad):
