@@ -89,7 +89,13 @@ norm pass its hypothesis, `pseudorandom thm43 nan norm` differs: that
 tree prints a RuntimeWarning and exits 3 on serializing the nan.  Against
 a tree that loads those two weight vectors, the four `weights` commands
 differ, and no other: that tree normalizes them to [0, 0] (with an
-overflow warning) and to [0, 1], and exits 0.
+overflow warning) and to [0, 1], and exits 0.  Against a tree that sums
+each leaf of `Grid.expect`'s block path by one pairwise sum of its cells,
+instead of fusing the leaf's last product into its row sums, six commands
+differ, in the last digits of `power_value` and nowhere else: `norms:
+random_signed-r3-a3-l4 direct`, `norms: product_weights-r3-a3-l4 direct`,
+and `norm direct` on edge3_234, edge3_154, edge4_5444 and edge2_44_l6.
+No `holds`, verdict or exit code may move.
 """
 
 import json

@@ -10,7 +10,10 @@ Two independent evaluation routes are provided on purpose:
   beyond it block by block over its trailing axes, the leading replicas
   walked depth first and each group of lifts folded once into a shared
   cache.  Every cell's full product is still formed, one factor at a time
-  left to right, and every cell summed; the array layout changes no bit.
+  left to right; past one block each leaf's last product is fused into its
+  sum, one `np.einsum` call over rows of at most 32 cells whose row sums
+  get numpy's pairwise sum, so values move from the materialised sum by
+  roundoff only.  The array layout changes no bit.
   `check_replicated` refuses (SizeCapExceeded), before anything is built,
   a grid of more than numpy's 64 axes or more than `GRID_CELL_CAP` (2**25)
   cells or digit patterns.

@@ -14,8 +14,9 @@ file order: each space; the vertex types of every edge, then each edge's
 order, range and uniqueness; each function entry.  Each raw list is
 type-checked (JSON numbers only: booleans and strings are refused) and
 converted by one `np.array` call, and that array goes straight to
-`make_prob_space` or `edge_function`, which check its numeric invariants
-with one reduction each.  So the error raised is the first bad entry's,
+`make_prob_space` or to `edge_function`'s checks, which test its numeric
+invariants with one reduction each; the loader owns the array, so the
+tensor is frozen without a copy.  So the error raised is the first bad entry's,
 and within an entry a ragged or non-number list (MalformedProblem) is
 reported before a numeric fault (NonPositiveWeight, ShapeMismatch).  Raw
 weights are normalized to w / sum(w); a vector that does not normalize to
@@ -42,7 +43,7 @@ from .errors import MalformedProblem
 from .spaces import (
     EdgeFunction,
     HypergraphSystem,
-    edge_function,
+    _checked_function,
     make_prob_space,
     make_system,
 )
@@ -252,7 +253,7 @@ def instance_from_dict(data) -> tuple[HypergraphSystem, dict, dict]:
         values = _float_array(item["values"])
         if values is None:
             raise _bad_values(f"function entry {k}")
-        functions[e] = edge_function(system, e, values)
+        functions[e] = _checked_function(system, e, values)
     meta = data.get("meta") if isinstance(data.get("meta"), dict) else {}
     return system, functions, meta
 

@@ -10,9 +10,11 @@ grid of at most one block (2**16 cells) is multiplied out in one array and
 summed by numpy's pairwise sum, so its value equals that of the fully
 materialised product bit for bit.  A larger grid is summed block by block
 over its trailing axes, in a fixed order: a depth-first walk of the leading
-indices forms each prefix's product once for all its children, and groups
-of factors that are the same views of the same memory share one folded
-cache.  Either way the value is reproducible bit for bit, independent of
+indices forms each prefix's product once for all its children, groups of
+factors that are the same views of the same memory share one folded cache,
+and each leaf multiplies in its last cache and sums its block in rows of
+at most 32 cells by one `np.einsum` call, whose row sums get one pairwise
+sum.  Either way the value is reproducible bit for bit, independent of
 thread count.  Its products are built by `_fold`, whose array layout never
 changes which operands a cell multiplies, or in what order.
 `_grid_lp_norms` takes the L_p norms of a batch of tensors on one grid with
@@ -56,6 +58,10 @@ BLOCK_CELLS = 1 << 16
 # `INNER_CELLS` cells, so that numpy multiplies contiguous runs that long.
 FOLD_MIN_CELLS = 1 << 12
 INNER_CELLS = 1 << 8
+
+# Past one block, `Grid.expect` sums each leaf in rows of at most this many
+# cells and adds the row sums by numpy's pairwise sum.
+ROW_CELLS = 32
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -192,7 +198,14 @@ class EdgeFunction:
 
 
 def edge_function(system: HypergraphSystem, edge, values) -> EdgeFunction:
-    """Validate and freeze a tensor for an edge of the given system."""
+    """Validate a tensor for an edge of the given system and freeze a copy
+    of it, so the result never shares memory with the caller's array."""
+    return _checked_function(system, edge, np.array(values, dtype=np.float64, order="C"))
+
+
+def _checked_function(system: HypergraphSystem, edge, vals: np.ndarray) -> EdgeFunction:
+    """`edge_function` of a float64 array that the caller hands over: it is
+    checked, then frozen in place (copied only if not C-contiguous)."""
     known = system.shapes.get(edge) if type(edge) is tuple else None
     if known is None:
         e = as_edge(edge)
@@ -201,7 +214,6 @@ def edge_function(system: HypergraphSystem, edge, values) -> EdgeFunction:
         want = system.edge_shape(e)
     else:
         e, want = known
-    vals = np.asarray(values, dtype=np.float64)
     if vals.shape != want:
         raise ShapeMismatch(f"tensor shape {vals.shape} does not match {want} for edge {e}")
     if not np.isfinite(vals).all():
@@ -211,13 +223,17 @@ def edge_function(system: HypergraphSystem, edge, values) -> EdgeFunction:
 
 def derived_function(e: tuple[int, ...], values: np.ndarray) -> EdgeFunction:
     """Freeze a float tensor on canonical edge e that is already known to be
-    finite and of e's shape, without checking it again."""
+    finite and of e's shape, without checking it again.
+
+    It takes ownership: a C-contiguous float64 array is frozen in place, not
+    copied, so the caller must pass an array that nothing else holds.
+    """
     return EdgeFunction(e, _freeze(values))
 
 
 def constant_function(system: HypergraphSystem, edge, c: float = 1.0) -> EdgeFunction:
     e = as_edge(edge)
-    return edge_function(system, e, np.full(system.edge_shape(e), float(c)))
+    return _checked_function(system, e, np.full(system.edge_shape(e), float(c)))
 
 
 def check_function(system: HypergraphSystem, f: EdgeFunction) -> None:
@@ -397,19 +413,49 @@ class Grid:
         group is folded into one cache over (leading axes read x trailing
         axes), and groups whose factors are the same arrays (data pointer,
         dtype, and the shapes and strides of the axes they keep, in order;
-        never the values) share one fold, which gives the same bits.
+        never the values) and that fold onto the same shape share one fold,
+        which gives the same bits.  With no such group the base is summed
+        once by numpy's pairwise sum.
 
         The leading indices are walked depth first in C order.  A cache
         joins the running product at the deepest leading axis it reads, in
         group order, so the product at depth d is formed once per prefix
         (i_0..i_d) into a reused buffer and read by all of that prefix's
-        children.  Below the deepest depth that joins a cache the product
-        is the same for every index, so its block is summed once per such
-        prefix, by one pairwise sum.  Each leading index then takes that
-        sum times its leading weight, and those are added by one pairwise
-        sum in C order.  So a cell's product is ((base * c_0) * c_1) * ...,
-        caches in joining order, and the leading weight multiplies the sum
-        of its block, not each cell.
+        children.  The last cache to join, at the deepest depth that joins
+        one, is fused into the sum instead: per prefix to that depth, a
+        leaf, one `np.einsum` call (no `optimize` argument, so no BLAS)
+        multiplies it into the running product and sums the innermost
+        trailing axes in rows.  The row block is the innermost trailing axes
+        of at least `ROW_CELLS` cells (all of them if fewer); it is cut in C
+        order into rows of r cells, r the largest divisor of its cells up
+        to `ROW_CELLS` (32 for a power of two from 32 on), and each row's sum
+        lands in a reused buffer.  One `np.add.reduce`, numpy's pairwise
+        sum, adds the row sums.  Below the leaf's depth the product is the
+        same for every index, so each leading index takes its leaf's sum
+        times its leading weight, and those are added by one pairwise sum
+        in C order.  So a cell's product is ((base * c_0) * c_1) * ...,
+        caches in joining order, each product rounded before it is added
+        (numpy's einsum loop for x86-64 fuses no multiply-add), and the
+        leading weight multiplies the sum of its block, not each cell.
+
+        Layout: einsum's order of summation depends on its operands'
+        strides, so every leaf hands it the same layout.  The running
+        product is a C-contiguous block, and the last cache is folded
+        spread over the row block, never broadcast along it, so each row is
+        one contiguous run of r cells in both operands, summed by the same
+        loop whatever the values or the memory.
+
+        Depth: that loop adds a row's products into two interleaved
+        accumulators, one per float64 SIMD lane, and then adds the two, so
+        a term meets at most ceil(r/2) <= 16 roundings in its row (a loop
+        that added the row in sequence would take r - 1 <= 31).  numpy's
+        pairwise sum of m terms takes at most 20 + log2(m), so a leaf of n
+        cells is summed in depth at most ceil(r/2) + 20 + log2(n/r), which
+        is at most 31 + log2(n) for every r <= 32; one pairwise sum would
+        take 20 + log2(n).  With the pairwise sum over the leading indices,
+        a cell meets at most 51 + log2(cells) roundings in sums, within the
+        40 + 2 log2(cells) of two nested pairwise sums for every grid past
+        one block (log2(cells) > 16).
 
         Every product goes through `_fold`: left to right, one factor at a
         time.  A product of fewer than `FOLD_MIN_CELLS` cells is the plain
@@ -417,8 +463,8 @@ class Grid:
         over its innermost `INNER_CELLS` or more cells, so numpy multiplies
         long contiguous runs instead of short broadcast ones, and holds a
         partial product only over the axes read so far.  Layout changes no
-        bit: a product rounds each cell alone, each cell still multiplies
-        the same operands in the same order, and every sum is unchanged.
+        bit of a product: it rounds each cell alone, and each cell still
+        multiplies the same operands in the same order.
         """
         factors = list(factors)
         if self.cells <= BLOCK_CELLS:
@@ -432,26 +478,44 @@ class Grid:
         for a in factors:
             reads = tuple(ax for ax in range(split) if a.shape[ax] != 1)
             groups.setdefault(reads, []).append(a)
+        tshape = self.shape[split:]
         trail_w = self.weight_tensor(self.keys[split:])
-        base = _fold(trail_w, groups.pop((), []), trail_w.shape)
+        base = _fold(trail_w, groups.pop((), []), trail_w.shape).reshape(tshape)
+        lead_w = self.weight_tensor(self.keys[:split]).reshape(-1)
+        if not groups:
+            return float(np.sum(np.sum(base) * lead_w))
+        inner, block = len(tshape), 1
+        while inner > 0 and block < ROW_CELLS:
+            inner -= 1
+            block *= tshape[inner]
+        row = max(r for r in range(1, ROW_CELLS + 1) if block % r == 0)
+        # The trailing axes outside the row block, then (rows per block, row).
+        rows_shape = tshape[:inner] + (block // row, row)
+        deep = max(reads[-1] for reads in groups)
+        last = [reads for reads in groups if reads[-1] == deep][-1]
         # joins[d]: the (reads, cache) pairs whose deepest leading axis is d.
         joins: list[list] = [[] for _ in range(split)]
         folded: dict[tuple, np.ndarray] = {}
         for reads, g in groups.items():
             at = tuple(slice(None) if ax in reads else 0 for ax in range(split))
             views = [a[at] for a in g]
-            key = tuple(
+            shape = np.broadcast_shapes(*(a.shape for a in views))
+            if reads == last:
+                shape = shape[: len(reads) + inner] + tshape[inner:]
+            key = (shape,) + tuple(
                 (a.__array_interface__["data"][0], a.dtype.str, a.shape, a.strides)
                 for a in views
             )
             if key not in folded:
-                shape = np.broadcast_shapes(*(a.shape for a in views))
                 folded[key] = _fold(views[0], views[1:], shape)
             joins[reads[-1]].append((reads, folded[key]))
-        deep = max((d for d in range(split) if joins[d]), default=-1)
-        nodes = [base.reshape(self.shape[split:])] + [None] * (deep + 1)
-        bufs = [np.empty(nodes[0].shape) if j else None for j in joins]
+        fused = joins[deep].pop()[1]
+        fused = fused.reshape(fused.shape[: len(last) + inner] + rows_shape[inner:])
+        nodes = [base] + [None] * (deep + 1)
+        bufs = [np.empty(tshape) if j else None for j in joins]
         sums = np.empty(math.prod(self.shape[: deep + 1]))
+        row_sums = np.empty(math.prod(rows_shape[:-1]))
+        out = row_sums.reshape(rows_shape[:-1])
         prev = None
         for i, idx in enumerate(np.ndindex(*self.shape[: deep + 1])):
             # Products from the first leading axis whose index moved on are new.
@@ -461,29 +525,34 @@ class Grid:
                 for reads, cache in joins[d]:
                     acc = np.multiply(acc, cache[tuple(idx[ax] for ax in reads)], out=bufs[d])
                 nodes[d + 1] = acc
-            sums[i] = np.sum(nodes[deep + 1])
+            rows = fused[tuple(idx[ax] for ax in last)]
+            np.einsum("...i,...i->...", nodes[deep + 1].reshape(rows_shape), rows, out=out)
+            sums[i] = np.add.reduce(row_sums)
             prev = idx
-        lead_w = self.weight_tensor(self.keys[:split]).reshape(sums.shape[0], -1)
+        lead_w = lead_w.reshape(sums.shape[0], -1)
         return float(np.sum((sums[:, None] * lead_w).reshape(-1)))
 
 
 def _fold(first: np.ndarray, factors, shape: tuple[int, ...]) -> np.ndarray:
-    """((first * a0) * a1) * ... on `shape`, the operands' broadcast shape.
+    """((first * a0) * a1) * ... on `shape`, as a C-contiguous array.
 
-    With no factor this is `first` itself; otherwise a new C-contiguous
-    array.  Below `FOLD_MIN_CELLS` cells it is one broadcast copy of
-    `first` multiplied in place by each factor.  Beyond, the innermost axes
-    of at least `INNER_CELLS` cells form an inner block, and every operand
-    is copied over it unless it already spans it contiguously, so numpy
-    multiplies runs of at least that many cells.  The partial product is
-    held only over the outer axes read so far and grows into a new array
-    when a factor reads a new one.  Each cell multiplies the same operands
-    in the same order either way, and a product rounds each cell alone, so
-    the result is bit-identical to the plain loop.
+    `shape` is the operands' broadcast shape or one they broadcast to; the
+    result spans it whole.  With no factor this is `first` itself if that
+    already is C-contiguous of `shape`, and a copy otherwise; with factors
+    it is a new array.  Below `FOLD_MIN_CELLS` cells it is one broadcast
+    copy of `first` multiplied in place by each factor.  Beyond, the
+    innermost axes of at least `INNER_CELLS` cells form an inner block, and
+    every operand is copied over it unless it already spans it
+    contiguously, so numpy multiplies runs of at least that many cells.
+    The partial product is held only over the outer axes read so far and
+    grows into a new array when a factor reads a new one; the last factor
+    multiplies into an array of `shape`.  Each cell multiplies the same
+    operands in the same order either way, and a product rounds each cell
+    alone, so the result is bit-identical to the plain loop.
     """
-    if not factors:
+    if not factors and first.shape == shape and first.flags.c_contiguous:
         return first
-    if math.prod(shape) < FOLD_MIN_CELLS:
+    if not factors or math.prod(shape) < FOLD_MIN_CELLS:
         acc = np.empty(shape, first.dtype)
         acc[...] = first
         for a in factors:
@@ -503,9 +572,9 @@ def _fold(first: np.ndarray, factors, shape: tuple[int, ...]) -> np.ndarray:
 
     acc = spread(first)
     owned = acc is not first
-    for a in factors:
+    for n, a in enumerate(factors, 1):
         a = spread(a)
-        grown = shape if acc.shape == shape else np.broadcast(acc, a).shape
+        grown = shape if n == len(factors) else np.broadcast(acc, a).shape
         if owned and grown == acc.shape:
             acc *= a
         else:

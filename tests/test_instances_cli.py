@@ -87,6 +87,26 @@ class TestInstanceRoundTrip:
         for e in functions:
             assert np.array_equal(functions[e].values, fns2[e].values)
 
+    def test_loader_freezes_the_array_it_built(self, monkeypatch):
+        # The loader owns each converted array, so the tensor is that array.
+        from boxlab import instances
+
+        built = []
+        real = instances._float_array
+
+        def spy(raw):
+            built.append(real(raw))
+            return built[-1]
+
+        monkeypatch.setattr(instances, "_float_array", spy)
+        _, fns, _ = instance_from_dict({
+            "spaces": [[1.0, 1.0], [1.0, 1.0]],
+            "edges": [[0, 1]],
+            "functions": [{"edge": [0, 1], "values": [[1.0, 2.0], [3.0, 4.0]]}],
+        })
+        assert fns[(0, 1)].values is built[-1]
+        assert not built[-1].flags.writeable
+
     def test_missing_keys(self):
         with pytest.raises(MalformedProblem):
             instance_from_dict({"spaces": [[1.0]], "edges": []})

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,6 +29,7 @@ from boxlab.spaces import (
     as_edge,
     checked_power,
     constant_function,
+    derived_function,
     edge_function,
     expectation,
     lp_norm,
@@ -117,6 +121,35 @@ class TestEdgeFunction:
         sys_ = make_system([[1.0, 1.0]], [(0,)])
         f = constant_function(sys_, (0,), 3.5)
         assert f.values.tolist() == [3.5, 3.5]
+
+    def test_caller_array_stays_the_callers(self):
+        sys_ = make_system([[1.0, 1.0], [1.0, 1.0]], [(0, 1)])
+        v = np.ones((2, 2))
+        f = edge_function(sys_, (0, 1), v)
+        v[0, 0] = 5.0  # still writable
+        assert f.values[0, 0] == 1.0 and not f.values.flags.writeable
+
+    def test_view_of_a_writable_array_is_copied(self):
+        sys_ = make_system([[1.0, 1.0], [1.0, 1.0]], [(0, 1)])
+        b = np.ones((2, 2))
+        f = edge_function(sys_, (0, 1), b[:, :])
+        b[0, 0] = 7.0
+        assert f.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        g = edge_function(sys_, (0, 1), b.T)
+        b[0, 1] = 9.0
+        assert g.values.tolist() == [[7.0, 1.0], [1.0, 1.0]]
+        assert g.values.flags.c_contiguous
+
+    def test_handed_over_arrays_are_frozen_in_place(self):
+        # The loader and derived tensors own their arrays: no second copy.
+        sys_ = make_system([[1.0, 1.0], [1.0, 1.0]], [(0, 1)])
+        v = np.ones((2, 2))
+        assert spaces._checked_function(sys_, (0, 1), v).values is v
+        w = np.ones((2, 2))
+        assert derived_function((0, 1), w).values is w
+        assert not v.flags.writeable and not w.flags.writeable
+        with pytest.raises(ShapeMismatch):
+            spaces._checked_function(sys_, (0, 1), np.ones((2, 3)))
 
 
 class TestExponent:
@@ -400,22 +433,32 @@ def _plain_expect(grid, factors):
     """`Grid.expect` past one block as a plain loop over leading indices.
 
     It calls no `boxlab` code, reading only the grid's shape, keys and
-    weights and the block size.  Per leading index it forms the whole
+    weights and the block and row sizes.  Per leading index it forms the
     trailing block in the documented order: the trailing weights times the
     factors that read no leading axis, in turn; then, one group at a time,
     the product of the factors that read the same leading axes, taken left
     to right, with the groups ordered by the deepest leading axis they read
-    and then by first appearance.  The block's pairwise sum is multiplied
-    by the leading weight, and the results get one pairwise sum.
+    and then by first appearance.  The last group's product is not
+    multiplied in: it and the block, both contiguous, are cut into rows of
+    `row` cells in C order, each row summed by `np.einsum` of its two
+    operands, and the row sums by one pairwise sum.  With no group the
+    block gets one pairwise sum.  That sum is multiplied by the leading
+    weight, and the results get one pairwise sum.
     """
     shape = grid.shape
     split = _split(shape)
+    tshape = shape[split:]
+    inner, cells = len(tshape), 1
+    while inner > 0 and cells < spaces.ROW_CELLS:
+        inner -= 1
+        cells *= tshape[inner]
+    row = max(r for r in range(1, spaces.ROW_CELLS + 1) if cells % r == 0)
     ws = [grid.system.spaces[v].weights for v, _ in grid.keys]
     groups = {}
     for a in factors:
         reads = tuple(ax for ax in range(split) if a.shape[ax] != 1)
         groups.setdefault(reads, []).append(a)
-    base = _outer(ws[split:]).reshape(shape[split:])
+    base = _outer(ws[split:]).reshape(tshape)
     for a in groups.pop((), []):
         base = base * a.reshape(a.shape[split:])
     order = sorted(groups.items(), key=lambda item: item[0][-1])
@@ -423,13 +466,22 @@ def _plain_expect(grid, factors):
     sums = []
     for i, idx in enumerate(itertools.product(*map(range, shape[:split]))):
         block = base
+        prods = []
         for reads, group in order:
             at = tuple(idx[ax] if ax in reads else 0 for ax in range(split))
             prod = group[0][at]
             for a in group[1:]:
                 prod = prod * a[at]
+            prods.append(prod)
+        for prod in prods[:-1]:
             block = block * prod
-        sums.append(float(np.sum(block)) * lead_w[i])
+        if prods:
+            last = np.broadcast_to(prods[-1], tshape).copy()
+            rows = np.einsum("ij,ij->i", block.reshape(-1, row), last.reshape(-1, row))
+            total = float(np.add.reduce(rows))
+        else:
+            total = float(np.sum(block))
+        sums.append(total * lead_w[i])
     return float(np.sum(np.array(sums)))
 
 
@@ -674,6 +726,68 @@ class TestSharedCaches:
             ]
             _assert_same_bits(got, _plain_expect(grid, factors))
         assert calls == [(2,) * 9]  # one fold over (leading read x trailing)
+
+
+_DIRECT_BITS = """
+import numpy as np
+from boxlab.boxnorm import box_power_direct
+from boxlab.spaces import edge_function, make_system
+rng = np.random.Generator(np.random.Philox(key=41))
+sys_ = make_system([rng.uniform(0.5, 1.5, size=4) for _ in range(3)], [(0, 1, 2)])
+f = edge_function(sys_, (0, 1, 2), rng.uniform(-1.0, 1.0, size=(4, 4, 4)))
+print(box_power_direct(sys_, (0, 1, 2), f, 4).hex())
+"""
+
+
+class TestFusedLeaf:
+    """Past one block each leaf fuses its last product into its row sums."""
+
+    def test_leaf_keeps_the_pairwise_error_class(self):
+        # 2**17 cells of weight 2**-17, so every product is exact.  Leaf 0
+        # starts with 1e8, and every other cell is about 0.45 ulp of it, which
+        # a running sum from 1e8 drops: a leaf summed in one sequential run
+        # loses about 2**15 of them, a row of 32 at most 16.
+        rng = np.random.Generator(np.random.Philox(key=43))
+        e = tuple(range(17))
+        sys_ = make_system([[1.0, 1.0]] * 17, [e])
+        grid = Grid(sys_, [(v, 0) for v in e])
+        assert _split(grid.shape) == 1
+        vals = rng.uniform(0.44, 0.46, size=(2,) * 17) * math.ulp(1e8)
+        vals.flat[0] = 1e8
+        factors = [grid.lift(e, vals, (0,) * 17)]
+        got = _check_expect(grid, factors)
+        exact = math.fsum(vals.reshape(-1).tolist()) * 2.0**-17
+        assert abs(got - exact) <= _rounding_bound(grid, factors) / 2
+
+    def test_broadcast_last_factor_matches_its_copy(self):
+        # A last factor that broadcasts along the row block is spread over it
+        # when folded, so it sums as its materialised copy does, bit for bit.
+        rng = np.random.Generator(np.random.Philox(key=44))
+        sys_ = make_system([rng.uniform(0.5, 1.5, size=4) for _ in range(9)], [(0, 1)])
+        grid = Grid(sys_, [(v, 0) for v in range(9)])
+        assert _split(grid.shape) == 1
+        f = grid.lift((0, 1), rng.uniform(-1.0, 1.0, size=(4, 4)), (0, 0))
+        g = grid.lift((1, 2), rng.uniform(-1.0, 1.0, size=(4, 4)), (0, 0))
+        full = np.broadcast_to(f, (4,) * 9).copy()
+        got = _check_expect(grid, [g, f])
+        _assert_same_bits(got, grid.expect([g, full]))
+
+    def test_bits_independent_of_thread_settings(self):
+        # The 3-edge, 4-atom, ell=4 box power: 256 leaves of 65,536 cells.
+        import boxlab
+
+        src = os.path.dirname(os.path.dirname(boxlab.__file__))
+        outs = set()
+        for var, value in itertools.product(
+            ("OPENBLAS_NUM_THREADS", "BOXLAB_THREADS"), ("1", "2")
+        ):
+            env = dict(os.environ, PYTHONPATH=src, **{var: value})
+            proc = subprocess.run(
+                [sys.executable, "-c", _DIRECT_BITS], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
 
 
 def _reference_lp(row, p, grid):
