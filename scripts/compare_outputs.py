@@ -61,6 +61,11 @@ For each tree, one subprocess imports that tree's `src/boxlab` and calls
 - `pseudorandom thm43` (C 1, eta 0.5, p 4) against psi = ones on a 2-atom
   K3 with 1e200 on one cell of edge (0, 1): the box norm of nu - psi
   there meets inf * 0 and reads nan (exit 3);
+- `pseudorandom check --mode exact` on a 4-vertex path with 2, 3, 1 and 3
+  atoms per vertex, whose sub-collections miss coordinates of the grid of
+  all four vertices, and on two 2-atom K3s near the float range: one whose
+  C1 mean over all three edges reads inf * 0 = nan, and one with 1e200 on
+  edges (0, 2) and (1, 2), whose product overflows (exit 3 on both);
 - `gcs` on a 3-edge at ell=6 with 2 atoms per vertex (2**18 cells) and
   with 3 (3**18 cells, above the cell cap, so it exits 3);
 - `norm --method direct` and `gcs` on a 1-atom 2-edge at ell=40, whose
@@ -95,6 +100,21 @@ instead of fusing the leaf's last product into its row sums, six commands
 differ, in the last digits of `power_value` and nowhere else: `norms:
 random_signed-r3-a3-l4 direct`, `norms: product_weights-r3-a3-l4 direct`,
 and `norm direct` on edge3_234, edge3_154, edge4_5444 and edge2_44_l6.
+Against a tree that takes each C1 mean and C3 density on a grid of its
+own sub-collection's coordinates, instead of reading the certificates'
+walk on the grid of every coordinate the edges touch, five commands
+differ, and no other:
+- `certify: check ones-3atoms auto`: the C1 witness [[0, 1], [0, 2]] ->
+  [[0, 1]].  On all-ones every mean is now the same float, so the first
+  subset wins; that tree read 0.9999999999999998 on the two-edge subsets;
+- `pseudorandom check auto tie3`: the C1 `worst_value` 0.9945519701969544
+  -> 0.99455197019695452;
+- `pseudorandom check exact path4`: the C1 `worst_value`
+  0.99083671177958599 -> 0.99083671177958588;
+- `pseudorandom check exact nan_k3` and `big_k3`: both exit 3 on both
+  trees.  That tree prints numpy RuntimeWarnings (two and one) and stops
+  at the C2b sup problem on edge [0, 1]; this one prints only the C1 error
+  on [[0, 1], [0, 2]] and [[0, 2], [1, 2]] ("... is inf, not finite").
 No `holds`, verdict or exit code may move.
 """
 
@@ -331,6 +351,33 @@ def overflow_cases() -> list:
     ]
 
 
+def sub_collection_cases() -> list:
+    """Write a 4-vertex path and two 2-atom K3s near the float range; their
+    `pseudorandom check --mode exact` commands.
+
+    On the path, sub-collections such as {(0, 1)} miss coordinates of the
+    grid of all four vertices.  The first K3's mean over all three edges
+    meets inf * 0 and reads nan; the second has 1e200 on edges (0, 2) and
+    (1, 2), whose product overflows.
+    """
+    rng = np.random.Generator(np.random.Philox(key=SEED))
+    path = [[0, 1], [1, 2], [2, 3]]
+    atoms = (2, 3, 1, 3)
+    spaces = [rng.uniform(0.5, 1.5, size=z).tolist() for z in atoms]
+    nu = [(1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=(atoms[a], atoms[b]))).tolist()
+          for a, b in path]
+    write_instance("path4.json", spaces, nu, path)
+    write_instance("nan_k3.json", [[1.0, 1.0]] * 3,
+                   [[[1e200, 1e-300], [1e-300, 1e-300]], [[1e200, 1e-300], [1e200, 1e200]],
+                    [[0.0, 10.0], [10.0, 10.0]]])
+    write_instance("big_k3.json", [[1.0, 1.0]] * 3,
+                   [[[1.0, 1.0], [1.0, 1.0]], [[1e200] * 2] * 2, [[1e200] * 2] * 2])
+    return [(f"pseudorandom check exact {name}",
+             ["pseudorandom", "check", "--instance", f"{name}.json", "--mode", "exact",
+              "--C", "2", "--eta", "0.5", "--p", "2"])
+            for name in ("path4", "nan_k3", "big_k3")]
+
+
 def replicated_cases() -> list:
     """Write one-edge instances with large replicated grids; their `gcs` and `norm` commands."""
     rng = np.random.Generator(np.random.Philox(key=SEED))
@@ -388,7 +435,8 @@ def run_tree(tree: str, out_path: str) -> None:
         commands += (suite_file_cases() + certificate_cases() + walk_cases()
                      + mixed_auto_cases() + tie_cases() + peel_cases() + block_path_cases()
                      + heuristic_cases() + sampled_scan_cases() + full_scan_cases()
-                     + overflow_cases() + replicated_cases() + weight_cases())
+                     + overflow_cases() + sub_collection_cases() + replicated_cases()
+                     + weight_cases())
         places = [(path, mark) for root, mark in ((tree, "<tree>"), (work, "<work>"))
                   for path in (os.path.realpath(root), root)]
         for name, argv in commands:

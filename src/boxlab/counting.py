@@ -12,21 +12,25 @@ bounded in L_p.  `counting_lemma_certificate` is the two-assignment variant
 bounding |difference of counting forms| by the sum of box norms of the
 edgewise differences.
 
-Their L_p hypotheses need the norm of every subset product: 2^|E| subsets
-for the von Neumann check, 3^|E| disjoint (f, g) subset pairs for the
-counting lemma.  `_product_norms` builds them level by level in one stack
-with a state axis per edge: first the f side in edge order, then the g
-side, each step multiplying every row that leaves the edge on no side by
-its lifted tensor in one broadcast.  So every cell is the product of the
-same factors in the same order as a per-subset `product_lp_norm`, and
-values are bit-identical to it.  The rows reading one coordinate set take
-their norms in one `_grid_lp_norms` call, on one grid per set with its
-weight tensor cached.  The stack holds at most `LIVE_CELLS` cells: a
-larger walk is split on the states of its first edges, one walk per
-prefix.  The worst subset or pair is then picked by a scan in the
-enumeration order of `itertools.combinations` by size (von Neumann) or
-`itertools.product` over edge states (counting), and only a strictly
-larger norm replaces it, so a tie keeps the first.
+Products over sub-collections of edges come from one walk,
+`_choice_products`, on one grid: every coordinate the system's edges
+touch, one copy each, the grid `lambda_form` uses.  A coordinate a product
+does not read integrates to one there.  The walk builds every product in
+one stack of rows with a state axis per edge: first the f side in edge
+order, then the g side, each step multiplying every row that leaves the
+edge on no side by its lifted tensor in one broadcast, so every cell is
+the product of the same factors in the same order as `product_lp_norm` on
+the grid.  The stack holds at most `LIVE_CELLS` cells: a larger walk is
+split on the states of its first edges, one block of rows per prefix.
+Three consumers read it.  The L_p hypotheses here need the norm of every
+subset product, 2^|E| subsets for the von Neumann check and 3^|E| disjoint
+(f, g) subset pairs for the counting lemma; `_product_norms` norms each
+block in one `_grid_lp_norms` call.  `pseudo.check_C1` takes each
+product's mean and `pseudo.check_C3` its conditional density onto an
+edge.  A worst subset is picked by a scan over `_subsets`, in the order of
+`itertools.combinations` by size (the counting lemma scans its pairs in
+`itertools.product` order over edge states), and only a strictly larger
+norm replaces it, so a tie keeps the first.
 
 The edges' box norms, p-weighted box norms and difference norms are taken
 in stacks by `boxnorm._box_norms`, each equal bit for bit to one call per
@@ -63,7 +67,6 @@ from .errors import (
     SubsetCapExceeded,
 )
 from .spaces import (
-    EdgeFunction,
     Exponent,
     Grid,
     HypergraphSystem,
@@ -113,27 +116,11 @@ def full_assignment(system: HypergraphSystem, functions, nonnegative: bool = Fal
     return out
 
 
-def lambda_form(
-    system: HypergraphSystem,
-    functions,
-    edges=None,
-) -> float:
-    """Expectation of the product of the assigned tensors over the edges.
-
-    `edges` restricts the product to a sub-collection (default all edges of
-    the system); an empty collection gives 1 (empty product convention).
-    """
+def lambda_form(system: HypergraphSystem, functions) -> float:
+    """Expectation of the product of the assigned tensors over every edge."""
     assign = full_assignment(system, functions)
-    use = tuple(system.edges if edges is None else [tuple(e) for e in edges])
-    for e in use:
-        if e not in assign:
-            raise ShapeMismatch(f"edge {e} has no assigned tensor")
-    if not use:
-        return 1.0
-    coords = sorted(set(v for e in use for v in e))
-    grid = Grid(system, [(v, 0) for v in coords])
-    factors = [grid.lift(e, assign[e].values, (0,) * len(e)) for e in use]
-    return grid.expect(factors)
+    grid = _edge_grid(system)
+    return grid.expect([grid.lift(e, assign[e].values, (0,) * len(e)) for e in system.edges])
 
 
 def least_even_at_least(x: float) -> int:
@@ -159,34 +146,6 @@ def ell_von_neumann(delta: int, p: Exponent) -> int:
         raise POutOfRange(f"need p > 1 for the replica rule, got {p.value}")
     t = p.value ** (1.0 / (delta - 1))
     return least_even_at_least(t / (t - 1.0))
-
-
-class _Products:
-    """Products of edge tensors on one system, with one grid per coordinate set.
-
-    Tensors are lifted onto the grid `full` of every coordinate that `edges`
-    touch, so a product of lifted tensors is laid out, up to unit axes, on
-    the grid of the coordinates its factors read.  Coordinate sets are
-    bitmasks over the axes of `full`; each grid is built once, on first use.
-    """
-
-    def __init__(self, system: HypergraphSystem, edges):
-        self.system = system
-        self.full = Grid(system, {(v, 0) for e in edges for v in e})
-        self.grids: dict[int, Grid] = {(1 << len(self.full.keys)) - 1: self.full}
-
-    def reads(self, edge) -> int:
-        return sum(1 << self.full.pos[(v, 0)] for v in edge)
-
-    def grid(self, coords: int) -> Grid:
-        g = self.grids.get(coords)
-        if g is None:
-            keys = [k for a, k in enumerate(self.full.keys) if coords >> a & 1]
-            g = self.grids[coords] = Grid(self.system, keys)
-        return g
-
-    def lift(self, f: EdgeFunction) -> np.ndarray:
-        return self.full.lift(f.edge, f.values, (0,) * len(f.edge))
 
 
 def _not_finite(cert: str, what: str, p: Exponent) -> NumericalInconsistency:
@@ -234,76 +193,59 @@ def product_lp_norm(system: HypergraphSystem, funcs, p: Exponent) -> float:
     funcs = list(funcs)
     if not funcs:
         return 1.0
-    products = _Products(system, [f.edge for f in funcs])
-    tensor = products.lift(funcs[0])
+    grid = Grid(system, {(v, 0) for f in funcs for v in f.edge})
+    tensor = grid.lift(funcs[0].edge, funcs[0].values, (0,) * funcs[0].arity)
     for f in funcs[1:]:
-        tensor = tensor * products.lift(f)
-    return _grid_lp_norms(tensor.reshape(1, -1), p, lambda: products.full)[0]
+        tensor = tensor * grid.lift(f.edge, f.values, (0,) * f.arity)
+    return _grid_lp_norms(tensor.reshape(1, -1), p, lambda: grid)[0]
 
 
-def _row_groups(masks: np.ndarray, ndim: int) -> list:
-    """The rows of a walk by coordinate set, from the set `masks` gives each row.
+def _subsets(count: int):
+    """Each nonempty subset of range(count), by size in `itertools.combinations`
+    order, with its choice index: its entry in a one-side walk of count edges."""
+    for r in range(1, count + 1):
+        for sub in itertools.combinations(range(count), r):
+            yield sub, sum(1 << (count - 1 - j) for j in sub)
 
-    One (row indices, coordinate set, pick) per set: `pick` cuts a row on the
-    full grid down to the cells its set reads.
+
+def _edge_grid(system: HypergraphSystem) -> Grid:
+    """The grid of every coordinate the system's edges touch, one copy each."""
+    return Grid(system, {(v, 0) for e in system.edges for v in e})
+
+
+def _choice_products(grid: Grid, sides):
+    """The products over every disjoint choice of edge subsets, on `grid`.
+
+    `sides[s][j]` is side s's tensor on edge j, and `grid` holds every
+    coordinate they read.  A choice puts each edge on one side or on none,
+    and its product multiplies the first side's tensors in edge order, then
+    the second side's.  Choice Σ_j state_j·b^(|E|-1-j), with b = len(sides)
+    + 1 and state_j = 1 + the side of edge j (0: none), runs in the order of
+    `itertools.product(range(b), repeat=|E|)`; choice 0 is the empty
+    product, the constant one.  Yields (first choice, rows): the products of
+    choices first, first + 1, ..., each row laid out on the whole grid, so a
+    coordinate a product does not read holds copies of it.
+
+    The products are built level by level in one stack of rows with a
+    state axis per edge.  Starting from ones, side by side and edge by edge,
+    the rows whose edge j is still on no side are multiplied by its lifted
+    tensor in one broadcast, written in place as that edge's next state.
+    When the stack of all choices would pass `LIVE_CELLS` cells, the states
+    of the first edges are fixed instead, one block of rows per prefix, and
+    a fixed edge's tensor multiplies every row at its own step.  Either way
+    every product multiplies the same factors in the same order as
+    `product_lp_norm` (the leading 1.0 changes no bit).
     """
-    masks = masks.reshape(-1)
-    order = np.argsort(masks, kind="stable")
-    ordered = masks[order]
-    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(masks)]
-    groups = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        coords = int(ordered[lo])
-        pick = tuple(slice(None) if coords >> a & 1 else slice(0, 1) for a in range(ndim))
-        groups.append((order[lo:hi], coords, pick))
-    return groups
-
-
-def _product_norms(system: HypergraphSystem, sides, p: Exponent) -> np.ndarray:
-    """L_p norms of the products over every disjoint choice of edge subsets.
-
-    `sides[s][j]` is side s's tensor on edge j.  A choice puts each edge on
-    one side or on none, and its product multiplies the first side's tensors
-    in edge order, then the second side's.  Entry Σ_j state_j·b^(|E|-1-j),
-    with b = len(sides) + 1 and state_j = 1 + the side of edge j (0: none),
-    holds the norm of that choice, so entries run in the order of
-    `itertools.product(range(b), repeat=|E|)`; entry 0 is the empty
-    product, 1.
-
-    The products are built level by level in one stack of rows on the grid
-    of every coordinate the edges touch, with a state axis per edge.
-    Starting from ones, side by side and edge by edge, the rows whose edge j
-    is still on no side are multiplied by its lifted tensor in one
-    broadcast, written in place as that edge's next state.  When the stack
-    of all choices would pass `LIVE_CELLS` cells, the states of the first
-    edges are fixed instead, one walk per prefix, and a fixed edge's tensor
-    multiplies every row at its own step.  Either way every product
-    multiplies the same factors in the same order as `product_lp_norm` (the
-    leading 1.0 changes no bit).  The rows reading one coordinate set then
-    take their norms in one `_grid_lp_norms` call on that set's grid, each
-    cut down to the cells it reads; at p = inf rows are read whole, since a
-    sup norm is the same on every grid.
-    """
-    edges = system.edges
-    products = _Products(system, edges)
-    lifted = [[products.lift(f) for f in side] for side in sides]
-    reads = [products.reads(e) for e in edges]
-    ndim = len(products.full.shape)
+    lifted = [[grid.lift(f.edge, f.values, (0,) * len(f.edge)) for f in side] for side in sides]
+    count = len(lifted[0]) if lifted else 0
     base = len(sides) + 1
     fixed = 0
-    while fixed < len(edges) and base ** (len(edges) - fixed) * products.full.cells > LIVE_CELLS:
+    while fixed < count and base ** (count - fixed) * grid.cells > LIVE_CELLS:
         fixed += 1
-    free = len(edges) - fixed
+    free = count - fixed
     span = base**free
-    values = np.empty(base ** len(edges))
-    # The coordinate set each row reads through its free edges.
-    free_reads = np.zeros((1,) * free, dtype=np.int64)
-    for j in range(fixed, len(edges)):
-        state_reads = np.where(np.arange(base) > 0, reads[j], 0)
-        free_reads = free_reads | state_reads.reshape((base,) + (1,) * (len(edges) - 1 - j))
-    groups_by_prefix: dict[int, list] = {}
     for at, prefix in enumerate(itertools.product(range(base), repeat=fixed)):
-        stack = np.empty((base,) * free + products.full.shape)
+        stack = np.empty((base,) * free + grid.shape)
         stack[(0,) * free] = 1.0
         for s, side in enumerate(lifted):
             for j, tensor in enumerate(side):
@@ -318,23 +260,22 @@ def _product_norms(system: HypergraphSystem, sides, p: Exponent) -> np.ndarray:
                 tail = (slice(0, s + 1),) * (free - 1 - axis)
                 # State s + 1 of edge j: the rows in state 0 times the tensor.
                 np.multiply(stack[head + (0,) + tail], tensor, out=stack[head + (s + 1,) + tail])
-        rows = stack.reshape((span,) + products.full.shape)
-        block = values[at * span : (at + 1) * span]
-        if p.is_inf:  # a sup norm is the same on every grid a row is laid out on
-            block[:] = _grid_lp_norms(rows.reshape(span, -1), p, None)
-            continue
-        prefix_reads = 0
-        for j, state in enumerate(prefix):
-            prefix_reads |= reads[j] if state else 0
-        groups = groups_by_prefix.get(prefix_reads)
-        if groups is None:
-            groups = groups_by_prefix[prefix_reads] = _row_groups(free_reads | prefix_reads, ndim)
-        for idx, coords, pick in groups:
-            if coords == 0:  # the empty product, the constant one
-                block[idx] = 1.0
-            else:
-                group = rows[(idx,) + pick].reshape(len(idx), -1)
-                block[idx] = _grid_lp_norms(group, p, lambda: products.grid(coords))
+        yield at * span, stack.reshape((span,) + grid.shape)
+
+
+def _product_norms(system: HypergraphSystem, sides, p: Exponent) -> np.ndarray:
+    """L_p norms of the products over every disjoint choice of edge subsets.
+
+    Entry k is the norm of choice k of `_choice_products` on the system's
+    edge grid (entry 0, the empty product, is 1), each block of rows normed
+    in one `_grid_lp_norms` call on that grid.
+    """
+    grid = _edge_grid(system)
+    values = np.empty((len(sides) + 1) ** len(system.edges))
+    for first, rows in _choice_products(grid, sides):
+        flat = rows.reshape(len(rows), -1)
+        values[first : first + len(rows)] = _grid_lp_norms(flat, p, lambda: grid)
+    values[0] = 1.0
     return values
 
 
@@ -422,17 +363,14 @@ def von_neumann_certificate(
         values = _product_norms(system, [[assign[e] for e in edges]], p)
     worst_subset: tuple[tuple[int, ...], ...] = ()
     worst_lp = 1.0  # empty subset product is the constant one
-    for r in range(1, len(edges) + 1):
-        for sub in itertools.combinations(range(len(edges)), r):
-            val = values[sum(1 << (len(edges) - 1 - j) for j in sub)]
-            if not val <= worst_lp:  # a larger norm, or one that is not finite
-                worst_subset = tuple(edges[j] for j in sub)
-                if not math.isfinite(val):
-                    subset = [list(e) for e in worst_subset]
-                    raise _not_finite(
-                        "von Neumann", f"the L_p norm of the product over {subset} is {val}", p
-                    )
-                worst_lp = float(val)
+    for sub, code in _subsets(len(edges)):
+        if not values[code] <= worst_lp:  # a larger norm, or one that is not finite
+            worst_subset = tuple(edges[j] for j in sub)
+            if not math.isfinite(values[code]):
+                subset = [list(e) for e in worst_subset]
+                what = f"the L_p norm of the product over {subset} is {values[code]}"
+                raise _not_finite("von Neumann", what, p)
+            worst_lp = float(values[code])
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = abs(lambda_form(system, assign))
     if not math.isfinite(lhs):

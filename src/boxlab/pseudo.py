@@ -13,6 +13,10 @@ named conditions:
   have ell-th moment <= C + eta, with ell derived from (C, p) by the even
   replica rule unless overridden.
 
+C1 and C3 read the sub-collection products of one walk,
+`counting._choice_products`, laid out on the grid of every coordinate the
+edges touch.
+
 Sup checks run through the shared boxed-maximization engine
 (`engine.sup_multilinear`, whose `Slot`, `SupProblem` and `SupResult` this
 module re-exports): exact mode searches every slot vertex and is a
@@ -39,7 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxnorm import REL_TOL, _box_norms, _lp_box_norms, require_even
-from .counting import SUBSET_CAP, full_assignment, lambda_form, least_even_at_least
+from .counting import (
+    SUBSET_CAP,
+    _choice_products,
+    _edge_grid,
+    _subsets,
+    full_assignment,
+    least_even_at_least,
+)
 from .cutnorm import cut_norm
 from .engine import (
     Slot,
@@ -178,19 +189,34 @@ def check_C1(
     nu,
     params: PseudoParams,
 ) -> ConditionReport:
-    """Every nonempty sub-collection product has expectation >= 1 - eta."""
+    """Every nonempty sub-collection product has expectation >= 1 - eta.
+
+    The means are taken on the system's edge grid, and the first
+    sub-collection in scan order whose mean is not finite (a product past
+    the float range) raises NumericalInconsistency.
+    """
     fam = full_assignment(system, nu, nonnegative=True)
     params.validate()
     edges = system.edges
     if (1 << len(edges)) > SUBSET_CAP:
         raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {SUBSET_CAP}")
+    grid = _edge_grid(system)
+    weights = grid.full_weights.reshape(-1)
+    means = np.empty(1 << len(edges))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, rows in _choice_products(grid, [[fam[e] for e in edges]]):
+            flat = rows.reshape(len(rows), -1)
+            means[first : first + len(rows)] = np.add.reduce(flat * weights, axis=1)
     worst = math.inf
     witness: tuple = ()
-    for r in range(1, len(edges) + 1):
-        for sub in itertools.combinations(edges, r):
-            val = lambda_form(system, fam, edges=sub)
-            if val < worst:
-                worst, witness = val, sub
+    for sub, code in _subsets(len(edges)):
+        if not math.isfinite(means[code]):
+            subset = [list(edges[j]) for j in sub]
+            raise NumericalInconsistency(
+                f"C1 mean of the product over {subset} is {means[code]}, not finite"
+            )
+        if means[code] < worst:
+            worst, witness = float(means[code]), tuple(edges[j] for j in sub)
     bound = 1.0 - params.eta
     return ConditionReport(
         condition="C1",
@@ -300,26 +326,6 @@ def check_C2b(
     )
 
 
-def conditional_onto_edge(
-    system: HypergraphSystem, e, functions
-) -> EdgeFunction:
-    """Average the product of the given tensors over all coordinates not in e."""
-    e = as_edge(e)
-    funcs = list(functions)
-    coords = sorted(set(e) | set(v for f in funcs for v in f.edge))
-    grid = Grid(system, [(v, 0) for v in coords])
-    acc = np.ones(grid.shape)
-    for f in funcs:
-        acc = acc * grid.lift(f.edge, f.values, (0,) * len(f.edge))
-    out_keys = [(v, 0) for v in coords if v not in e]
-    acc = acc * grid.weight_tensor(out_keys)
-    acc = np.broadcast_to(acc, grid.shape)
-    axes = tuple(grid.pos[k] for k in out_keys)
-    if axes:
-        acc = np.sum(np.ascontiguousarray(acc), axis=axes)
-    return edge_function(system, e, acc)
-
-
 def check_C3(
     system: HypergraphSystem,
     nu,
@@ -327,7 +333,14 @@ def check_C3(
 ) -> ConditionReport:
     """Moments of conditional sub-collection densities stay below C + eta.
 
-    A moment past the float range raises NumericalInconsistency.
+    For each edge e, the walk over the other edges lays every nonempty
+    sub-collection's product out on the system's edge grid.  Its density on
+    e is the product weighted by, and summed over, the coordinates off e; the
+    moment is the density to the ell-th power weighted by, and summed over,
+    e's coordinates.  The first moment in scan order (edges in order, each
+    edge's sub-collections by size in `itertools.combinations` order) that
+    is past the float range raises NumericalInconsistency; otherwise the
+    first strictly largest moment is the witness.
     """
     fam = full_assignment(system, nu, nonnegative=True)
     params.validate()
@@ -335,27 +348,33 @@ def check_C3(
     edges = system.edges
     if (1 << len(edges)) > SUBSET_CAP:
         raise SubsetCapExceeded(f"2**{len(edges)} subsets exceed cap {SUBSET_CAP}")
+    grid = _edge_grid(system)
+    all_axes = tuple(range(1, 1 + len(grid.shape)))  # axis 0 runs over the rows
     worst = -math.inf
     witness: dict = {}
     checked = 0
-    for e in edges:
-        others = [e2 for e2 in edges if e2 != e]
-        ge = Grid(system, [(v, 0) for v in e])
-        for r in range(1, len(others) + 1):
-            for sub in itertools.combinations(others, r):
-                dens = conditional_onto_edge(system, e, [fam[e2] for e2 in sub])
-                with np.errstate(over="ignore"):
-                    moment = ge.expect(
-                        [ge.lift(e, np.power(dens.values, ell), (0,) * len(e))]
-                    )
-                if not math.isfinite(moment):
-                    raise NumericalInconsistency(
-                        f"C3 moment on edge {list(e)} at ell={ell} overflows a float"
-                    )
-                checked += 1
-                if moment > worst:
-                    worst = moment
-                    witness = {"edge": list(e), "subset": [list(x) for x in sub]}
+    for i, e in enumerate(edges):
+        others = edges[:i] + edges[i + 1 :]
+        off = [k for k in grid.keys if k[0] not in e]
+        off_w = grid.weight_tensor(off)
+        on_w = grid.weight_tensor([(v, 0) for v in e])
+        off_axes = tuple(1 + grid.pos[k] for k in off)
+        moments = np.empty(1 << len(others))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, rows in _choice_products(grid, [[fam[x] for x in others]]):
+                dens = np.sum(rows * off_w, axis=off_axes, keepdims=True)
+                moments[first : first + len(rows)] = np.sum(
+                    np.power(dens, ell) * on_w, axis=all_axes
+                )
+        for sub, code in _subsets(len(others)):
+            if not math.isfinite(moments[code]):
+                raise NumericalInconsistency(
+                    f"C3 moment on edge {list(e)} at ell={ell} overflows a float"
+                )
+            checked += 1
+            if moments[code] > worst:
+                worst = float(moments[code])
+                witness = {"edge": list(e), "subset": [list(others[j]) for j in sub]}
     details = {"moments_checked": checked, "ell": ell}
     if not checked:  # at most one edge: no sub-collection to bound
         worst, details = 0.0, {"vacuous": True, "ell": ell}

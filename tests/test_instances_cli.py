@@ -542,6 +542,25 @@ class TestCliCertificates:
         assert err["error"] == "NumericalInconsistency"
         assert "C3" in err["message"] and "ell=100000" in err["message"]
 
+    def test_pseudorandom_check_c1_overflow_exits_3_without_warnings(self, tmp_path, capsys):
+        # 1e200 on edges (0, 2) and (1, 2): their product overflows, and C1
+        # refuses its mean before any other condition runs.
+        system, functions, meta = generate(GenSpec(3, 2, 2, "ones"))
+        for e in ((0, 2), (1, 2)):
+            functions[e] = edge_function(system, e, np.full(system.edge_shape(e), 1e200))
+        path = str(tmp_path / "big.json")
+        save_instance(path, system, functions, meta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pseudorandom", "check", "--instance", path, "--mode", "exact",
+                         "--C", "2", "--eta", "0.5", "--p", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, caught) == (3, "", [])
+        assert json.loads(captured.err) == {
+            "error": "NumericalInconsistency",
+            "message": "C1 mean of the product over [[0, 2], [1, 2]] is inf, not finite",
+        }
+
     @pytest.mark.parametrize("mode", ["exact", "auto", "heuristic"])
     def test_pseudorandom_check_sup_overflow_exits_3(self, tmp_path, capsys, mode):
         # 1e308 on edge (0, 1): the C2b sup problem on edge (0, 2) has two

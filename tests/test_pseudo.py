@@ -36,7 +36,6 @@ from boxlab.pseudo import (
     check_C2a,
     check_C2b,
     check_C3,
-    conditional_onto_edge,
     ell_pseudorandom,
     linear_forms_deviation,
     majorant_gap_correlation_sup,
@@ -49,7 +48,7 @@ from boxlab.pseudo import (
 )
 from boxlab.spaces import INF, Exponent, Grid, constant_function, edge_function, make_system
 
-from oracles import conditional_brute, deviation_brute, sup_correlation_brute
+from oracles import conditional_brute, deviation_brute, lambda_form_brute, sup_correlation_brute
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -245,6 +244,8 @@ class TestConditionChecks:
         assert rep.verdict == "true"
         assert math.isclose(rep.worst_value, 1.0, rel_tol=1e-12)
         assert rep.details["subsets_checked"] == 7
+        # Every mean is 1.0 exactly: the first subset in scan order stays the witness.
+        assert rep.witness["subset"] == [[0, 1]]
 
     def test_c1_false_with_witness(self):
         sys_ = k3_system()
@@ -253,6 +254,26 @@ class TestConditionChecks:
         rep = check_C1(sys_, fam, PseudoParams(1.0, 0.1, Exponent(2.0)))
         assert rep.verdict == "false"
         assert [0, 1] in rep.witness["subset"]
+
+    def test_c1_refuses_a_mean_that_is_not_finite(self):
+        # The mean over all three edges is 6.25e-100 in exact arithmetic, far
+        # below 1 - eta, but its float product meets inf * 0 and reads nan;
+        # skipping it certified "true".  The first mean past the float range
+        # in scan order, that of (0, 1) and (0, 2), is refused.
+        sys_ = k3_system()
+        values = {
+            (0, 1): [[1e200, 1e-300], [1e-300, 1e-300]],
+            (0, 2): [[1e200, 1e-300], [1e200, 1e200]],
+            (1, 2): [[0.0, 10.0], [10.0, 10.0]],
+        }
+        fam = {e: edge_function(sys_, e, v) for e, v in values.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericalInconsistency,
+                match=r"C1 mean of the product over \[\[0, 1\], \[0, 2\]\] is inf, not finite",
+            ):
+                check_C1(sys_, fam, PseudoParams(2.0, 0.5, Exponent(2.0)))
 
     def test_c1_subset_cap(self):
         sys_ = k3_system()
@@ -423,25 +444,81 @@ class TestConditionChecks:
         assert math.isfinite(finite.worst_value)
 
 
-class TestConditionalDensity:
-    @given(seeds)
-    @settings(max_examples=10)
-    def test_matches_brute(self, seed):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        sys_ = k3_system(2)
-        funcs = [
-            edge_function(sys_, e, rng.uniform(0, 2, size=(2, 2)))
-            for e in [(0, 2), (1, 2)]
-        ]
-        got = conditional_onto_edge(sys_, (0, 1), funcs)
-        want = conditional_brute(sys_, (0, 1), {f.edge: f for f in funcs})
-        assert np.allclose(got.values, want, rtol=1e-12, atol=1e-14)
+SUB_SHAPES = {
+    "K3": K3_EDGES,
+    "path": [(0, 1), (1, 2), (2, 3)],
+    "star": [(0, 1), (0, 2), (0, 3)],
+    "mixed": [(0,), (0, 1), (1, 2)],
+}
 
-    def test_no_outside_coordinates_is_plain_product(self):
-        sys_ = k3_system(2)
-        f = edge_function(sys_, (0, 1), [[1.0, 2.0], [3.0, 4.0]])
-        got = conditional_onto_edge(sys_, (0, 1), [f])
-        assert np.allclose(got.values, f.values)
+
+@st.composite
+def sub_collection_case(draw):
+    """A K3, 4-vertex path, star or mixed-arity path with 1-3 atoms per
+    vertex, a nonnegative family and ell in {2, 4}.  On all but K3 some
+    sub-collections miss coordinates, and on the mixed path the product of
+    (0,) reads no coordinate off (0, 1)."""
+    edges = SUB_SHAPES[draw(st.sampled_from(sorted(SUB_SHAPES)))]
+    rng = np.random.Generator(np.random.Philox(key=draw(seeds)))
+    n = 1 + max(v for e in edges for v in e)
+    atoms = [draw(st.integers(1, 3)) for _ in range(n)]
+    system = make_system([rng.uniform(0.2, 2.0, size=z) for z in atoms], edges)
+    fam = {
+        e: edge_function(system, e, rng.uniform(0.0, 2.0, size=system.edge_shape(e)))
+        for e in edges
+    }
+    return system, fam, draw(st.sampled_from([2, 4]))
+
+
+def brute_scan(scored, pick):
+    """(worst value, its witness, the best value of any other witness) of
+    `scored`, a list of (value, witness) in scan order; `pick` is min or max."""
+    worst = pick(v for v, _ in scored)
+    witness = next(w for v, w in scored if v == worst)
+    runner_up = pick((v for v, w in scored if w != witness), default=math.nan)
+    return worst, witness, runner_up
+
+
+def assert_scan_matches(rep, worst, witness, runner_up, witness_of):
+    assert math.isclose(rep.worst_value, worst, rel_tol=1e-12)
+    if not abs(runner_up - worst) <= 1e-9 * max(1.0, abs(worst)):  # nan: no runner-up
+        assert witness_of(rep) == witness
+
+
+class TestSubCollectionChecks:
+    """C1 and C3 against full-loop oracles, sub-collection by sub-collection."""
+
+    @given(sub_collection_case())
+    @settings(max_examples=30, deadline=None)
+    def test_c1_matches_brute(self, case):
+        system, fam, ell = case
+        rep = check_C1(system, fam, PseudoParams(2.0, 0.5, Exponent(2.0), ell=ell))
+        scored = [
+            (lambda_form_brute(system, {e: fam[e] for e in sub}), [list(e) for e in sub])
+            for r in range(1, len(system.edges) + 1)
+            for sub in itertools.combinations(system.edges, r)
+        ]
+        assert_scan_matches(rep, *brute_scan(scored, min), lambda r: r.witness["subset"])
+
+    @given(sub_collection_case())
+    @settings(max_examples=30, deadline=None)
+    def test_c3_matches_brute(self, case):
+        system, fam, ell = case
+        rep = check_C3(system, fam, PseudoParams(2.0, 0.5, Exponent(2.0), ell=ell))
+        scored = []
+        for e in system.edges:
+            others = [x for x in system.edges if x != e]
+            weights = [system.spaces[v].weights for v in e]
+            for r in range(1, len(others) + 1):
+                for sub in itertools.combinations(others, r):
+                    dens = conditional_brute(system, e, {x: fam[x] for x in sub})
+                    moment = math.fsum(
+                        math.prod(float(w[i]) for w, i in zip(weights, cell)) * dens[cell] ** ell
+                        for cell in itertools.product(*(range(len(w)) for w in weights))
+                    )
+                    scored.append((moment, {"edge": list(e), "subset": [list(x) for x in sub]}))
+        assert rep.details["moments_checked"] == len(scored)
+        assert_scan_matches(rep, *brute_scan(scored, max), lambda r: r.witness)
 
 
 class TestLinearFormsDeviation:
